@@ -40,7 +40,8 @@ class ClassAlgebra:
 
     e_k is the indicator of conjugacy class k; the unit is e_0 (identity
     class).  Vectors are plain length-r tuples of scalars; all structural
-    data is exact.
+    data is exact, and integer class-sum vectors stay integer under the
+    product.
     """
 
     def __init__(self, group: GroupTable, cd: Optional[ConjugacyData] = None):
@@ -49,6 +50,7 @@ class ClassAlgebra:
         self._structure = None
         self._metric = None
         self._inverse_metric = None
+        self._handle = None
 
     @property
     def r(self) -> int:
@@ -98,11 +100,25 @@ class ClassAlgebra:
             self._structure = tuple(tuple(tuple(v) for v in row) for row in a)
         return self._structure
 
+    def handle_element(self):
+        """H = sum_z |C(z)| e_z * e_{z^-1}, the sum of all commutators [a, b].
+
+        Gluing a handle multiplies by H, so a genus-g surface with
+        insertions c counts eps(e_{c_1} * ... * e_{c_n} * H^g).
+        """
+        if self._handle is None:
+            cd, a = self.cd, self.structure_constants()
+            self._handle = tuple(
+                sum(cd.centralizer_of_class(z) * a[z][cd.inverse_class[z]][k]
+                    for z in range(cd.r))
+                for k in range(cd.r))
+        return self._handle
+
     def class_mult_coefficient(self, i: int, j: int, k: int) -> int:
         return self.structure_constants()[i][j][k]
 
     def basis_vector(self, k: int):
-        return tuple(Q(1) if m == k else Q(0) for m in range(self.r))
+        return tuple(1 if m == k else 0 for m in range(self.r))
 
     def unit(self):
         return self.basis_vector(0)
@@ -327,8 +343,3 @@ def to_canonical_coordinates(v: Sequence, cb: CanonicalBasis,
     if err > max(cb.tolerance, 1e-9) * max(1.0, max(abs(x) for x in vv)):
         raise ReconstructionFailed(f"reconstruction residual {err:.3e}")
     return coords
-
-
-def canonical_change_matrix(cb: CanonicalBasis):
-    """Matrix F with f_alpha = sum_m F[alpha][m] e_m (rows are idempotents)."""
-    return tuple(tuple(vec) for vec in cb.vectors)

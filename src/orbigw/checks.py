@@ -61,7 +61,13 @@ def cutting_trees_check(theory: OrbifoldTheory, *, genus_max: int = 2,
 
 def cutting_loops_check(theory: OrbifoldTheory, *, genus_max: int = 2,
                         n_max: int = 4) -> dict:
-    """Omega_g(c) = sum_z |C(z)| Omega_{g-1}(z, z^-1, c) for g >= 1."""
+    """Omega_g(c) = sum_z |C(z)| Omega_{g-1}(z, z^-1, c) for g >= 1.
+
+    The left side multiplies by the algebra's cached handle element H;
+    the right side inserts each pair (z, z^-1) as two ordinary classes,
+    rebuilding one factor of H from the structure constants.  The identity
+    therefore tests H; the brute-force oracle tests everything else.
+    """
     cd = theory.cd
     checked = 0
     mismatches = []

@@ -5,8 +5,9 @@ The numbers come in two independent halves:
 * surface counts: normalized counts of tuples (a_1..a_g, b_1..b_g,
   s_1..s_n) with prod [a_i, b_i] = prod s_j and s_j in prescribed
   conjugacy classes, divided by |G|.  Computed both by literal
-  enumeration (the oracle) and by the genus-reducing recursion backed by
-  the Frobenius algebra.
+  enumeration (the oracle) and by one product in the Frobenius algebra
+  of class sums, eps(e_{c_1} * ... * e_{c_n} * H^g) with H the handle
+  element.
 
 * psi-class intersection numbers on the moduli of curves, computed by
   the string equation plus the descendant (Virasoro/KdV) recursion.
@@ -248,6 +249,8 @@ def _distribution_chunk(args):
 class OrbifoldTheory:
     """All correlator machinery for one finite group.
 
+    Surface counts come from the class algebra (``surface_count``) and,
+    independently, from literal enumeration (``surface_count_brute``).
     Instances cache conjugacy data, structure constants, commutator
     distributions and surface counts; they are safe to share across
     threads once built (pure lookups after memoization).
@@ -269,6 +272,14 @@ class OrbifoldTheory:
     @property
     def r(self) -> int:
         return self.cd.r
+
+    def _check_surface_key(self, genus: int, classes: Sequence[int]) -> None:
+        if genus < 0:
+            raise ValueError(f"genus must be >= 0, got {genus}")
+        for c in classes:
+            if not 0 <= c < self.r:
+                raise ValueError(
+                    f"class index {c} out of range 0..{self.r - 1}")
 
     # -- oracle side ---------------------------------------------------------
 
@@ -311,6 +322,7 @@ class OrbifoldTheory:
     def surface_count_brute(self, genus: int, classes: Sequence[int], *,
                             jobs: Optional[int] = None) -> Fraction:
         """Oracle count by enumeration, in the given argument order."""
+        self._check_surface_key(genus, classes)
         cd = self.cd
         work = self.group.order ** (2 * genus)
         for c in classes:
@@ -335,54 +347,36 @@ class OrbifoldTheory:
         rec(0, self.group.identity)
         return Q(total, self.group.order)
 
-    # -- recursion side --------------------------------------------------------
+    # -- algebra side ---------------------------------------------------------
 
     def surface_count(self, genus: int, classes: Sequence[int]) -> Fraction:
-        """Genus reduced to zero by cutting loops; genus 0 via the algebra.
+        """eps(e_{c_1} * ... * e_{c_n} * H^g) in the class algebra.
 
-        Cutting loops: Omega_g(c) = sum over classes z of
-        |C(z)| * Omega_{g-1}(c, z, z^{-1}).  Genus 0 with n >= 3 is
-        eta(e_{c_1} * ... * e_{c_{n-1}}, e_{c_n}); n <= 2 is counted
-        directly from the definition.
+        H is the handle element and eps(v) = eta(v, e_0) = v_0 / |G|; the
+        product stays an integer class-sum vector until that division.
         """
         key = (genus, tuple(sorted(classes)))
         cached = self._omega_memo.get(key)
         if cached is not None:
             return cached
-        value = self._surface_count_impl(genus, key[1])
+        self._check_surface_key(genus, classes)
+        alg = self.algebra
+        vec = alg.unit()
+        for c in key[1]:
+            vec = alg.quantum_product(vec, alg.basis_vector(c))
+        handle = alg.handle_element()
+        for _ in range(genus):
+            vec = alg.quantum_product(vec, handle)
+        value = Q(vec[0], self.group.order)
         self._omega_memo[key] = value
         return value
-
-    def _surface_count_impl(self, genus, classes) -> Fraction:
-        cd = self.cd
-        if genus > 0:
-            total = Q(0)
-            for z in range(cd.r):
-                zc = cd.centralizer_of_class(z)
-                total += zc * self.surface_count(
-                    genus - 1, classes + (z, cd.inverse_class[z]))
-            return total
-        n = len(classes)
-        if n == 0:
-            return Q(1, self.group.order)
-        if n == 1:
-            return (Q(1, self.group.order) if classes[0] == 0 else Q(0))
-        if n == 2:
-            c1, c2 = classes
-            if cd.inverse_class[c1] != c2:
-                return Q(0)
-            return Q(cd.class_size[c1], self.group.order)
-        alg = self.algebra
-        vec = alg.basis_vector(classes[0])
-        for c in classes[1:-1]:
-            vec = alg.quantum_product(vec, alg.basis_vector(c))
-        return alg.eta(vec, alg.basis_vector(classes[-1]))
 
     # -- correlators -------------------------------------------------------------
 
     def orbifold_correlator(self, key: CorrelatorKey) -> Fraction:
         """psi intersection number times the surface count (zero when the
         dimension constraint fails); empty correlators vanish."""
+        self._check_surface_key(key.genus, key.classes)
         if not key.stable:
             raise UnstableKey(f"unstable key {key}")
         n = len(key.insertions)

@@ -55,11 +55,6 @@ class GroupTable:
         """a x a^-1"""
         return self.mult[self.mult[a][x]][self.inv[a]]
 
-    def commutator(self, a: int, b: int) -> int:
-        """a b a^-1 b^-1"""
-        m = self.mult
-        return m[m[m[a][b]][self.inv[a]]][self.inv[b]]
-
     def name_of(self, x: int) -> str:
         if self.element_names is not None:
             return self.element_names[x]

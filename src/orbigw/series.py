@@ -87,10 +87,6 @@ def mono_degree(m: tuple) -> int:
     return sum(e for _, e in m)
 
 
-def mono_max_level(m: tuple) -> int:
-    return max((v[0] for v, _ in m), default=0)
-
-
 class TruncatedSeries:
     """terms: {monomial: {lambda exponent: coefficient}}"""
 
@@ -107,10 +103,6 @@ class TruncatedSeries:
         self.terms = {} if terms is None else terms
 
     # -- construction -------------------------------------------------------
-
-    @classmethod
-    def zero(cls, caps, **kw):
-        return cls(caps, **kw)
 
     @classmethod
     def constant(cls, caps, value, *, lam: int = 0, **kw):

@@ -13,14 +13,6 @@ def rat_str(x) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def parse_rat(s: str) -> Fraction:
-    s = s.strip()
-    if "/" in s:
-        num, den = s.split("/", 1)
-        return Q(int(num), int(den))
-    return Q(int(s))
-
-
 def double_factorial(m: int) -> int:
     """(2k-1)!! = 1*3*5*...*(2k-1) for odd m = 2k-1, with (-1)!! = 1.
 

@@ -1,6 +1,6 @@
 import io
 import json
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 from orbigw.cli import main
 
@@ -137,6 +137,14 @@ def test_exit_codes_for_bad_input():
     code, _ = run_cli(["omega", "--group", S3, "--genus", "2",
                        "--work-cap", "10"])
     assert code == 3
+
+
+def test_omega_negative_genus_is_input_error():
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli(["omega", "--group", S3, "--genus", "-1"])
+    assert code == 2 and out == ""
+    assert err.getvalue().startswith("input error")
 
 
 def test_byte_identical_reports():

@@ -8,7 +8,7 @@ from orbigw.correlators import (CANONICAL_RESCALED, CorrelatorKey,
                                 OrbifoldTheory, UnstableKey,
                                 WorkCapExceeded, genus0_closed_form,
                                 psi_correlator, tensor_omega_check)
-from orbigw.checks import cohft_check
+from orbigw.checks import cohft_check, cutting_loops_check
 from orbigw.groups import named_group
 from orbigw.series import SeriesCaps
 from orbigw.util import Q
@@ -160,6 +160,44 @@ def test_three_point_matches_triple_enumeration(s3):
                     == Q(count, g.order)
 
 
+def test_empty_surface_count_closed_form():
+    # Mednykh: Omega_g() = sum_alpha (|G|/d_alpha)^(2g-2), exact at genera
+    # far beyond what enumeration reaches
+    for name, param in (("S", 3), ("S", 4), ("Q8", 0), ("D", 5), ("S", 5)):
+        theory = OrbifoldTheory(named_group(name, param))
+        n = theory.group.order
+        degrees = character_table(theory.group, theory.cd).degrees
+        for genus in range(7):
+            expected = sum(Q(n, d) ** (2 * genus - 2) for d in degrees)
+            assert theory.surface_count(genus, ()) == expected, (name, genus)
+
+
+def test_wrong_handle_element_is_detected(monkeypatch):
+    theory = OrbifoldTheory(named_group("S", 3))
+    alg, cd = theory.algebra, theory.cd
+    a = alg.structure_constants()
+    unweighted = tuple(sum(a[z][cd.inverse_class[z]][k] for z in range(cd.r))
+                       for k in range(cd.r))
+    monkeypatch.setattr(alg, "handle_element", lambda: unweighted)
+    assert not cutting_loops_check(theory, genus_max=2, n_max=2)["passed"]
+    assert any(theory.surface_count(genus, cls)
+               != theory.surface_count_brute(genus, cls)
+               for genus in (1, 2) for n in range(3)
+               for cls in combinations_with_replacement(range(cd.r), n))
+
+
+def test_surface_count_rejects_invalid_keys(s3):
+    for genus, classes in ((-1, ()), (0, (7,)), (0, (7, 7)), (1, (-1,))):
+        with pytest.raises(ValueError):
+            s3.surface_count(genus, classes)
+
+
+def test_surface_count_brute_rejects_invalid_keys(s3):
+    for genus, classes in ((-1, ()), (0, (7,)), (0, (7, 7)), (1, (-1,))):
+        with pytest.raises(ValueError):
+            s3.surface_count_brute(genus, classes)
+
+
 def test_work_cap(s3):
     small = OrbifoldTheory(named_group("S", 3), work_cap=10)
     with pytest.raises(WorkCapExceeded):
@@ -187,6 +225,13 @@ def test_orbifold_correlator_examples(s3, z2):
         s3.orbifold_correlator(CorrelatorKey(1, ()))
     with pytest.raises(UnstableKey):
         s3.orbifold_correlator(CorrelatorKey(0, ((0, 0), (0, 1))))
+
+
+def test_orbifold_correlator_rejects_invalid_keys(s3):
+    for genus, insertions in ((-1, ((0, 0),)), (0, ((0, 7), (0, 0), (0, 0))),
+                              (1, ((1, 3),))):
+        with pytest.raises(ValueError):
+            s3.orbifold_correlator(CorrelatorKey(genus, insertions))
 
 
 def test_flat_identity_string_consistency(s3):
