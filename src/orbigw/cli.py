@@ -222,8 +222,15 @@ def cmd_check(args) -> int:
                             jobs=args.jobs)
     mutate = None
     if args.mutate:
-        mono_spec, lam = json.loads(args.mutate)
-        mutate = (tuple((tuple(v[:2]), v[2]) for v in mono_spec), lam)
+        try:
+            mono_spec, lam = json.loads(args.mutate)
+            mutate = (tuple(((a, m), e) for a, m, e in mono_spec), lam)
+            integral = all(type(x) is int for x in [lam, *sum(mono_spec, [])])
+        except (TypeError, ValueError):
+            integral = False
+        if not integral:
+            raise ValueError(f"--mutate {args.mutate!r} is not "
+                             f"[[[a, m, exp], ...], lambda] in integers")
 
     if args.which == "cohft":
         report = checks.cohft_check(theory, genus_max=min(args.genus, 2),

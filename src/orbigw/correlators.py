@@ -28,7 +28,8 @@ from typing import Optional, Sequence
 
 from .algebra import ClassAlgebra
 from .groups import GroupTable, conjugacy_data, direct_product
-from .series import EXACT, SeriesCaps, TruncatedSeries, mono_from_vars
+from .series import (EXACT, SeriesCaps, TruncatedSeries, mono_from_vars,
+                     mono_mul)
 from .util import Q, double_factorial
 
 DEFAULT_WORK_CAP = 10 ** 9
@@ -423,7 +424,8 @@ class OrbifoldTheory:
         cached = self._potential_cache.get(cache_key)
         if cached is None:
             if basis == CLASS_BASIS:
-                cached = self._potential_class(caps, lam_floor)
+                cached = self.potential_derivative((), caps,
+                                                   lam_floor=lam_floor)
             elif basis == CANONICAL_RESCALED:
                 cached = self._potential_canonical(caps, lam_floor)
             else:
@@ -439,13 +441,31 @@ class OrbifoldTheory:
             lc[lam] = 2 * lc[lam]
         return series
 
-    def _potential_class(self, caps, lam_floor):
+    def potential_derivative(self, fixed: Sequence, caps: SeriesCaps, *,
+                             lam_floor: int = -2,
+                             mutate=None) -> TruncatedSeries:
+        """Class-basis series d/dt_{v_1} ... d/dt_{v_k} F for fixed = (v_1..v_k).
+
+        Its coefficient of t^M lambda^{2g-2} is the single correlator
+        <tau(v_1) ... tau(v_k) tau(M)>_g / M!, so the series is generated
+        from correlators directly, for free monomials M of degree
+        <= caps.degree with levels <= caps.level and genus <= caps.genus.
+        ``mutate`` ((monomial, lambda) pair) doubles every term whose full
+        insertion multiset fixed + M is that monomial at that lambda,
+        matching a potential with that one coefficient doubled.
+        """
+        fixed = sorted(fixed)
+        fixed_levels = tuple(a for a, _ in fixed)
+        fixed_classes = tuple(m for _, m in fixed)
+        fixed_mono = mono_from_vars(fixed)
+        if mutate is not None:
+            mutate = (tuple(sorted(mutate[0])), mutate[1])
         out = TruncatedSeries(caps, mode=EXACT, system=CLASS_BASIS,
                               lam_floor=lam_floor)
         r = self.r
-        for genus, levels, psi in self._stable_level_keys(caps):
+        for genus, levels, psi in self._stable_level_keys(caps, fixed_levels):
             lam = 2 * genus - 2
-            if lam > caps.lam_ceiling or lam < lam_floor:
+            if lam < lam_floor:
                 continue
             blocks = _level_blocks(levels)
             for assignment in _class_assignments(blocks, r):
@@ -456,10 +476,16 @@ class OrbifoldTheory:
                     classes.extend(chosen)
                     variables.extend((level, cls) for cls in chosen)
                     aut *= _multiset_aut(chosen)
-                omega = self.surface_count(genus, tuple(classes))
+                omega = self.surface_count(genus,
+                                           fixed_classes + tuple(classes))
                 if not omega:
                     continue
-                out._set(mono_from_vars(variables), lam, psi * omega / aut)
+                mono = mono_from_vars(variables)
+                value = psi * omega / aut
+                if mutate is not None and lam == mutate[1] and \
+                        mono_mul(fixed_mono, mono) == mutate[0]:
+                    value *= 2
+                out._set(mono, lam, value)
         return out
 
     def _potential_canonical(self, caps, lam_floor):
@@ -467,7 +493,7 @@ class OrbifoldTheory:
                               lam_floor=lam_floor)
         for genus, levels, psi in self._stable_level_keys(caps):
             lam = 2 * genus - 2
-            if lam > caps.lam_ceiling or lam < lam_floor:
+            if lam < lam_floor:
                 continue
             aut = _multiset_aut(levels)
             for alpha in range(self.r):
@@ -475,17 +501,23 @@ class OrbifoldTheory:
                 out._set(key, lam, psi / aut)
         return out
 
-    def _stable_level_keys(self, caps):
-        """(genus, sorted levels, psi value) for every contributing key."""
+    def _stable_level_keys(self, caps, fixed_levels=()):
+        """(genus, free levels, psi value) for every contributing key.
+
+        The free levels are a sorted tuple of at most caps.degree levels
+        <= caps.level; psi is that of the free levels merged with the
+        levels of the fixed insertions.
+        """
+        k = len(fixed_levels)
         for genus in range(caps.genus + 1):
-            for n in range(1, caps.degree + 1):
-                if 2 * genus - 2 + n <= 0:
+            for n in range(caps.degree + 1):
+                if 2 * genus - 2 + k + n <= 0:
                     continue
-                target = 3 * genus - 3 + n
+                target = 3 * genus - 3 + k + n - sum(fixed_levels)
                 if target < 0:
                     continue
                 for levels in _bounded_partitions(target, n, caps.level):
-                    psi = _psi(genus, levels)
+                    psi = _psi(genus, tuple(sorted(fixed_levels + levels)))
                     if psi:
                         yield genus, levels, psi
 

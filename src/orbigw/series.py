@@ -393,7 +393,12 @@ class TruncatedSeries:
         def mat(a):
             if a not in checked:
                 m = matrix_for_level(a)
-                if abs(np.linalg.det(np.array(m, dtype=complex))) < 1e-12:
+                # unit columns make the test blind to column scaling, such
+                # as the nu^((a-1)/3) factors of the rescaled variables
+                cols = np.array(m, dtype=complex)
+                norms = np.linalg.norm(cols, axis=0)
+                if not norms.all() or \
+                        abs(np.linalg.det(cols / norms)) < 1e-12:
                     raise SingularMatrix(f"singular change of basis at level {a}")
                 checked[a] = m
             return checked[a]

@@ -414,36 +414,39 @@ def kdv_check(theory: OrbifoldTheory, *, a_max: int = 2, degree: int = 4,
         + 1/4 <<tau_{a-1}(v) tau_0 tau_0 tau_0 tau_0>> . eta eta
 
     where each double bracket is the matching mixed partial of the
-    potential and dots are inverse-metric contractions.  The potential is
-    computed with five extra degrees and one extra genus so the stated
-    box is fully certified.
+    potential and dots are inverse-metric contractions.  Each bracket is
+    generated from correlators over the compared region only (degree <=
+    ``degree``, one extra genus), so the stated box is fully certified.
+    ``mutate`` doubles one coefficient of the potential truncated at
+    degree + 5, the most any bracket differentiates, and raises KeyError
+    when that potential stores no coefficient there.
     """
     g_big = genus + headroom
-    d_int = degree + 5
-    caps = SeriesCaps(degree=d_int, level=max(3 * g_big - 3 + d_int, a_max + 1),
+    if mutate is not None:
+        # raises KeyError when that potential stores no coefficient there
+        theory.potential(SeriesCaps(degree=degree + 5,
+                                    level=max(3 * g_big - 3 + degree + 5,
+                                              a_max + 1),
+                                    genus=g_big), mutate=mutate)
+    # never binds: a free level is at most the level sum 3g - 3 + n of its
+    # correlator, and a bracket has n <= degree + 5 insertions
+    caps = SeriesCaps(degree=degree, level=3 * g_big - 3 + degree + 5,
                       genus=g_big)
-    phi = theory.potential(caps, basis=CLASS_BASIS, mutate=mutate)
     cd = theory.cd
     r = theory.r
     pairs = [(j, cd.inverse_class[j], Q(cd.centralizer_of_class(j)))
              for j in range(r)]
 
-    # Derivatives commute, so memoize on the sorted variable tuple; every
-    # prefix gets cached, which is where all the reuse across contraction
-    # indices comes from.
-    deriv_memo = {(): phi}
-
-    def deriv(variables):
-        key = tuple(sorted(variables))
-        got = deriv_memo.get(key)
-        if got is None:
-            got = deriv(key[:-1]).partial_derivative(key[-1])
-            deriv_memo[key] = got
-        return got
+    # Derivatives commute, so memoize on the sorted variable tuple.
+    factor_memo = {}
 
     def factor(*variables):
-        # contributions above the comparison degree never matter
-        return deriv(variables).truncated_to_degree(degree)
+        key = tuple(sorted(variables))
+        got = factor_memo.get(key)
+        if got is None:
+            got = theory.potential_derivative(key, caps, mutate=mutate)
+            factor_memo[key] = got
+        return got
 
     zero = TruncatedSeries(caps, mode=EXACT, system=CLASS_BASIS, lam_floor=-4)
     triple = {}   # sum_k z_k <<tau_0(m) tau_0(k) tau_0(k^-1)>>, per class m

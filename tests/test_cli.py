@@ -1,7 +1,11 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
+import orbigw
 from orbigw.cli import main
 
 Z2 = '{"name":"Z","param":2}'
@@ -104,6 +108,11 @@ def test_check_commands_pass():
                          "--degree", "4", "--genus", "1", "--tol", "1e-8"])
     assert code == 0 and json.loads(out)["passed"]
 
+    # CLI defaults (D6 G2): the level-9 change of basis is scaled far below
+    # a unit determinant but is not singular
+    code, out = run_cli(["check", "factorization", "--group", S3])
+    assert code == 0 and json.loads(out)["passed"]
+
     code, out = run_cli(["check", "tensor", "--group", Z2,
                          "--group2", '{"name":"Z","param":3}',
                          "--genus", "1"])
@@ -128,6 +137,18 @@ def test_check_mutation_fails_with_located_violation():
                          "--mutate", mutate])
     assert code == 1 and not json.loads(out)["passed"]
 
+    # targets the degree-(D+5) potential does not store: degree 9 at genus
+    # 0 (off dimension), and genus 3 above the genus cap 2; then malformed
+    for target in ([[[0, 0, 9]], -2], [[[0, 0, 3]], 4], [[[0, 0, 1.5]], -2],
+                   [[[0, 0]], -2], [[0, 0, 3], -2]):
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_cli(["check", "kdv", "--group", Z2,
+                                 "--degree", "4", "--genus", "1",
+                                 "--mutate", json.dumps(target)])
+        assert code == 2 and out == ""
+        assert err.getvalue().startswith("input error")
+
 
 def test_exit_codes_for_bad_input():
     code, _ = run_cli(["group", "--group", '{"name":"nope"}'])
@@ -137,6 +158,16 @@ def test_exit_codes_for_bad_input():
     code, _ = run_cli(["omega", "--group", S3, "--genus", "2",
                        "--work-cap", "10"])
     assert code == 3
+    # a 515-element non-associative loop (order-5 loop x Z_103)
+    loop5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+             [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+    table = [[loop5[l1][l2] * 103 + (z1 + z2) % 103
+              for l2 in range(5) for z2 in range(103)]
+             for l1 in range(5) for z1 in range(103)]
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, _ = run_cli(["group", "--group", json.dumps({"cayley": table})])
+    assert code == 2 and "associativity" in err.getvalue()
 
 
 def test_omega_negative_genus_is_input_error():
@@ -177,26 +208,29 @@ def test_text_format_and_out_file(tmp_path):
     assert "order: 2" in text
 
 
+def run_cli_process(argv):
+    """The CLI in a fresh interpreter that imports this same orbigw."""
+    src = os.path.dirname(os.path.dirname(orbigw.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "orbigw.cli", *argv],
+                          capture_output=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+
+
 def test_cross_process_determinism():
-    import subprocess
-    import sys
-    argv = [sys.executable, "-m", "orbigw.cli", "chartable", "--group", S3,
-            "--seed", "3"]
-    first = subprocess.run(argv, capture_output=True, check=True).stdout
-    second = subprocess.run(argv, capture_output=True, check=True).stdout
+    argv = ["chartable", "--group", S3, "--seed", "3"]
+    first = run_cli_process(argv).stdout
+    second = run_cli_process(argv).stdout
     assert first == second and first
 
 
 def test_profile_goes_to_stderr():
-    import subprocess
-    import sys
-    argv = [sys.executable, "-m", "orbigw.cli", "omega", "--group", S3,
-            "--genus", "1", "--profile"]
-    done = subprocess.run(argv, capture_output=True, check=True)
+    argv = ["omega", "--group", S3, "--genus", "1", "--profile"]
+    done = run_cli_process(argv)
     assert b"tuples/s" in done.stderr
     assert json.loads(done.stdout)["agree"] is True
     # profiling must not perturb the report bytes
-    plain = subprocess.run(argv[:-1], capture_output=True, check=True)
+    plain = run_cli_process(argv[:-1])
     assert plain.stdout == done.stdout
 
 

@@ -31,17 +31,28 @@ def test_cayley_rejects_non_latin_square():
     assert "permutation" in str(exc.value)
 
 
+LOOP5 = [[0, 1, 2, 3, 4],
+         [1, 0, 3, 4, 2],
+         [2, 4, 0, 1, 3],
+         [3, 2, 4, 0, 1],
+         [4, 3, 1, 2, 0]]
+
+
+def loop_times_cyclic(n):
+    """Cayley table of LOOP5 x Z_n, element (l, z) at index l*n + z."""
+    return [[LOOP5[l1][l2] * n + (z1 + z2) % n
+             for l2 in range(5) for z2 in range(n)]
+            for l1 in range(5) for z1 in range(n)]
+
+
 def test_cayley_rejects_nonassociative():
     # order-5 loop: Latin square with two-sided identity and inverses,
-    # but (1*2)*2 = 3*2 = 4 while 1*(2*2) = 1*0 = 1
-    table = [[0, 1, 2, 3, 4],
-             [1, 0, 3, 4, 2],
-             [2, 4, 0, 1, 3],
-             [3, 2, 4, 0, 1],
-             [4, 3, 1, 2, 0]]
-    with pytest.raises(NotAGroup) as exc:
-        build_from_cayley(table)
-    assert "associativity" in str(exc.value)
+    # but (1*2)*2 = 3*2 = 4 while 1*(2*2) = 1*0 = 1; its products with
+    # Z_3 and Z_103 (515 elements) must be rejected at every order too
+    for table in (LOOP5, loop_times_cyclic(3), loop_times_cyclic(103)):
+        with pytest.raises(NotAGroup) as exc:
+            build_from_cayley(table)
+        assert "associativity" in str(exc.value)
 
 
 def test_generators_s3():

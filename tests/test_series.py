@@ -147,8 +147,14 @@ def test_substitute_linear_roundtrip():
 
 def test_substitute_linear_singular():
     s = poly([(mono((0, 0)), 0, Q(1))], SeriesCaps(degree=2, level=1, genus=1))
-    with pytest.raises(SingularMatrix):
-        s.substitute_linear(lambda a: [[1, 1], [1, 1]], 2)
+    for singular in ([[1, 1], [1, 1]], [[1e-9, 2], [3e-9, 6]],
+                     [[0, 1], [0, 2]]):
+        with pytest.raises(SingularMatrix):
+            s.substitute_linear(lambda a: singular, 2)
+    # column scaling cannot make a matrix singular: det 4e-14 here
+    scaled = [[2e-7, 1e-7], [2e-7, -1e-7]]
+    out = s.to_numeric().substitute_linear(lambda a: scaled, 2)
+    assert out.coefficient(mono((0, 0)), 0) == 2e-7
 
 
 def test_coefficient_queries():

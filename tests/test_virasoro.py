@@ -143,6 +143,49 @@ def test_kdv_trivial_and_z2(z2):
         assert all(rep.checked_monomials > 0 for rep in reports)
 
 
+def kdv_bracket_requests(theory, monkeypatch, **kw):
+    """(fixed variables, caps, mutate) of every bracket kdv_check generates."""
+    calls = []
+    generate = theory.potential_derivative
+
+    def record(fixed, caps, **kwargs):
+        calls.append((fixed, caps, kwargs.get("mutate")))
+        return generate(fixed, caps, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(theory, "potential_derivative", record)
+        kdv_check(theory, **kw)
+    return calls
+
+
+def test_kdv_brackets_match_differentiated_potential(z2, s3, monkeypatch):
+    # oracle: differentiate the potential truncated at degree D + 5 (the
+    # most any bracket differentiates) and drop monomials above degree D
+    cases = [(th, d, None) for th in (z2, s3) for d in (1, 2, 3)]
+    cases.append((z2, 3, ((((0, 0), 1), ((0, 1), 2)), -2)))
+    for theory, degree, mutate in cases:
+        calls = kdv_bracket_requests(theory, monkeypatch, a_max=2,
+                                     degree=degree, genus=1, mutate=mutate)
+        caps = SeriesCaps(degree=degree + 5, level=3 * 2 - 3 + degree + 5,
+                          genus=2)
+        derivs = {(): theory.potential(caps, mutate=mutate)}
+
+        def deriv(fixed):
+            if fixed not in derivs:
+                derivs[fixed] = deriv(fixed[:-1]).partial_derivative(fixed[-1])
+            return derivs[fixed]
+
+        for fixed, bracket_caps, got_mutate in calls:
+            assert got_mutate == mutate
+            ref = deriv(fixed).truncated_to_degree(degree)
+            got = theory.potential_derivative(fixed, bracket_caps,
+                                              mutate=mutate)
+            assert got.terms == ref.terms, (theory.r, degree, fixed)
+            # same insertion order too, so ties in the reports break alike
+            assert list(got.terms) == list(ref.terms)
+        assert len({fixed for fixed, _c, _m in calls}) > 10
+
+
 def test_kdv_vanishing_slice(z2):
     # with v in the nontrivial class both sides vanish in the genus-0
     # degree-0 slice: the lhs coefficient of the empty monomial is zero
