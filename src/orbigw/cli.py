@@ -20,8 +20,8 @@ from . import checks
 from .algebra import (DegenerateSpectrum, IdempotencyCheckFailed,
                       canonical_basis, character_table)
 from .correlators import (CANONICAL_RESCALED, CLASS_BASIS, CorrelatorKey,
-                          OrbifoldTheory, UnstableKey, WorkCapExceeded,
-                          tensor_omega_check)
+                          MissingCoefficient, OrbifoldTheory, UnstableKey,
+                          WorkCapExceeded, tensor_omega_check)
 from .groups import (GroupTable, NotAGroup, OrderExceedsLimit,
                      UnsupportedName, group_from_spec)
 from .series import SeriesCaps
@@ -175,11 +175,15 @@ def cmd_omega(args) -> int:
 
 def cmd_correlator(args) -> int:
     theory = OrbifoldTheory(load_group(args), work_cap=args.work_cap)
-    key_spec = json.loads(args.key)
-    insertions = tuple(
-        (int(a), resolve_class_label(theory, lab))
-        for a, lab in key_spec["insertions"])
-    key = CorrelatorKey(genus=int(key_spec["genus"]), insertions=insertions)
+    try:
+        key_spec = json.loads(args.key)
+        genus = int(key_spec["genus"])
+        raw = [(int(a), lab) for a, lab in key_spec["insertions"]]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"--key {args.key!r} is not {{\"genus\": g, "
+                         f"\"insertions\": [[level, class], ...]}}") from exc
+    insertions = tuple((a, resolve_class_label(theory, lab)) for a, lab in raw)
+    key = CorrelatorKey(genus=genus, insertions=insertions)
     value = theory.orbifold_correlator(key)
     report = {
         "genus": key.genus,
@@ -339,7 +343,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (NotAGroup, UnsupportedName, UnstableKey, ValueError,
-            KeyError, json.JSONDecodeError, FileNotFoundError,
+            MissingCoefficient, json.JSONDecodeError, FileNotFoundError,
             DegenerateSpectrum, IdempotencyCheckFailed) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT_ERROR

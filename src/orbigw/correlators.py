@@ -46,6 +46,10 @@ class UnstableKey(Exception):
     pass
 
 
+class MissingCoefficient(KeyError):
+    """A mutation target names a coefficient the potential does not store."""
+
+
 @dataclass(frozen=True)
 class CorrelatorKey:
     genus: int
@@ -418,7 +422,8 @@ class OrbifoldTheory:
         coefficient <tau_{a_1}(e_{m_1})...>_g / aut.  Canonical-rescaled
         basis: variables (a, idempotent index), r disjoint copies of the
         point potential.  ``mutate`` is a debug hook ((monomial, lambda)
-        pair) that doubles one stored coefficient.
+        pair) that doubles one stored coefficient of the returned copy and
+        raises MissingCoefficient when none is stored there.
         """
         cache_key = (caps, basis, lam_floor)
         cached = self._potential_cache.get(cache_key)
@@ -437,7 +442,8 @@ class OrbifoldTheory:
             mono = tuple(sorted(mono))
             lc = series.terms.get(mono)
             if lc is None or lam not in lc:
-                raise KeyError(f"no stored coefficient at {mono} lambda^{lam}")
+                raise MissingCoefficient(
+                    f"no stored coefficient at {mono} lambda^{lam}")
             lc[lam] = 2 * lc[lam]
         return series
 

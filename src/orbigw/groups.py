@@ -14,6 +14,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 DEFAULT_MAX_ORDER = 100_000
+# Largest dense multiplication table built: 1 GiB admits order ~5,400
+# (S7 at 5,040) and rejects S8.
+MAX_TABLE_BYTES = 2 ** 30
 
 
 class NotAGroup(Exception):
@@ -28,6 +31,20 @@ class NotAGroup(Exception):
 
 class OrderExceedsLimit(Exception):
     pass
+
+
+def table_bytes(order: int) -> int:
+    """Estimated size of a dense table: ``order`` row tuples, each entry a
+    pointer and, unless shared, its own 28-byte int."""
+    return order * (56 + 36 * order)
+
+
+def check_table_size(order: int) -> None:
+    """Raise OrderExceedsLimit before building a table above MAX_TABLE_BYTES."""
+    if table_bytes(order) > MAX_TABLE_BYTES:
+        raise OrderExceedsLimit(
+            f"order {order} needs a ~{table_bytes(order) / 2 ** 30:.1f} GiB "
+            f"multiplication table, above {MAX_TABLE_BYTES / 2 ** 30:g} GiB")
 
 
 class UnsupportedName(Exception):
@@ -92,6 +109,7 @@ def build_from_cayley(table: Sequence[Sequence[int]], *,
     n = len(table)
     if n == 0:
         raise NotAGroup("empty table")
+    check_table_size(n)
     rows = []
     for i, row in enumerate(table):
         if len(row) != n:
@@ -258,6 +276,7 @@ def build_from_generators(perms: Sequence[Sequence[int]], *,
                 if len(elems) >= max_order:
                     raise OrderExceedsLimit(
                         f"closure exceeds {max_order} elements")
+                check_table_size(len(elems) + 1)
                 index[y] = len(elems)
                 elems.append(y)
                 queue.append(y)
@@ -306,7 +325,9 @@ def named_group(name: str, param: int = 0) -> GroupTable:
 
 
 def _cyclic(n: int) -> GroupTable:
-    mult = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
+    check_table_size(n)
+    row = tuple(range(n))
+    mult = tuple(row[i:] + row[:i] for i in range(n))
     inv = tuple((-i) % n for i in range(n))
     names = tuple("1" if i == 0 else ("g" if i == 1 else f"g^{i}")
                   for i in range(n))
@@ -323,6 +344,7 @@ def _dihedral(n: int) -> GroupTable:
         return ((b1 + b2) % 2) * n + a
 
     order = 2 * n
+    check_table_size(order)
     table = [[mul(x, y) for y in range(order)] for x in range(order)]
     names = []
     for x in range(order):
@@ -366,6 +388,7 @@ def direct_product(g: GroupTable, h: GroupTable, *,
     n = g.order * h.order
     if n > max_order:
         raise OrderExceedsLimit(f"product order {n} exceeds {max_order}")
+    check_table_size(n)
     nh = h.order
     gm, hm = g.mult, h.mult
     mult = tuple(

@@ -159,14 +159,19 @@ class TruncatedSeries:
     def _set(self, mono, lam, value):
         if not value:
             return
-        lc = self.terms.setdefault(mono, {})
-        nv = lc.get(lam, self._zero_scalar()) + value
-        if nv:
-            lc[lam] = nv
+        lc = self.terms.get(mono)
+        if lc is None:
+            self.terms[mono] = {lam: value}
+        elif lam not in lc:
+            lc[lam] = value
         else:
-            lc.pop(lam, None)
-            if not lc:
-                del self.terms[mono]
+            nv = lc[lam] + value
+            if nv:
+                lc[lam] = nv
+            else:
+                del lc[lam]
+                if not lc:
+                    del self.terms[mono]
 
     def coefficient(self, mono, lam: int):
         mono = tuple(sorted(mono))
@@ -190,6 +195,28 @@ class TruncatedSeries:
         for mono, lam, c in other.iter_terms():
             out._set(mono, lam, c)
         return out
+
+    def iadd(self, other: "TruncatedSeries", value=1, *,
+             lam_shift: int = 0) -> "TruncatedSeries":
+        """self += value * lambda^lam_shift * other, in place; returns self.
+
+        Same result, floor and watermark as
+        ``self.add(other.scale(value, lam_shift=lam_shift))`` without
+        copying the accumulated series.
+        """
+        self._check_compatible(other)
+        if lam_shift % 2 != 0:
+            raise ValueError("lambda shift must be even")
+        self.lam_floor = min(self.lam_floor, other.lam_floor + lam_shift)
+        self.valid_degree = min(self.valid_degree, other.valid_degree)
+        if not value:
+            return self
+        ceiling = self.caps.lam_ceiling
+        for mono, lc in other.terms.items():
+            for lam, c in lc.items():
+                if lam + lam_shift <= ceiling:
+                    self._set(mono, lam + lam_shift, c * value)
+        return self
 
     def scale(self, value, *, lam_shift: int = 0) -> "TruncatedSeries":
         """Multiply by value * lambda^lam_shift; the window shifts along."""

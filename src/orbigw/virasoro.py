@@ -7,16 +7,13 @@ Two operator families act on truncated partition functions:
 * the diagonal family acting on class-basis series, with the identity
   class in slot 0 and metric contractions in the quadratic terms.
 
-Both have exact rational coefficients, so annihilation of the partition
-function is checked coefficient by coefficient in exact arithmetic.
+Both have exact rational coefficients, so the constraints are checked
+coefficient by coefficient in exact arithmetic.
 
-Lambda bookkeeping: the partition function is built from a potential
-truncated at an internal genus cap ``G_max + headroom``.  A slice-e
-coefficient of the truncated exponential misses only contributions of
-degree >= 3*(g_big - e/2) + 1 (each absent factor beyond the cap forces
-that many genus-zero factors of degree >= 3 into the product), so each
-residual slice carries a certified degree computed from the pulls of the
-operator terms; comparisons stay inside that region.
+The check runs on the potential F, not on Z = exp(F): L_n Z = 0 is
+equivalent to R_n(F) = e^{-F} L_n e^{F} = 0 (see ``fform_residual``).  Its
+genus-<=G part needs F only up to genus G, so F truncated at degree D and
+genus G fixes every coefficient of degree <= D-1 (n <= 0) or D-2 (n >= 1).
 """
 
 from __future__ import annotations
@@ -24,6 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache, partial
 from typing import Optional, Sequence
 
 from .algebra import ClassAlgebra, CanonicalBasis, canonical_basis, character_table
@@ -77,6 +75,7 @@ def _coeff_first(n: int) -> Fraction:
     return Q(double_factorial(2 * n + 3), 2 ** (n + 1))
 
 
+@lru_cache(maxsize=None)
 def _coeff_dilation(n: int, i: int) -> Fraction:
     return Q(double_factorial(2 * i + 2 * n + 1),
              double_factorial(2 * i - 1) * 2 ** (n + 1))
@@ -87,6 +86,60 @@ def _coeff_second(n: int, i: int) -> Fraction:
              * double_factorial(2 * (n - 1 - i) + 1), 2 ** (n + 1))
 
 
+def _metric_pairs(algebra: ClassAlgebra) -> list:
+    """(m, m^-1, |C(m)|) per class: the inverse-metric contractions."""
+    cd = algebra.cd
+    return [(m, cd.inverse_class[m], cd.centralizer_of_class(m))
+            for m in range(cd.r)]
+
+
+def _second_order_terms(spec: VirasoroSpec, algebra) -> list:
+    """(v1, v2, w) for each second-order term w lambda^2 d/dv1 d/dv2."""
+    n = spec.n
+    out = []
+    for i in range(n):
+        j = n - 1 - i
+        b = _coeff_second(n, i) / 2
+        if spec.flavor == PER_INDEX:
+            out.append(((i, spec.alpha), (j, spec.alpha), b))
+        else:
+            out.extend(((i, m1), (j, m2), b * z)
+                       for m1, m2, z in _metric_pairs(algebra))
+    return out
+
+
+def _multiplication_terms(spec: VirasoroSpec, algebra) -> list:
+    """(monomial, w) for each multiplication term w lambda^-2 monomial."""
+    if spec.n != -1:
+        return []
+    if spec.flavor == PER_INDEX:
+        return [(mono_from_vars([(0, spec.alpha), (0, spec.alpha)]), Q(1, 2))]
+    return [(mono_from_vars([(0, m1), (0, m2)]), Q(1, 2 * z))
+            for m1, m2, z in _metric_pairs(algebra)]
+
+
+def _constant_term(spec: VirasoroSpec) -> Fraction:
+    if spec.n != 0:
+        return Q(0)
+    return Q(1, 16) if spec.flavor == PER_INDEX else Q(spec.r, 16)
+
+
+def _check_operator(spec, series, algebra):
+    if series.system is not None and series.system != spec.expected_system:
+        raise VariableSystemMismatch(
+            f"{spec.flavor} operator on {series.system!r} series")
+    if spec.flavor == DIAGONAL and algebra is None:
+        raise ValueError("diagonal operator requires the class algebra")
+    if spec.n + 1 > series.caps.level:
+        raise LevelCapExceeded(
+            f"operator touches level {spec.n + 1} > cap {series.caps.level}")
+
+
+def _first_variable(spec: VirasoroSpec) -> tuple:
+    """The variable of the first-order term -c_n d/dv."""
+    return (spec.n + 1, spec.alpha if spec.flavor == PER_INDEX else 0)
+
+
 def apply_virasoro(spec: VirasoroSpec, series: TruncatedSeries, *,
                    algebra: Optional[ClassAlgebra] = None) -> TruncatedSeries:
     """Apply one constraint operator to a truncated series.
@@ -95,65 +148,76 @@ def apply_virasoro(spec: VirasoroSpec, series: TruncatedSeries, *,
     contractions.  The result watermark drops by one (first-order terms)
     or two (second-order terms, present for n >= 1).
     """
-    if series.system is not None and series.system != spec.expected_system:
-        raise VariableSystemMismatch(
-            f"{spec.flavor} operator on {series.system!r} series")
-    if spec.flavor == DIAGONAL and algebra is None:
-        raise ValueError("diagonal operator requires the class algebra")
-    n = spec.n
-    caps = series.caps
-    if n + 1 > caps.level:
-        raise LevelCapExceeded(f"operator touches level {n + 1} > cap {caps.level}")
-
-    slot0 = spec.alpha if spec.flavor == PER_INDEX else 0
-    out = series.partial_derivative((n + 1, slot0)).scale(-_coeff_first(n))
-    out = out.add(_dilation_term(spec, series))
-
-    if n >= 1:
-        half = Q(1, 2)
-        for i in range(n):
-            j = n - 1 - i
-            b = _coeff_second(n, i) * half
-            if spec.flavor == PER_INDEX:
-                term = series.second_partial((i, spec.alpha), (j, spec.alpha))
-                out = out.add(term.scale(b, lam_shift=2))
-            else:
-                cd = algebra.cd
-                for m1 in range(spec.r):
-                    m2 = cd.inverse_class[m1]
-                    weight = b * cd.centralizer_of_class(m1)
-                    term = series.second_partial((i, m1), (j, m2))
-                    out = out.add(term.scale(weight, lam_shift=2))
-
-    if n == -1:
-        if spec.flavor == PER_INDEX:
-            mono = mono_from_vars([(0, spec.alpha), (0, spec.alpha)])
-            out = out.add(series.multiply_by_monomial(mono, Q(1, 2),
-                                                      lam_shift=-2))
-        else:
-            cd = algebra.cd
-            for m1 in range(spec.r):
-                m2 = cd.inverse_class[m1]
-                eta = Q(1, 2 * cd.centralizer_of_class(m1))
-                mono = mono_from_vars([(0, m1), (0, m2)])
-                out = out.add(series.multiply_by_monomial(mono, eta,
-                                                          lam_shift=-2))
-
-    if n == 0:
-        const = Q(1, 16) if spec.flavor == PER_INDEX else Q(spec.r, 16)
-        out = out.add(series.scale(const))
+    _check_operator(spec, series, algebra)
+    out = series.partial_derivative(_first_variable(spec)).scale(
+        -_coeff_first(spec.n))
+    out.iadd(_dilation_term(spec, series))
+    for v1, v2, w in _second_order_terms(spec, algebra):
+        out.iadd(series.second_partial(v1, v2), w, lam_shift=2)
+    for mono, w in _multiplication_terms(spec, algebra):
+        out.iadd(series.multiply_by_monomial(mono, w, lam_shift=-2))
+    const = _constant_term(spec)
+    if const:
+        out.iadd(series, const)
     return out
 
 
-def _dilation_term(spec, series):
-    """sum_i coeff(n, i) * v_i d/dv_{i+n}, one pass over the terms."""
+def fform_residual(spec: VirasoroSpec, potential: TruncatedSeries, *,
+                   algebra: Optional[ClassAlgebra] = None,
+                   max_degree: Optional[int] = None,
+                   support: Optional[set] = None) -> TruncatedSeries:
+    """R_n(F) = e^{-F} L_n e^{F} for the potential F, up to ``max_degree``.
+
+    Built from the operator terms of ``apply_virasoro``: the first-order
+    part applied to F, w lambda^2 (d1 d2 F + d1 F d2 F) per second-order
+    term, and the multiplication and constant terms applied to 1.
+    ``support``, when given, collects the (monomial, lambda) of every
+    nonzero coefficient of every term up to ``max_degree``, before
+    cancellation.
+    """
+    _check_operator(spec, potential, algebra)
+    caps = potential.caps
+    kind = dict(mode=potential.mode, system=potential.system)
+    dcap = caps.degree if max_degree is None else max_degree
+    out = TruncatedSeries(caps, lam_floor=potential.lam_floor, **kind)
+
+    def add(term, value=1, lam_shift=0):
+        out.iadd(term, value, lam_shift=lam_shift)
+        if support is None:
+            return
+        ceiling = caps.lam_ceiling
+        for mono, lc in term.terms.items():
+            if mono_degree(mono) <= dcap:
+                support.update((mono, lam + lam_shift) for lam in lc
+                               if lam + lam_shift <= ceiling)
+
+    d = lru_cache(maxsize=None)(potential.partial_derivative)
+    add(d(_first_variable(spec)), -_coeff_first(spec.n))
+    add(_dilation_term(spec, potential, dcap))
+    for v1, v2, w in _second_order_terms(spec, algebra):
+        add(d(v1).partial_derivative(v2), w, 2)
+        add(d(v1).multiply(d(v2), floor=2 * potential.lam_floor,
+                           max_degree=dcap), w, 2)
+    for mono, w in _multiplication_terms(spec, algebra):
+        add(TruncatedSeries.from_monomial(caps, mono, w, lam=-2, **kind))
+    const = _constant_term(spec)
+    if const:
+        add(TruncatedSeries.constant(caps, const, **kind))
+    return out
+
+
+def _dilation_term(spec, series, max_degree=None):
+    """sum_i coeff(n, i) * v_i d/dv_{i+n}, one pass over the terms of
+    degree <= max_degree (the operator keeps the degree)."""
     n = spec.n
     caps = series.caps
+    dcap = caps.degree if max_degree is None else max_degree
     out = TruncatedSeries(caps, mode=series.mode, system=series.system,
                           lam_floor=series.lam_floor,
-                          valid_degree=series.valid_degree)
-    coeff_cache = {}
+                          valid_degree=min(series.valid_degree, dcap))
     for mono, lc in series.terms.items():
+        if mono_degree(mono) > dcap:
+            continue
         for (a, m), e in mono:
             if spec.flavor == PER_INDEX and m != spec.alpha:
                 continue
@@ -163,10 +227,7 @@ def _dilation_term(spec, series):
             if i > caps.level:
                 raise LevelCapExceeded(
                     f"dilation shifts level {a} to {i} > cap {caps.level}")
-            c = coeff_cache.get(i)
-            if c is None:
-                c = _coeff_dilation(n, i)
-                coeff_cache[i] = c
+            c = _coeff_dilation(n, i)
             new_mono = _replace_var(mono, (a, m), (i, m))
             for lam, v in lc.items():
                 out._set(new_mono, lam, v * e * c)
@@ -190,7 +251,13 @@ def _replace_var(mono, old, new):
 
 @dataclass
 class ConstraintReport:
-    """Outcome of one coefficientwise constraint comparison."""
+    """Outcome of one coefficientwise constraint comparison.
+
+    ``checked_monomials`` counts the (monomial, lambda) positions of the
+    compared region where at least one term of the identity is nonzero
+    before cancellation: the union of the supports of both sides.
+    ``watermark`` is the highest monomial degree compared.
+    """
 
     operator: dict
     checked_monomials: int
@@ -222,112 +289,65 @@ def _mono_json(mono):
     return [[v[0], v[1], e] for v, e in mono]
 
 
-def _missing_degree_floor(e: int, g_big: int) -> int:
-    """Degree below which slice-e coefficients of the truncated partition
-    function are complete (see module docstring)."""
-    return 3 * (g_big - e // 2) + 1
+def _check_caps(degree: int, genus: int) -> SeriesCaps:
+    """Caps of the potential for the F-form check at degree D and genus G:
+    levels reach 3G-3+D, plus one for the shift of L_{-1}."""
+    return SeriesCaps(degree=degree, level=3 * genus - 2 + degree,
+                      genus=genus)
 
 
-def _virasoro_allowed_degree(n: int, e: int, g_big: int, degree: int) -> int:
-    """Certified comparison degree for slice e of L_n applied to Z.
-
-    Each operator term pulls Z at a shifted (degree, slice); the bound
-    keeps every pull below the completeness floor of the truncation.
-    """
-    allowed = degree - (2 if n >= 1 else 1)
-    allowed = min(allowed, _missing_degree_floor(e, g_big) - 2)   # d/dv pulls d+1
-    if n >= 1:
-        allowed = min(allowed, _missing_degree_floor(e - 2, g_big) - 3)
-    if n == -1:
-        allowed = min(allowed, _missing_degree_floor(e + 2, g_big) + 1)
-    return allowed
-
-
-def _report_virasoro_residual(spec, residual, z, *, genus_window, g_big,
-                              degree) -> ConstraintReport:
-    lam_max = 2 * genus_window - 2
-    allowed = {e: _virasoro_allowed_degree(spec.n, e, g_big, degree)
-               for e in range(residual.lam_floor, lam_max + 1, 2)}
-
-    checked = 0
-    seen = set()
-    for source in (z, residual):
-        for mono, lam, _c in source.iter_terms():
-            key = (mono, lam)
-            if key in seen:
-                continue
-            seen.add(key)
-            if lam in allowed and mono_degree(mono) <= allowed[lam]:
-                checked += 1
-
+def _fform_report(spec, potential, *, degree, algebra=None):
+    """R_n(F) against zero at every degree <= D-1 (n <= 0) or D-2 (n >= 1)."""
+    watermark = degree - (2 if spec.n >= 1 else 1)
+    support = set()
+    residual = fform_residual(spec, potential, algebra=algebra,
+                              max_degree=watermark, support=support)
     violations = []
-    worst = Q(0) if residual.mode == EXACT else 0.0
+    worst = Q(0)
     for mono, lam, c in residual.iter_terms():
-        if lam not in allowed or mono_degree(mono) > allowed[lam]:
+        if mono_degree(mono) > watermark:
             continue
-        mag = abs(c)
-        if mag > (0 if residual.mode == EXACT else 1e-12):
-            if mag > abs(worst):
-                worst = c if residual.mode == EXACT else abs(c)
-            violations.append({
-                "monomial": _mono_json(mono),
-                "lambda": lam,
-                "lhs": rat_str(c) if residual.mode == EXACT else float_str(abs(c)),
-                "rhs": "0/1",
-            })
+        if abs(c) > abs(worst):
+            worst = c
+        violations.append({"monomial": _mono_json(mono), "lambda": lam,
+                           "lhs": rat_str(c), "rhs": "0/1"})
     violations.sort(key=lambda v: (v["lambda"], v["monomial"]))
     return ConstraintReport(
-        operator=spec.label(),
-        checked_monomials=checked,
-        max_residual=worst,
-        watermark=min(allowed.values()) if allowed else -1,
-        violations=violations,
-        window={"lambda_min": residual.lam_floor, "lambda_max": lam_max,
-                "allowed_degree": {str(e): d for e, d in sorted(allowed.items())}},
-    )
-
-
-def virasoro_caps(degree: int, genus_window: int, headroom: int) -> SeriesCaps:
-    g_big = genus_window + headroom
-    return SeriesCaps(degree=degree, level=3 * g_big - 2 + degree,
-                      genus=g_big)
+        operator=spec.label(), checked_monomials=len(support),
+        max_residual=worst, watermark=watermark, violations=violations,
+        window={"lambda_min": residual.lam_floor,
+                "lambda_max": potential.caps.lam_ceiling})
 
 
 def virasoro_check(theory: OrbifoldTheory, *, n_values: Sequence[int] = (-1, 0, 1, 2),
-                   degree: int = 6, genus: int = 2, headroom: int = 1,
+                   degree: int = 6, genus: int = 2,
                    families: str = "both", mutate=None) -> list:
     """Annihilation of the partition function by both operator families.
 
-    Builds the potential at genus cap ``genus + headroom``, exponentiates,
-    applies each requested operator, and reports residuals on the
-    certified region (exact zeros expected).  ``mutate`` doubles one
-    stored class-basis potential coefficient before exponentiating, for
-    sensitivity tests; it applies to the diagonal family only.
+    Builds the potential F at degree ``degree`` and genus ``genus`` and
+    checks R_n(F) = e^{-F} L_n e^{F} = 0 (see the module docstring) for
+    each requested operator, exactly, at every coefficient of degree <=
+    D-1 (n <= 0) or D-2 (n >= 1) and genus <= G.  ``mutate`` doubles one
+    stored class-basis potential coefficient, for sensitivity tests; it
+    applies to the diagonal family only and raises MissingCoefficient when
+    that potential stores no coefficient there.
     """
-    g_big = genus + headroom
-    caps = virasoro_caps(degree, genus, headroom)
+    caps = _check_caps(degree, genus)
     reports = []
 
     if families in ("both", PER_INDEX):
         phi_u = theory.potential(caps, basis=CANONICAL_RESCALED)
-        z_u = phi_u.exponential()
         for alpha in range(theory.r):
             for n in n_values:
                 spec = VirasoroSpec(PER_INDEX, n, theory.r, alpha=alpha)
-                residual = apply_virasoro(spec, z_u)
-                reports.append(_report_virasoro_residual(
-                    spec, residual, z_u, genus_window=genus, g_big=g_big,
-                    degree=degree))
+                reports.append(_fform_report(spec, phi_u, degree=degree))
 
     if families in ("both", DIAGONAL):
         phi_t = theory.potential(caps, basis=CLASS_BASIS, mutate=mutate)
-        z_t = phi_t.exponential()
         for n in n_values:
             spec = VirasoroSpec(DIAGONAL, n, theory.r)
-            residual = apply_virasoro(spec, z_t, algebra=theory.algebra)
-            reports.append(_report_virasoro_residual(
-                spec, residual, z_t, genus_window=genus, g_big=g_big,
-                degree=degree))
+            reports.append(_fform_report(spec, phi_t, degree=degree,
+                                         algebra=theory.algebra))
     return reports
 
 
@@ -374,7 +394,8 @@ def commutator_check(spec1: VirasoroSpec, spec2: VirasoroSpec, *,
     def op(spec, series):
         return apply_virasoro(spec, series, algebra=algebra)
 
-    lhs = op(spec1, op(spec2, s)).add(op(spec2, op(spec1, s)).scale(Q(-1)))
+    first, second = op(spec1, op(spec2, s)), op(spec2, op(spec1, s))
+    lhs = first.add(second.scale(Q(-1)))
     same_copy = (spec1.flavor == DIAGONAL or spec1.alpha == spec2.alpha)
     if same_copy:
         bracket_spec = VirasoroSpec(spec1.flavor, m + n, r, alpha=spec1.alpha)
@@ -392,7 +413,7 @@ def commutator_check(spec1: VirasoroSpec, spec2: VirasoroSpec, *,
                 worst = c
             violations.append({"monomial": _mono_json(mono), "lambda": lam,
                                "lhs": rat_str(c), "rhs": "0/1"})
-    checked = len(s.support() | lhs.support() | rhs.support())
+    checked = len(first.support() | second.support() | rhs.support())
     return ConstraintReport(
         operator={"bracket": [spec1.label(), spec2.label()]},
         checked_monomials=checked, max_residual=worst,
@@ -403,7 +424,7 @@ def commutator_check(spec1: VirasoroSpec, spec2: VirasoroSpec, *,
 
 
 def kdv_check(theory: OrbifoldTheory, *, a_max: int = 2, degree: int = 4,
-              genus: int = 1, headroom: int = 1, mutate=None) -> list:
+              genus: int = 1, mutate=None) -> list:
     """Coefficientwise KdV identity for every class-basis direction.
 
     For v = e_c and 1 <= a <= a_max:
@@ -416,14 +437,15 @@ def kdv_check(theory: OrbifoldTheory, *, a_max: int = 2, degree: int = 4,
     where each double bracket is the matching mixed partial of the
     potential and dots are inverse-metric contractions.  Each bracket is
     generated from correlators over the compared region only (degree <=
-    ``degree``, one extra genus), so the stated box is fully certified.
-    ``mutate`` doubles one coefficient of the potential truncated at
-    degree + 5, the most any bracket differentiates, and raises KeyError
-    when that potential stores no coefficient there.
+    ``degree``, and one genus above ``genus`` because the left side
+    carries lam^-2), so the stated box is fully certified.  ``mutate``
+    doubles one coefficient of the potential truncated at degree + 5, the
+    most any bracket differentiates, and raises MissingCoefficient when
+    that potential stores no coefficient there.
     """
-    g_big = genus + headroom
+    g_big = genus + 1
     if mutate is not None:
-        # raises KeyError when that potential stores no coefficient there
+        # raises MissingCoefficient when that potential stores nothing there
         theory.potential(SeriesCaps(degree=degree + 5,
                                     level=max(3 * g_big - 3 + degree + 5,
                                               a_max + 1),
@@ -432,10 +454,8 @@ def kdv_check(theory: OrbifoldTheory, *, a_max: int = 2, degree: int = 4,
     # correlator, and a bracket has n <= degree + 5 insertions
     caps = SeriesCaps(degree=degree, level=3 * g_big - 3 + degree + 5,
                       genus=g_big)
-    cd = theory.cd
     r = theory.r
-    pairs = [(j, cd.inverse_class[j], Q(cd.centralizer_of_class(j)))
-             for j in range(r)]
+    pairs = _metric_pairs(theory.algebra)
 
     # Derivatives commute, so memoize on the sorted variable tuple.
     factor_memo = {}
@@ -448,37 +468,37 @@ def kdv_check(theory: OrbifoldTheory, *, a_max: int = 2, degree: int = 4,
             factor_memo[key] = got
         return got
 
-    zero = TruncatedSeries(caps, mode=EXACT, system=CLASS_BASIS, lam_floor=-4)
+    zero = partial(TruncatedSeries, caps, mode=EXACT, system=CLASS_BASIS,
+                   lam_floor=-4)
+
     triple = {}   # sum_k z_k <<tau_0(m) tau_0(k) tau_0(k^-1)>>, per class m
     for m in range(r):
-        acc = zero
+        triple[m] = zero()
         for k, kinv, zk in pairs:
-            acc = acc.add(factor((0, m), (0, k), (0, kinv)).scale(zk))
-        triple[m] = acc
+            triple[m].iadd(factor((0, m), (0, k), (0, kinv)), zk)
 
     reports = []
     lam_max = 2 * genus - 2
     for a in range(1, a_max + 1):
         for c in range(r):
-            lhs = zero
+            lhs = zero()
             for j, jinv, zj in pairs:
-                lhs = lhs.add(factor((a, c), (0, j), (0, jinv)).scale(zj))
+                lhs.iadd(factor((a, c), (0, j), (0, jinv)), zj)
             lhs = lhs.scale(Q(2 * a + 1), lam_shift=-2)
 
-            rhs = zero
+            rhs = zero()
             for j, jinv, zj in pairs:
-                rhs = rhs.add(factor((a - 1, c), (0, j)).scale(zj)
-                              .multiply(triple[jinv], floor=-4, max_degree=degree))
+                rhs.iadd(factor((a - 1, c), (0, j)).multiply(
+                    triple[jinv], floor=-4, max_degree=degree), zj)
             for j, jinv, zj in pairs:
                 for k, kinv, zk in pairs:
-                    t2 = factor((a - 1, c), (0, j), (0, k)).scale(2 * zj * zk)
-                    rhs = rhs.add(t2.multiply(factor((0, jinv), (0, kinv)),
-                                              floor=-4, max_degree=degree))
-                    t3 = factor((a - 1, c), (0, j), (0, jinv),
-                                (0, k), (0, kinv)).scale(Q(zj * zk, 4))
-                    rhs = rhs.add(t3)
+                    rhs.iadd(factor((a - 1, c), (0, j), (0, k)).multiply(
+                        factor((0, jinv), (0, kinv)), floor=-4,
+                        max_degree=degree), 2 * zj * zk)
+                    rhs.iadd(factor((a - 1, c), (0, j), (0, jinv),
+                                    (0, k), (0, kinv)), Q(zj * zk, 4))
 
-            residual = lhs.add(rhs.scale(Q(-1)))
+            residual = lhs.copy().iadd(rhs, -1)
             checked = 0
             violations = []
             worst = Q(0)
@@ -585,59 +605,37 @@ def mutation_sensitivity(theory: OrbifoldTheory, *, target_degree: int = 4,
     """Double each stored low-genus coefficient; every mutation must trip
     at least one Virasoro or KdV residual.
 
-    Doubling the coefficient c of M adds c*M to the potential, so the
-    mutated partition function is Z * exp(c M); that factor is short and
-    lets the sweep reuse one cached Z per stage.  Both comparison regions
-    are strict sub-regions of the degree-6 checks, so any failure found
-    here is a failure of those.  Survivors escalate to the KdV identity
-    before being reported as undetected.
+    Each target doubles its coefficient in a copy of the potential, and
+    R_n(F) of the diagonal family is compared as in ``virasoro_check``:
+    first at D5 G1 with n <= 0, then at D6 G2 with every n.  Both regions
+    are sub-regions of the degree-6 checks, so any failure found here is
+    a failure of those.  Survivors escalate to the KdV identity before
+    being reported as undetected.  A target the potential does not store
+    raises MissingCoefficient.
     """
     if targets is None:
         targets = mutation_targets(theory, degree=target_degree,
                                    max_genus=max_genus_mutated)
     stages = [(5, 1, tuple(n for n in n_values if n <= 0) or (-1, 0)),
               (6, 2, tuple(n_values))]
-    prepared = {}
 
-    def stage_data(degree, genus):
-        key = (degree, genus)
-        if key not in prepared:
-            caps = virasoro_caps(degree, genus, 1)
-            phi = theory.potential(caps, basis=CLASS_BASIS)
-            prepared[key] = (caps, phi, phi.exponential())
-        return prepared[key]
+    def virasoro_detects(target):
+        for degree, genus, ns in stages:
+            phi = theory.potential(_check_caps(degree, genus), mutate=target)
+            for n in ns:
+                spec = VirasoroSpec(DIAGONAL, n, theory.r)
+                if not _fform_report(spec, phi, degree=degree,
+                                     algebra=theory.algebra).passed:
+                    return True
+        return False
 
     undetected = []
     for mono, lam in targets:
-        detected = False
-        for degree, genus, ns in stages:
-            caps, phi, z = stage_data(degree, genus)
-            delta = phi.coefficient(mono, lam)
-            if not delta:
-                raise KeyError(f"no stored coefficient at {mono} "
-                               f"lambda^{lam}")
-            bump = TruncatedSeries.from_monomial(
-                caps, mono, delta, lam=lam,
-                system=CLASS_BASIS).exponential(floor=z.lam_floor)
-            z_mut = z.multiply(bump)
-            g_big = genus + 1
-            for n in ns:
-                spec = VirasoroSpec(DIAGONAL, n, theory.r)
-                residual = apply_virasoro(spec, z_mut,
-                                          algebra=theory.algebra)
-                rep = _report_virasoro_residual(
-                    spec, residual, z_mut, genus_window=genus, g_big=g_big,
-                    degree=degree)
-                if not rep.passed:
-                    detected = True
-                    break
-            if detected:
-                break
-        if not detected:
-            reports = kdv_check(theory, a_max=a_max, degree=4, genus=1,
-                                mutate=(mono, lam))
-            detected = any(not rep.passed for rep in reports)
-        if not detected:
+        if virasoro_detects((mono, lam)):
+            continue
+        reports = kdv_check(theory, a_max=a_max, degree=4, genus=1,
+                            mutate=(mono, lam))
+        if all(rep.passed for rep in reports):
             undetected.append({"monomial": _mono_json(mono), "lambda": lam})
     return {"mutated": len(targets), "undetected": undetected,
             "passed": not undetected}
@@ -677,7 +675,7 @@ def diagonal_combination_residual(theory: OrbifoldTheory, m: int, *,
     for alpha in range(r):
         spec = VirasoroSpec(PER_INDEX, m, r, alpha=alpha)
         term = apply_virasoro(spec, s_u)
-        combo = combo.add(term.scale(float(cb.nus[alpha]) ** (-m / 3.0)))
+        combo.iadd(term, float(cb.nus[alpha]) ** (-m / 3.0))
     combo_t = combo.substitute_linear(backward, r)
     combo_t.system = CLASS_BASIS
 

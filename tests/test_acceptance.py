@@ -174,7 +174,7 @@ def test_criterion_07_virasoro_annihilation():
     total_checked = 0
     for name in ("Z1", "Z2", "S3"):
         reports = virasoro_check(theory(name), n_values=(-1, 0, 1, 2),
-                                 degree=6, genus=2, headroom=1)
+                                 degree=6, genus=2)
         for rep in reports:
             ok = ok and rep.passed and rep.max_residual == 0
             total_checked += rep.checked_monomials

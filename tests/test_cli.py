@@ -5,7 +5,11 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
+
 import orbigw
+import orbigw.cli
+import orbigw.groups
 from orbigw.cli import main
 
 Z2 = '{"name":"Z","param":2}'
@@ -168,6 +172,40 @@ def test_exit_codes_for_bad_input():
     with redirect_stderr(err):
         code, _ = run_cli(["group", "--group", json.dumps({"cayley": table})])
     assert code == 2 and "associativity" in err.getvalue()
+
+
+def test_input_errors_are_named(monkeypatch):
+    # a virasoro --mutate target at genus G+1 is not stored in the
+    # genus-G potential
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli(["check", "virasoro", "--group", Z2,
+                             "--degree", "5", "--genus", "1",
+                             "--mutate", json.dumps([[[4, 0, 1]], 2])])
+    assert code == 2 and out == ""
+    assert err.getvalue().startswith("input error")
+    # a malformed correlator key is an input error
+    for key in ('{"genus": 1}', '[1]', '{"genus": 1, "insertions": [1]}'):
+        with redirect_stderr(io.StringIO()):
+            code, out = run_cli(["correlator", "--group", Z2, "--key", key])
+        assert code == 2 and out == ""
+    # an internal KeyError is a failure, not an input error
+    def broken(*_args, **_kwargs):
+        raise KeyError("internal")
+    monkeypatch.setattr(orbigw.cli, "virasoro_check", broken)
+    with pytest.raises(KeyError):
+        run_cli(["check", "virasoro", "--group", Z2, "--degree", "4",
+                 "--genus", "1"])
+
+
+def test_table_size_cap_exits_3(monkeypatch):
+    monkeypatch.setattr(orbigw.groups, "MAX_TABLE_BYTES",
+                        orbigw.groups.table_bytes(23))
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli(["group", "--group", '{"name":"S","param":4}'])
+    assert code == 3 and out == ""
+    assert err.getvalue().startswith("resource cap")
 
 
 def test_omega_negative_genus_is_input_error():

@@ -1,10 +1,13 @@
 import pytest
 
-from orbigw.groups import (NotAGroup, OrderExceedsLimit, UnsupportedName,
+import orbigw.groups
+from orbigw.groups import (DEFAULT_MAX_ORDER, MAX_TABLE_BYTES, NotAGroup,
+                           OrderExceedsLimit, UnsupportedName,
                            build_from_cayley, build_from_generators,
-                           conjugacy_data, cycle_notation, direct_product,
-                           group_from_spec, joint_centralizer_order,
-                           named_group, parse_cycles)
+                           check_table_size, conjugacy_data, cycle_notation,
+                           direct_product, group_from_spec,
+                           joint_centralizer_order, named_group,
+                           parse_cycles, table_bytes)
 
 NAMED = [named_group("Z", n) for n in range(1, 9)] + [
     named_group("S", 3), named_group("S", 4), named_group("D", 4),
@@ -78,6 +81,26 @@ def test_generators_four_cycle():
 def test_generators_order_limit():
     with pytest.raises(OrderExceedsLimit):
         build_from_generators([parse_cycles("(0 1 2 3 4 5 6)")], max_order=5)
+
+
+def test_table_size_guard_by_estimate(monkeypatch):
+    # decided from the order alone: S8 and the order cap are rejected
+    assert table_bytes(40320) > MAX_TABLE_BYTES > table_bytes(5040)
+    for order in (40320, DEFAULT_MAX_ORDER):
+        with pytest.raises(OrderExceedsLimit):
+            check_table_size(order)
+    check_table_size(5040)
+    # every builder asks before it allocates: with the ceiling between
+    # the order-23 and order-24 estimates, order 24 fails and 23 builds
+    monkeypatch.setattr(orbigw.groups, "MAX_TABLE_BYTES", table_bytes(23))
+    z24 = [[(i + j) % 24 for j in range(24)] for i in range(24)]
+    for build in (lambda: named_group("S", 4), lambda: named_group("Z", 24),
+                  lambda: named_group("D", 12), lambda: build_from_cayley(z24),
+                  lambda: direct_product(named_group("Z", 4),
+                                         named_group("Z", 6))):
+        with pytest.raises(OrderExceedsLimit):
+            build()
+    assert named_group("Z", 23).order == 23
 
 
 def test_cycle_notation_roundtrip():
