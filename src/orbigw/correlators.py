@@ -49,6 +49,10 @@ class UnstableKey(Exception):
 class MissingCoefficient(KeyError):
     """A mutation target names a coefficient the potential does not store."""
 
+    def __str__(self):
+        # KeyError quotes its message; this one is meant to be read
+        return str(self.args[0])
+
 
 @dataclass(frozen=True)
 class CorrelatorKey:
@@ -414,7 +418,6 @@ class OrbifoldTheory:
     # -- the potential -------------------------------------------------------------
 
     def potential(self, caps: SeriesCaps, *, basis: str = CLASS_BASIS,
-                  lam_floor: int = -2,
                   mutate=None) -> TruncatedSeries:
         """Large phase space potential as a truncated series.
 
@@ -425,14 +428,13 @@ class OrbifoldTheory:
         pair) that doubles one stored coefficient of the returned copy and
         raises MissingCoefficient when none is stored there.
         """
-        cache_key = (caps, basis, lam_floor)
+        cache_key = (caps, basis)
         cached = self._potential_cache.get(cache_key)
         if cached is None:
             if basis == CLASS_BASIS:
-                cached = self.potential_derivative((), caps,
-                                                   lam_floor=lam_floor)
+                cached = self.potential_derivative((), caps)
             elif basis == CANONICAL_RESCALED:
-                cached = self._potential_canonical(caps, lam_floor)
+                cached = self._potential_canonical(caps)
             else:
                 raise ValueError(f"unknown basis {basis!r}")
             self._potential_cache[cache_key] = cached
@@ -448,7 +450,6 @@ class OrbifoldTheory:
         return series
 
     def potential_derivative(self, fixed: Sequence, caps: SeriesCaps, *,
-                             lam_floor: int = -2,
                              mutate=None) -> TruncatedSeries:
         """Class-basis series d/dt_{v_1} ... d/dt_{v_k} F for fixed = (v_1..v_k).
 
@@ -466,13 +467,10 @@ class OrbifoldTheory:
         fixed_mono = mono_from_vars(fixed)
         if mutate is not None:
             mutate = (tuple(sorted(mutate[0])), mutate[1])
-        out = TruncatedSeries(caps, mode=EXACT, system=CLASS_BASIS,
-                              lam_floor=lam_floor)
+        out = TruncatedSeries(caps, mode=EXACT, system=CLASS_BASIS)
         r = self.r
         for genus, levels, psi in self._stable_level_keys(caps, fixed_levels):
             lam = 2 * genus - 2
-            if lam < lam_floor:
-                continue
             blocks = _level_blocks(levels)
             for assignment in _class_assignments(blocks, r):
                 classes = []
@@ -494,13 +492,10 @@ class OrbifoldTheory:
                 out._set(mono, lam, value)
         return out
 
-    def _potential_canonical(self, caps, lam_floor):
-        out = TruncatedSeries(caps, mode=EXACT, system=CANONICAL_RESCALED,
-                              lam_floor=lam_floor)
+    def _potential_canonical(self, caps):
+        out = TruncatedSeries(caps, mode=EXACT, system=CANONICAL_RESCALED)
         for genus, levels, psi in self._stable_level_keys(caps):
             lam = 2 * genus - 2
-            if lam < lam_floor:
-                continue
             aut = _multiset_aut(levels)
             for alpha in range(self.r):
                 key = mono_from_vars((a, alpha) for a in levels)

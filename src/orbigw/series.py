@@ -6,11 +6,12 @@ even exponents only; exponent 2g-2 carries the genus-g part.  Monomials
 are capped by total degree, lambda exponents live in a per-series window
 [lam_floor, 2*genus_cap - 2].
 
-Truncation contract: coefficients of stored monomials are exact up to the
-``valid_degree`` watermark; differentiation lowers the watermark since the
-derivative of a capped series is only exact one degree below the cap.
-Products landing below a series' lambda floor raise GenusUnderflow rather
-than being dropped silently; the exponential deliberately widens its floor
+Truncation contract: a series keeps every term its caps allow and records
+no degree up to which it is exact.  The derivative of a series capped at
+degree D is exact only up to degree D-1, so each constraint check in
+``virasoro`` states the region it compares.  Products landing below a
+series' lambda floor raise GenusUnderflow rather than being dropped
+silently; the exponential deliberately widens its floor
 (each lambda^{-2} factor carries at least three units of degree, so the
 default floor -2*ceil(D/3) loses nothing below the degree cap).
 """
@@ -90,16 +91,15 @@ def mono_degree(m: tuple) -> int:
 class TruncatedSeries:
     """terms: {monomial: {lambda exponent: coefficient}}"""
 
-    __slots__ = ("caps", "mode", "system", "terms", "lam_floor", "valid_degree")
+    __slots__ = ("caps", "mode", "system", "terms", "lam_floor")
 
     def __init__(self, caps: SeriesCaps, *, mode: str = EXACT,
                  system: Optional[str] = None, lam_floor: int = -2,
-                 valid_degree: Optional[int] = None, terms=None):
+                 terms=None):
         self.caps = caps
         self.mode = mode
         self.system = system
         self.lam_floor = lam_floor
-        self.valid_degree = caps.degree if valid_degree is None else valid_degree
         self.terms = {} if terms is None else terms
 
     # -- construction -------------------------------------------------------
@@ -136,17 +136,13 @@ class TruncatedSeries:
     def copy(self):
         return TruncatedSeries(
             self.caps, mode=self.mode, system=self.system,
-            lam_floor=self.lam_floor, valid_degree=self.valid_degree,
-            terms={m: dict(lc) for m, lc in self.terms.items()})
+            lam_floor=self.lam_floor, terms={m: dict(lc) for m, lc in self.terms.items()})
 
     def _zero_scalar(self):
         return Q(0) if self.mode == EXACT else complex(0)
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def min_degree(self) -> int:
-        return min((mono_degree(m) for m in self.terms), default=0)
 
     # -- bookkeeping ----------------------------------------------------------
 
@@ -191,7 +187,6 @@ class TruncatedSeries:
         self._check_compatible(other)
         out = self.copy()
         out.lam_floor = min(self.lam_floor, other.lam_floor)
-        out.valid_degree = min(self.valid_degree, other.valid_degree)
         for mono, lam, c in other.iter_terms():
             out._set(mono, lam, c)
         return out
@@ -200,7 +195,7 @@ class TruncatedSeries:
              lam_shift: int = 0) -> "TruncatedSeries":
         """self += value * lambda^lam_shift * other, in place; returns self.
 
-        Same result, floor and watermark as
+        Same result and floor as
         ``self.add(other.scale(value, lam_shift=lam_shift))`` without
         copying the accumulated series.
         """
@@ -208,7 +203,6 @@ class TruncatedSeries:
         if lam_shift % 2 != 0:
             raise ValueError("lambda shift must be even")
         self.lam_floor = min(self.lam_floor, other.lam_floor + lam_shift)
-        self.valid_degree = min(self.valid_degree, other.valid_degree)
         if not value:
             return self
         ceiling = self.caps.lam_ceiling
@@ -223,8 +217,7 @@ class TruncatedSeries:
         if lam_shift % 2 != 0:
             raise ValueError("lambda shift must be even")
         out = TruncatedSeries(self.caps, mode=self.mode, system=self.system,
-                              lam_floor=self.lam_floor + lam_shift,
-                              valid_degree=self.valid_degree)
+                              lam_floor=self.lam_floor + lam_shift)
         if not value:
             return out
         ceiling = self.caps.lam_ceiling
@@ -257,11 +250,8 @@ class TruncatedSeries:
             floor = min(self.lam_floor, other.lam_floor)
         dcap = self.caps.degree if max_degree is None else min(
             max_degree, self.caps.degree)
-        out = TruncatedSeries(
-            self.caps, mode=self.mode, system=self.system, lam_floor=floor,
-            valid_degree=min(self.valid_degree + other.min_degree(),
-                             other.valid_degree + self.min_degree(),
-                             dcap))
+        out = TruncatedSeries(self.caps, mode=self.mode, system=self.system,
+                              lam_floor=floor)
         if not self.terms or not other.terms:
             return out
         ceiling = self.caps.lam_ceiling
@@ -293,10 +283,8 @@ class TruncatedSeries:
         """Single-pass multiply by value * lambda^shift * monomial."""
         mono = tuple(sorted(mono))
         deg = mono_degree(mono)
-        out = TruncatedSeries(
-            self.caps, mode=self.mode, system=self.system,
-            lam_floor=self.lam_floor + lam_shift,
-            valid_degree=min(self.valid_degree + deg, self.caps.degree))
+        out = TruncatedSeries(self.caps, mode=self.mode, system=self.system,
+                              lam_floor=self.lam_floor + lam_shift)
         if not value:
             return out
         dcap = self.caps.degree
@@ -316,8 +304,7 @@ class TruncatedSeries:
 
     def partial_derivative(self, var) -> "TruncatedSeries":
         out = TruncatedSeries(self.caps, mode=self.mode, system=self.system,
-                              lam_floor=self.lam_floor,
-                              valid_degree=max(self.valid_degree - 1, -1))
+                              lam_floor=self.lam_floor)
         for mono, lc in self.terms.items():
             e = dict(mono).get(var, 0)
             if not e:
@@ -349,8 +336,7 @@ class TruncatedSeries:
             floor = min(-2 * ((dcap + 2) // 3), self.lam_floor)
         one = Q(1) if self.mode == EXACT else complex(1)
         out = TruncatedSeries(self.caps, mode=self.mode, system=self.system,
-                              lam_floor=floor,
-                              valid_degree=self.valid_degree)
+                              lam_floor=floor)
         out.terms[()] = {0: one}
 
         s_by_deg = {}
@@ -390,22 +376,6 @@ class TruncatedSeries:
 
     # -- substitutions ----------------------------------------------------------
 
-    def substitute_rescale(self, factor: Callable) -> "TruncatedSeries":
-        """Replace each variable v by factor(v) * v (monomial-wise rescale)."""
-        out = TruncatedSeries(self.caps, mode=self.mode, system=self.system,
-                              lam_floor=self.lam_floor,
-                              valid_degree=self.valid_degree)
-        for mono, lc in self.terms.items():
-            scale = 1
-            for v, e in mono:
-                f = factor(v)
-                if not f:
-                    raise ValueError(f"zero rescale factor for {v}")
-                scale = scale * f ** e
-            for lam, c in lc.items():
-                out._set(mono, lam, c * scale)
-        return out
-
     def substitute_linear(self, matrix_for_level: Callable,
                           n_slots: int) -> "TruncatedSeries":
         """Replace t_a^m by sum_m' M(a)[m][m'] t_a^{m'}, degree-preserving.
@@ -431,8 +401,7 @@ class TruncatedSeries:
             return checked[a]
 
         out = TruncatedSeries(self.caps, mode=self.mode, system=self.system,
-                              lam_floor=self.lam_floor,
-                              valid_degree=self.valid_degree)
+                              lam_floor=self.lam_floor)
         for mono, lc in self.terms.items():
             expansion = {(): 1}
             for (a, m), e in mono:
@@ -462,10 +431,9 @@ class TruncatedSeries:
         return out
 
     def truncated_to_degree(self, degree: int) -> "TruncatedSeries":
-        """Drop monomials above `degree` (watermark clipped to match)."""
+        """Drop monomials above `degree`."""
         out = TruncatedSeries(self.caps, mode=self.mode, system=self.system,
-                              lam_floor=self.lam_floor,
-                              valid_degree=min(self.valid_degree, degree))
+                              lam_floor=self.lam_floor)
         for mono, lc in self.terms.items():
             if mono_degree(mono) <= degree:
                 out.terms[mono] = dict(lc)
@@ -475,8 +443,7 @@ class TruncatedSeries:
         if self.mode == NUMERIC:
             return self.copy()
         out = TruncatedSeries(self.caps, mode=NUMERIC, system=self.system,
-                              lam_floor=self.lam_floor,
-                              valid_degree=self.valid_degree)
+                              lam_floor=self.lam_floor)
         for mono, lc in self.terms.items():
             out.terms[mono] = {lam: complex(c) for lam, c in lc.items()}
         return out

@@ -8,7 +8,9 @@ Two operator families act on truncated partition functions:
   class in slot 0 and metric contractions in the quadratic terms.
 
 Both have exact rational coefficients, so the constraints are checked
-coefficient by coefficient in exact arithmetic.
+coefficient by coefficient in exact arithmetic.  Each exact check states
+the region both sides are exact in and hands the terms of its identity
+to ``_compare``, which alone decides what is compared and counted.
 
 The check runs on the potential F, not on Z = exp(F): L_n Z = 0 is
 equivalent to R_n(F) = e^{-F} L_n e^{F} = 0 (see ``fform_residual``).  Its
@@ -145,8 +147,9 @@ def apply_virasoro(spec: VirasoroSpec, series: TruncatedSeries, *,
     """Apply one constraint operator to a truncated series.
 
     The diagonal flavor needs the class algebra for its metric
-    contractions.  The result watermark drops by one (first-order terms)
-    or two (second-order terms, present for n >= 1).
+    contractions.  The result is exact one degree below the caps of the
+    series (first-order terms), or two below for n >= 1 (second-order
+    terms).
     """
     _check_operator(spec, series, algebra)
     out = series.partial_derivative(_first_variable(spec)).scale(
@@ -164,46 +167,47 @@ def apply_virasoro(spec: VirasoroSpec, series: TruncatedSeries, *,
 
 def fform_residual(spec: VirasoroSpec, potential: TruncatedSeries, *,
                    algebra: Optional[ClassAlgebra] = None,
-                   max_degree: Optional[int] = None,
-                   support: Optional[set] = None) -> TruncatedSeries:
-    """R_n(F) = e^{-F} L_n e^{F} for the potential F, up to ``max_degree``.
+                   max_degree: Optional[int] = None) -> TruncatedSeries:
+    """R_n(F) = e^{-F} L_n e^{F} for the potential F, up to ``max_degree``:
+    the sum of the terms of ``_fform_terms``.
+
+    ``virasoro_check`` compares those terms with ``_compare``; this sum is
+    what the Z-form oracle test checks against L_n exp(F).
+    """
+    out = TruncatedSeries(potential.caps, mode=potential.mode,
+                          system=potential.system,
+                          lam_floor=potential.lam_floor)
+    for series, value, lam_shift in _fform_terms(spec, potential,
+                                                 algebra=algebra,
+                                                 max_degree=max_degree):
+        out.iadd(series, value, lam_shift=lam_shift)
+    return out
+
+
+def _fform_terms(spec, potential, *, algebra=None, max_degree=None):
+    """Yield the terms (series, value, lam_shift) of R_n(F), each standing
+    for value * lambda^lam_shift * series, up to ``max_degree``.
 
     Built from the operator terms of ``apply_virasoro``: the first-order
     part applied to F, w lambda^2 (d1 d2 F + d1 F d2 F) per second-order
     term, and the multiplication and constant terms applied to 1.
-    ``support``, when given, collects the (monomial, lambda) of every
-    nonzero coefficient of every term up to ``max_degree``, before
-    cancellation.
     """
     _check_operator(spec, potential, algebra)
     caps = potential.caps
     kind = dict(mode=potential.mode, system=potential.system)
     dcap = caps.degree if max_degree is None else max_degree
-    out = TruncatedSeries(caps, lam_floor=potential.lam_floor, **kind)
-
-    def add(term, value=1, lam_shift=0):
-        out.iadd(term, value, lam_shift=lam_shift)
-        if support is None:
-            return
-        ceiling = caps.lam_ceiling
-        for mono, lc in term.terms.items():
-            if mono_degree(mono) <= dcap:
-                support.update((mono, lam + lam_shift) for lam in lc
-                               if lam + lam_shift <= ceiling)
-
     d = lru_cache(maxsize=None)(potential.partial_derivative)
-    add(d(_first_variable(spec)), -_coeff_first(spec.n))
-    add(_dilation_term(spec, potential, dcap))
+    yield d(_first_variable(spec)), -_coeff_first(spec.n), 0
+    yield _dilation_term(spec, potential, dcap), 1, 0
     for v1, v2, w in _second_order_terms(spec, algebra):
-        add(d(v1).partial_derivative(v2), w, 2)
-        add(d(v1).multiply(d(v2), floor=2 * potential.lam_floor,
-                           max_degree=dcap), w, 2)
+        yield d(v1).partial_derivative(v2), w, 2
+        yield d(v1).multiply(d(v2), floor=2 * potential.lam_floor,
+                             max_degree=dcap), w, 2
     for mono, w in _multiplication_terms(spec, algebra):
-        add(TruncatedSeries.from_monomial(caps, mono, w, lam=-2, **kind))
+        yield TruncatedSeries.from_monomial(caps, mono, w, lam=-2, **kind), 1, 0
     const = _constant_term(spec)
     if const:
-        add(TruncatedSeries.constant(caps, const, **kind))
-    return out
+        yield TruncatedSeries.constant(caps, const, **kind), 1, 0
 
 
 def _dilation_term(spec, series, max_degree=None):
@@ -213,8 +217,7 @@ def _dilation_term(spec, series, max_degree=None):
     caps = series.caps
     dcap = caps.degree if max_degree is None else max_degree
     out = TruncatedSeries(caps, mode=series.mode, system=series.system,
-                          lam_floor=series.lam_floor,
-                          valid_degree=min(series.valid_degree, dcap))
+                          lam_floor=series.lam_floor)
     for mono, lc in series.terms.items():
         if mono_degree(mono) > dcap:
             continue
@@ -256,7 +259,8 @@ class ConstraintReport:
     ``checked_monomials`` counts the (monomial, lambda) positions of the
     compared region where at least one term of the identity is nonzero
     before cancellation: the union of the supports of both sides.
-    ``watermark`` is the highest monomial degree compared.
+    ``watermark`` is the highest monomial degree compared.  Every exact
+    report is made by ``_compare``.
     """
 
     operator: dict
@@ -296,27 +300,59 @@ def _check_caps(degree: int, genus: int) -> SeriesCaps:
                       genus=genus)
 
 
-def _fform_report(spec, potential, *, degree, algebra=None):
-    """R_n(F) against zero at every degree <= D-1 (n <= 0) or D-2 (n >= 1)."""
-    watermark = degree - (2 if spec.n >= 1 else 1)
+def _compare(operator, caps, lhs, rhs, *, max_degree, lam_max,
+             window=None) -> ConstraintReport:
+    """Exact comparison of two sides at every coefficient of degree <=
+    ``max_degree`` and lambda <= ``lam_max``.
+
+    Each side is an iterable of terms (series, value, lam_shift), standing
+    for value * lambda^lam_shift * series; the residual lhs - rhs is summed
+    in the order the terms are given.  ``checked_monomials`` is the union
+    of the term supports inside the region, ``max_residual`` the first
+    largest residual in residual order, and each violation shows the sums
+    of both sides.
+    """
     support = set()
-    residual = fform_residual(spec, potential, algebra=algebra,
-                              max_degree=watermark, support=support)
+
+    def summed(terms):
+        total = TruncatedSeries(caps, mode=EXACT)
+        for series, value, lam_shift in terms:
+            total.iadd(series, value, lam_shift=lam_shift)
+            for mono, lc in series.terms.items():
+                if mono_degree(mono) <= max_degree:
+                    support.update((mono, lam + lam_shift) for lam in lc
+                                   if lam + lam_shift <= lam_max)
+        return total
+
+    residual = summed(lhs)
+    rhs_sum = summed(rhs)
+    residual.iadd(rhs_sum, -1)
     violations = []
     worst = Q(0)
     for mono, lam, c in residual.iter_terms():
-        if mono_degree(mono) > watermark:
+        if lam > lam_max or mono_degree(mono) > max_degree:
             continue
         if abs(c) > abs(worst):
             worst = c
+        r = rhs_sum.coefficient(mono, lam)
         violations.append({"monomial": _mono_json(mono), "lambda": lam,
-                           "lhs": rat_str(c), "rhs": "0/1"})
+                           "lhs": rat_str(c + r), "rhs": rat_str(r)})
     violations.sort(key=lambda v: (v["lambda"], v["monomial"]))
     return ConstraintReport(
-        operator=spec.label(), checked_monomials=len(support),
-        max_residual=worst, watermark=watermark, violations=violations,
-        window={"lambda_min": residual.lam_floor,
-                "lambda_max": potential.caps.lam_ceiling})
+        operator=operator, checked_monomials=len(support),
+        max_residual=worst, watermark=max_degree, violations=violations,
+        window=window)
+
+
+def _fform_report(spec, potential, *, degree, algebra=None):
+    """R_n(F) against zero at every degree <= D-1 (n <= 0) or D-2 (n >= 1)."""
+    watermark = degree - (2 if spec.n >= 1 else 1)
+    lam_max = potential.caps.lam_ceiling
+    return _compare(
+        spec.label(), potential.caps,
+        _fform_terms(spec, potential, algebra=algebra, max_degree=watermark),
+        (), max_degree=watermark, lam_max=lam_max,
+        window={"lambda_min": potential.lam_floor, "lambda_max": lam_max})
 
 
 def virasoro_check(theory: OrbifoldTheory, *, n_values: Sequence[int] = (-1, 0, 1, 2),
@@ -394,30 +430,15 @@ def commutator_check(spec1: VirasoroSpec, spec2: VirasoroSpec, *,
     def op(spec, series):
         return apply_virasoro(spec, series, algebra=algebra)
 
-    first, second = op(spec1, op(spec2, s)), op(spec2, op(spec1, s))
-    lhs = first.add(second.scale(Q(-1)))
-    same_copy = (spec1.flavor == DIAGONAL or spec1.alpha == spec2.alpha)
-    if same_copy:
+    # one side: L_m L_n s - L_n L_m s - (m - n) L_{m+n} s
+    terms = [(op(spec1, op(spec2, s)), 1, 0),
+             (op(spec2, op(spec1, s)), -1, 0)]
+    if spec1.flavor == DIAGONAL or spec1.alpha == spec2.alpha:
         bracket_spec = VirasoroSpec(spec1.flavor, m + n, r, alpha=spec1.alpha)
-        rhs = op(bracket_spec, s).scale(Q(m - n))
-    else:
-        rhs = TruncatedSeries(caps, mode=EXACT, system=s.system,
-                              lam_floor=s.lam_floor)
-    residual = lhs.add(rhs.scale(Q(-1)))
-
-    violations = []
-    worst = Q(0)
-    for mono, lam, c in residual.iter_terms():
-        if c:
-            if abs(c) > abs(worst):
-                worst = c
-            violations.append({"monomial": _mono_json(mono), "lambda": lam,
-                               "lhs": rat_str(c), "rhs": "0/1"})
-    checked = len(first.support() | second.support() | rhs.support())
-    return ConstraintReport(
-        operator={"bracket": [spec1.label(), spec2.label()]},
-        checked_monomials=checked, max_residual=worst,
-        watermark=caps.degree, violations=violations)
+        terms.append((op(bracket_spec, s).scale(Q(m - n)), -1, 0))
+    return _compare({"bracket": [spec1.label(), spec2.label()]}, caps,
+                    terms, (), max_degree=caps.degree,
+                    lam_max=caps.lam_ceiling)
 
 
 # -- KdV ----------------------------------------------------------------------
@@ -484,7 +505,6 @@ def kdv_check(theory: OrbifoldTheory, *, a_max: int = 2, degree: int = 4,
             lhs = zero()
             for j, jinv, zj in pairs:
                 lhs.iadd(factor((a, c), (0, j), (0, jinv)), zj)
-            lhs = lhs.scale(Q(2 * a + 1), lam_shift=-2)
 
             rhs = zero()
             for j, jinv, zj in pairs:
@@ -498,33 +518,11 @@ def kdv_check(theory: OrbifoldTheory, *, a_max: int = 2, degree: int = 4,
                     rhs.iadd(factor((a - 1, c), (0, j), (0, jinv),
                                     (0, k), (0, kinv)), Q(zj * zk, 4))
 
-            residual = lhs.copy().iadd(rhs, -1)
-            checked = 0
-            violations = []
-            worst = Q(0)
-            seen = set()
-            for source in (lhs, rhs, residual):
-                for mono, lam, cval in source.iter_terms():
-                    if lam > lam_max or mono_degree(mono) > degree:
-                        continue
-                    key = (mono, lam)
-                    if key not in seen:
-                        seen.add(key)
-                        checked += 1
-                    if source is residual and cval:
-                        if abs(cval) > abs(worst):
-                            worst = cval
-                        violations.append({
-                            "monomial": _mono_json(mono), "lambda": lam,
-                            "lhs": rat_str(lhs.coefficient(mono, lam)),
-                            "rhs": rat_str(rhs.coefficient(mono, lam)),
-                        })
-            violations.sort(key=lambda v: (v["lambda"], v["monomial"]))
-            reports.append(ConstraintReport(
-                operator={"kdv_a": a, "direction_class": c},
-                checked_monomials=checked, max_residual=worst,
-                watermark=degree, violations=violations,
-                window={"lambda_min": residual.lam_floor,
+            reports.append(_compare(
+                {"kdv_a": a, "direction_class": c}, caps,
+                [(lhs, Q(2 * a + 1), -2)], [(rhs, 1, 0)],
+                max_degree=degree, lam_max=lam_max,
+                window={"lambda_min": lhs.lam_floor - 2,
                         "lambda_max": lam_max}))
     return reports
 
@@ -599,9 +597,11 @@ def mutation_targets(theory: OrbifoldTheory, *, degree: int = 4,
     return sorted((mono, lam) for mono, lam, _c in phi.iter_terms())
 
 
-def mutation_sensitivity(theory: OrbifoldTheory, *, target_degree: int = 4,
-                         n_values=(-1, 0, 1, 2), a_max: int = 2,
-                         max_genus_mutated: int = 1, targets=None) -> dict:
+# (degree, genus, n values) of the Virasoro stages of the mutation sweep
+_MUTATION_STAGES = ((5, 1, (-1, 0)), (6, 2, (-1, 0, 1, 2)))
+
+
+def mutation_sensitivity(theory: OrbifoldTheory, *, targets=None) -> dict:
     """Double each stored low-genus coefficient; every mutation must trip
     at least one Virasoro or KdV residual.
 
@@ -611,16 +611,14 @@ def mutation_sensitivity(theory: OrbifoldTheory, *, target_degree: int = 4,
     are sub-regions of the degree-6 checks, so any failure found here is
     a failure of those.  Survivors escalate to the KdV identity before
     being reported as undetected.  A target the potential does not store
-    raises MissingCoefficient.
+    raises MissingCoefficient.  ``targets`` defaults to every
+    ``mutation_targets`` entry (degree <= 4, genus <= 1).
     """
     if targets is None:
-        targets = mutation_targets(theory, degree=target_degree,
-                                   max_genus=max_genus_mutated)
-    stages = [(5, 1, tuple(n for n in n_values if n <= 0) or (-1, 0)),
-              (6, 2, tuple(n_values))]
+        targets = mutation_targets(theory)
 
     def virasoro_detects(target):
-        for degree, genus, ns in stages:
+        for degree, genus, ns in _MUTATION_STAGES:
             phi = theory.potential(_check_caps(degree, genus), mutate=target)
             for n in ns:
                 spec = VirasoroSpec(DIAGONAL, n, theory.r)
@@ -633,7 +631,7 @@ def mutation_sensitivity(theory: OrbifoldTheory, *, target_degree: int = 4,
     for mono, lam in targets:
         if virasoro_detects((mono, lam)):
             continue
-        reports = kdv_check(theory, a_max=a_max, degree=4, genus=1,
+        reports = kdv_check(theory, a_max=2, degree=4, genus=1,
                             mutate=(mono, lam))
         if all(rep.passed for rep in reports):
             undetected.append({"monomial": _mono_json(mono), "lambda": lam})

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -183,7 +184,16 @@ def test_input_errors_are_named(monkeypatch):
                              "--degree", "5", "--genus", "1",
                              "--mutate", json.dumps([[[4, 0, 1]], 2])])
     assert code == 2 and out == ""
-    assert err.getvalue().startswith("input error")
+    assert err.getvalue() == ("input error: no stored coefficient at "
+                              "(((4, 0), 1),) lambda^2\n")
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli(["check", "kdv", "--group", Z2, "--degree", "4",
+                             "--genus", "1", "--mutate",
+                             json.dumps([[[0, 0, 9]], -2])])
+    assert code == 2 and out == ""
+    assert err.getvalue().startswith("input error: no stored")
+    assert "'" not in err.getvalue()
     # a malformed correlator key is an input error
     for key in ('{"genus": 1}', '[1]', '{"genus": 1, "insertions": [1]}'):
         with redirect_stderr(io.StringIO()):
@@ -227,6 +237,39 @@ def test_byte_identical_reports():
     _code, first = run_cli(argv)
     _code, second = run_cli(argv)
     assert first == second
+
+
+# sha256 of stdout; violation order, lhs/rhs and max_residual of the
+# failing --mutate runs are pinned with the rest of the bytes
+PINNED_REPORTS = [
+    ("virasoro", Z2, 4, None,
+     "71fb5893047ed6270eeb0980b97a4be27974e9dc09c834d2f6dea7585ba35168"),
+    ("virasoro", S3, 4, None,
+     "d6746ec7cb3db610ebf66e6a237da893a738229e6f4913805cba5e88dc64418a"),
+    ("kdv", Z2, 4, None,
+     "4b95926d6552d320fb4bb9d16e8ddb2dab114977ea5fd55c9806a388cd28d89b"),
+    ("kdv", S3, 2, None,
+     "a1a1bd735f6497e82d800d601be41d3bcd612c5049f7e46668b6bb9ef5659f50"),
+    ("virasoro", Z2, 4, "[[[0,0,1],[0,1,2]],-2]",
+     "c886b75aa2b4b01c7e4c1ad303b82e7f8108c27e6de5551a1206025fb6465926"),
+    ("kdv", Z2, 4, "[[[0,0,1],[0,1,2]],-2]",
+     "34f388f88f090f03f4ef51dbdbabc81623c279b30e196e472cc0018440691f19"),
+    # the n = -1 residual reaches its largest |c| at both signs, so this
+    # pins which one max_residual reports
+    ("virasoro", Z2, 4, "[[[0,0,3]],-2]",
+     "bc6d4dc354cc62a1992803a19751ea7f95c1f2202b087bd225e78aeffd304ae2"),
+]
+
+
+@pytest.mark.parametrize("which,group,degree,mutate,digest", PINNED_REPORTS)
+def test_report_bytes_pinned(which, group, degree, mutate, digest):
+    argv = ["check", which, "--group", group, "--degree", str(degree),
+            "--genus", "1"]
+    if mutate is not None:
+        argv += ["--mutate", mutate]
+    code, out = run_cli(argv)
+    assert code == (0 if mutate is None else 1)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_jobs_flag_does_not_change_output():

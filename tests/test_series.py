@@ -100,7 +100,6 @@ def test_partial_derivatives():
     s = poly([(mono(T0, T0), 0, Q(1))])
     d = s.partial_derivative(T0)
     assert d.coefficient(mono(T0), 0) == 2
-    assert d.valid_degree == CAPS.degree - 1
 
     y = (1, 1)
     s = poly([(mono(y, y, y), 0, Q(1))])
@@ -109,17 +108,6 @@ def test_partial_derivatives():
     quartic = poly([(mono(T0, T0, T0, T0), 0, Q(1, 24))])
     dd = quartic.second_partial(T0, T0)
     assert dd.coefficient(mono(T0, T0), 0) == Q(1, 2)
-    assert dd.valid_degree == CAPS.degree - 2
-
-
-def test_substitute_rescale():
-    s = poly([(mono(T0, T0, T0), 0, Q(1))])
-    doubled = s.substitute_rescale(lambda v: Q(2))
-    assert doubled.coefficient(mono(T0, T0, T0), 0) == 8
-    same = s.substitute_rescale(lambda v: Q(1))
-    assert max_abs_difference(s, same) == 0
-    # exponent (1-a)/3 vanishes at a = 1 regardless of the base
-    assert Q(7) ** ((1 - 1) // 3) == 1
 
 
 def test_substitute_linear_identity_and_permutation():
@@ -184,9 +172,8 @@ def test_ring_laws_randomized():
         a, b, c = (random_series(rng, caps) for _ in range(3))
         left = a.multiply(b, floor=-8).multiply(c, floor=-8)
         right = a.multiply(b.multiply(c, floor=-8), floor=-8)
-        wm = min(left.valid_degree, right.valid_degree)
         for mono_, lam, _ in left.iter_terms():
-            if sum(e for _v, e in mono_) <= wm:
+            if sum(e for _v, e in mono_) <= caps.degree:
                 assert left.coefficient(mono_, lam) \
                     == right.coefficient(mono_, lam)
         dist_l = a.multiply(b.add(c), floor=-6)
@@ -211,10 +198,9 @@ def test_exp_is_multiplicative():
         e12 = s1.add(s2).exponential()
         e1e2 = s1.exponential().multiply(s2.exponential(),
                                          floor=e12.lam_floor)
-        wm = min(e12.valid_degree, e1e2.valid_degree)
         keys = e12.support() | e1e2.support()
         for mono_, lam in keys:
-            if sum(e for _v, e in mono_) <= wm:
+            if sum(e for _v, e in mono_) <= caps.degree:
                 assert e12.coefficient(mono_, lam) \
                     == e1e2.coefficient(mono_, lam), (trial, mono_, lam)
 
@@ -232,9 +218,9 @@ def test_derivative_of_exponential():
     e = s.exponential()
     lhs = e.partial_derivative((1, 0))
     rhs = s.partial_derivative((1, 0)).multiply(e, floor=e.lam_floor * 2)
-    wm = min(lhs.valid_degree, rhs.valid_degree)
+    # the derivative of a degree-capped series is exact one degree lower
     for mono_, lam in lhs.support() | rhs.support():
-        if sum(e2 for _v, e2 in mono_) <= wm:
+        if sum(e2 for _v, e2 in mono_) <= caps.degree - 1:
             assert lhs.coefficient(mono_, lam) == rhs.coefficient(mono_, lam)
 
 
