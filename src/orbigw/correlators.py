@@ -240,11 +240,16 @@ def _distribution_chunk(args):
             for a in range(n)]
     flat = [c for arow in comm for c in arow]
 
+    # The oracle must visit every tuple: the last handle is counted in a
+    # plain loop rather than one call per leaf, but it is not replaced by
+    # the genus-1 distribution, whose convolution is the handle-element
+    # product this enumeration checks.
     def rec(depth, prefix):
-        if depth == genus:
-            counts[prefix] += 1
-            return
         row = mult[prefix]
+        if depth == genus - 1:
+            for c in flat:
+                counts[row[c]] += 1
+            return
         for c in flat:
             rec(depth + 1, row[c])
 

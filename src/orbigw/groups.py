@@ -253,6 +253,13 @@ def build_from_generators(perms: Sequence[Sequence[int]], *,
 
     Elements are ordered by discovery with the identity first, so index 0
     is always the identity.  Element names are cycle notations.
+
+    The table is read off the BFS (Schreier) tree: every element j > 0 was
+    found as parent(j) * g_j, and right[k][g] records the index of
+    elems[k] * g.  That is n * |gens| permutation compositions in all.
+    Each generator row follows the tree, g * elems[j] =
+    right[g * elems[parent(j)]][g_j], and every other row is a composition
+    of two rows already built, since (x * g) * y = x * (g * y).
     """
     degree = 0
     gens = []
@@ -267,23 +274,41 @@ def build_from_generators(perms: Sequence[Sequence[int]], *,
     ident = tuple(range(degree))
     elems = [ident]
     index = {ident: 0}
-    queue = [ident]
-    while queue:
-        x = queue.pop(0)
-        for g in gens:
+    parent, via = [0], [0]
+    right = []
+    # elems doubles as the BFS queue: element k is expanded k-th
+    for k, x in enumerate(elems):
+        images = []
+        for gi, g in enumerate(gens):
             y = _compose(x, g)
-            if y not in index:
+            j = index.get(y)
+            if j is None:
                 if len(elems) >= max_order:
                     raise OrderExceedsLimit(
                         f"closure exceeds {max_order} elements")
                 check_table_size(len(elems) + 1)
-                index[y] = len(elems)
+                j = index[y] = len(elems)
                 elems.append(y)
-                queue.append(y)
+                parent.append(k)
+                via.append(gi)
+            images.append(j)
+        right.append(images)
 
     n = len(elems)
-    mult = tuple(tuple(index[_compose(elems[i], elems[j])] for j in range(n))
-                 for i in range(n))
+    gen_index = right[0]
+    rows = [None] * n
+    rows[0] = tuple(range(n))
+    for row_index in gen_index:
+        if rows[row_index] is None:
+            row = [row_index]
+            for j in range(1, n):
+                row.append(right[row[parent[j]]][via[j]])
+            rows[row_index] = tuple(row)
+    for i in range(1, n):
+        if rows[i] is None:
+            rows[i] = tuple(map(rows[parent[i]].__getitem__,
+                                rows[gen_index[via[i]]]))
+    mult = tuple(rows)
     inv = []
     for i in range(n):
         p = elems[i]

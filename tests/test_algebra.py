@@ -230,3 +230,81 @@ def test_canonical_basis_rejects_corrupted_table():
                            tolerance=1e-9)
     with pytest.raises(IdempotencyCheckFailed):
         canonical_basis(bogus, alg)
+
+
+def _canonical_basis_by_loops(ct, alg, tol):
+    """Reference check: one quantum_product and one eta call per pair."""
+    from orbigw.algebra import IdempotencyCheckFailed
+    cd, n, r = alg.cd, alg.group.order, alg.r
+    vectors = [tuple(ct.degrees[a] / n * ct.values[a][cd.inverse_class[k]]
+                     for k in range(r)) for a in range(r)]
+    nus = [Q(d, n) ** 2 for d in ct.degrees]
+    for alpha in range(r):
+        for beta in range(r):
+            prod = alg.quantum_product(vectors[alpha], vectors[beta])
+            expect = vectors[alpha] if alpha == beta else (complex(0),) * r
+            err = max(abs(prod[k] - expect[k]) for k in range(r))
+            if err > tol:
+                raise IdempotencyCheckFailed(
+                    f"f_{alpha} * f_{beta} residual {err:.3e}")
+            pairing = alg.eta(vectors[alpha], vectors[beta])
+            target = complex(nus[alpha]) if alpha == beta else 0.0
+            if abs(pairing - target) > tol:
+                raise IdempotencyCheckFailed(
+                    f"eta(f_{alpha}, f_{beta}) residual "
+                    f"{abs(pairing - target):.3e}")
+    unit_err = max(abs(sum(vectors[a][k] for a in range(r))
+                       - (1.0 if k == 0 else 0.0)) for k in range(r))
+    if unit_err > tol:
+        raise IdempotencyCheckFailed(
+            f"sum f_alpha != unit, residual {unit_err:.3e}")
+    return tuple(vectors), tuple(nus)
+
+
+def _outcome(check):
+    from orbigw.algebra import IdempotencyCheckFailed
+    try:
+        return "ok", check()
+    except IdempotencyCheckFailed as exc:
+        head, _, residual = str(exc).rpartition(" residual ")
+        return head, float(residual)
+
+
+ORACLE_GROUPS = {
+    "S3": named_group("S", 3), "Q8": named_group("Q8"),
+    "S5": named_group("S", 5),
+    "S4xD4": direct_product(named_group("S", 4), named_group("D", 4)),
+}
+
+
+@pytest.mark.parametrize("label", sorted(ORACLE_GROUPS))
+def test_canonical_basis_matches_loop_oracle(label):
+    from orbigw.algebra import CharacterTable
+    group = ORACLE_GROUPS[label]
+    alg = ClassAlgebra(group)
+    ct = character_table(group, alg.cd)
+    cb = canonical_basis(ct, alg)
+    assert (cb.vectors, cb.nus) == _canonical_basis_by_loops(
+        ct, alg, ct.tolerance)
+    # nudge one or two character values and demand the same verdict: the
+    # same failing pair and check, and the same residual to 3 digits
+    r = alg.r
+    verdicts = set()
+    for nudge in (1e-3, 1e-6, 1e-8):
+        for spots in ([(r - 1, r - 1)], [(r // 2, 0)], [(1, r - 1), (0, 1)]):
+            values = [list(row) for row in ct.values]
+            for alpha, k in spots:
+                values[alpha][k] += nudge
+            bogus = CharacterTable(r=r, degrees=ct.degrees,
+                                   values=tuple(map(tuple, values)),
+                                   tolerance=ct.tolerance)
+            new = _outcome(lambda: canonical_basis(bogus, alg).vectors)
+            old = _outcome(lambda: _canonical_basis_by_loops(
+                bogus, alg, bogus.tolerance)[0])
+            assert new[0] == old[0], (nudge, spots)
+            if new[0] == "ok":
+                assert new[1] == old[1]
+            else:
+                assert new[1] == pytest.approx(old[1], rel=1e-3)
+            verdicts.add(new[0] == "ok")
+    assert False in verdicts

@@ -66,6 +66,52 @@ def test_generators_s3():
     assert g.element_names[0] == "()"
 
 
+def _table_by_composition(perms):
+    """Reference construction: BFS closure, then one composition per entry."""
+    from orbigw.groups import _compose
+    degree = max((len(p) for p in perms), default=0)
+    gens = [tuple(p) + tuple(range(len(p), degree)) for p in perms]
+    ident = tuple(range(degree))
+    elems, index, queue = [ident], {ident: 0}, [ident]
+    while queue:
+        x = queue.pop(0)
+        for g in gens:
+            y = _compose(x, g)
+            if y not in index:
+                index[y] = len(elems)
+                elems.append(y)
+                queue.append(y)
+    n = len(elems)
+    mult = tuple(tuple(index[_compose(elems[i], elems[j])] for j in range(n))
+                 for i in range(n))
+    inv = tuple(index[tuple(sorted(range(degree), key=p.__getitem__))]
+                for p in elems)
+    return mult, inv, 0, tuple(cycle_notation(p) for p in elems)
+
+
+@pytest.mark.parametrize("generators", [
+    None,  # S5 by name
+    ["(0 1 2 3 4)", "(0 1 2)"],
+    ["(0 1)", "(0 1 2 3 4 5)"],
+    ["(0 1)(2 3)", "(0 2)(1 3)", "(4 5 6)"],
+    ["()", "(0 1 2)", "(0 1 2)"],
+    [],
+])
+def test_generator_table_matches_composition(generators):
+    if generators is None:
+        g = named_group("S", 5)
+        perms = [parse_cycles("(0 1)", 5), parse_cycles("(0 1 2 3 4)", 5)]
+    else:
+        g = group_from_spec({"generators": generators})
+        perms = [parse_cycles(text) for text in generators]
+    mult, inv, identity, names = _table_by_composition(perms)
+    assert g.order == len(mult)
+    assert g.mult == mult
+    assert g.inv == inv
+    assert g.identity == identity
+    assert g.element_names == names
+
+
 def test_generators_empty_gives_trivial():
     g = build_from_generators([])
     assert g.order == 1
