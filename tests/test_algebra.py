@@ -286,25 +286,32 @@ def test_canonical_basis_matches_loop_oracle(label):
     cb = canonical_basis(ct, alg)
     assert (cb.vectors, cb.nus) == _canonical_basis_by_loops(
         ct, alg, ct.tolerance)
-    # nudge one or two character values and demand the same verdict: the
-    # same failing pair and check, and the same residual to 3 digits
+    # corrupt the table and demand the same verdict: the same failing
+    # pair and check, and the same residual to 3 digits.  Nudging one or
+    # two character values breaks a product first; doubling a degree and
+    # halving its row keeps f_alpha idempotent and breaks only its pairing.
     r = alg.r
-    verdicts = set()
+    tables = []
     for nudge in (1e-3, 1e-6, 1e-8):
         for spots in ([(r - 1, r - 1)], [(r // 2, 0)], [(1, r - 1), (0, 1)]):
             values = [list(row) for row in ct.values]
             for alpha, k in spots:
                 values[alpha][k] += nudge
-            bogus = CharacterTable(r=r, degrees=ct.degrees,
-                                   values=tuple(map(tuple, values)),
-                                   tolerance=ct.tolerance)
-            new = _outcome(lambda: canonical_basis(bogus, alg).vectors)
-            old = _outcome(lambda: _canonical_basis_by_loops(
-                bogus, alg, bogus.tolerance)[0])
-            assert new[0] == old[0], (nudge, spots)
-            if new[0] == "ok":
-                assert new[1] == old[1]
-            else:
-                assert new[1] == pytest.approx(old[1], rel=1e-3)
-            verdicts.add(new[0] == "ok")
-    assert False in verdicts
+            tables.append((ct.degrees, values))
+    tables.append((ct.degrees[:-1] + (2 * ct.degrees[-1],),
+                   ct.values[:-1] + (tuple(v / 2 for v in ct.values[-1]),)))
+    verdicts = []
+    for degrees, values in tables:
+        bogus = CharacterTable(r=r, degrees=degrees,
+                               values=tuple(map(tuple, values)),
+                               tolerance=ct.tolerance)
+        new = _outcome(lambda: canonical_basis(bogus, alg).vectors)
+        old = _outcome(lambda: _canonical_basis_by_loops(
+            bogus, alg, bogus.tolerance)[0])
+        assert new[0] == old[0], degrees
+        if new[0] == "ok":
+            assert new[1] == old[1]
+        else:
+            assert new[1] == pytest.approx(old[1], rel=1e-3)
+        verdicts.append(new[0])
+    assert verdicts[-1] == f"eta(f_{r - 1}, f_{r - 1})"

@@ -2,7 +2,7 @@ import pytest
 
 import orbigw.groups
 from orbigw.groups import (DEFAULT_MAX_ORDER, MAX_TABLE_BYTES, NotAGroup,
-                           OrderExceedsLimit, UnsupportedName,
+                           OrderExceedsLimit, UnsupportedName, _compose,
                            build_from_cayley, build_from_generators,
                            check_table_size, conjugacy_data, cycle_notation,
                            direct_product, group_from_spec,
@@ -68,7 +68,6 @@ def test_generators_s3():
 
 def _table_by_composition(perms):
     """Reference construction: BFS closure, then one composition per entry."""
-    from orbigw.groups import _compose
     degree = max((len(p) for p in perms), default=0)
     gens = [tuple(p) + tuple(range(len(p), degree)) for p in perms]
     ident = tuple(range(degree))
