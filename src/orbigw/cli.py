@@ -34,16 +34,6 @@ EXIT_INPUT_ERROR = 2
 EXIT_RESOURCE_CAP = 3
 
 
-def _json_default(obj):
-    if isinstance(obj, Fraction):
-        return rat_str(obj)
-    if isinstance(obj, complex):
-        return [float_str(obj.real), float_str(obj.imag)]
-    if isinstance(obj, float):
-        return float_str(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
 def _round_floats(obj):
     if isinstance(obj, float):
         return float_str(obj)
@@ -61,8 +51,7 @@ def _round_floats(obj):
 def emit(report: dict, args) -> None:
     report = _round_floats(report)
     if args.format == "json":
-        text = json.dumps(report, sort_keys=True, indent=2,
-                          default=_json_default) + "\n"
+        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     else:
         lines = []
 
@@ -71,7 +60,7 @@ def emit(report: dict, args) -> None:
                 for k in sorted(obj):
                     render(f"{prefix}{k}.", obj[k])
             elif isinstance(obj, list):
-                lines.append(f"{prefix[:-1]}: {json.dumps(obj, sort_keys=True, default=_json_default)}")
+                lines.append(f"{prefix[:-1]}: {json.dumps(obj, sort_keys=True)}")
             else:
                 lines.append(f"{prefix[:-1]}: {obj}")
 
@@ -205,15 +194,12 @@ def cmd_correlator(args) -> int:
 def cmd_potential(args) -> int:
     theory = OrbifoldTheory(load_group(args), work_cap=args.work_cap)
     basis = CANONICAL_RESCALED if args.basis == "canonical" else CLASS_BASIS
-    level_cap = args.levels if args.levels is not None else \
-        max(3 * args.genus - 3 + args.degree, args.degree, 1)
-    caps = SeriesCaps(degree=args.degree, level=level_cap, genus=args.genus)
+    caps = SeriesCaps(degree=args.degree, genus=args.genus)
     phi = theory.potential(caps, basis=basis)
     z = phi.exponential()
     report = {
         "basis": args.basis,
-        "caps": {"degree": caps.degree, "level": caps.level,
-                 "genus": caps.genus},
+        "caps": {"degree": caps.degree, "genus": caps.genus},
         "potential": phi.to_json_list(),
         "partition_function": z.to_json_list(),
     }
@@ -286,9 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="inline JSON or path to a group spec file")
         p.add_argument("--genus", type=int, default=2)
         p.add_argument("--degree", type=int, default=6)
-        p.add_argument("--levels", type=int, default=None,
-                       help="descendant level cap (derived from genus/degree "
-                            "when omitted)")
         p.add_argument("--tol", type=float, default=1e-9)
         p.add_argument("--work-cap", type=int, default=10 ** 9)
         p.add_argument("--jobs", type=int, default=1)

@@ -461,7 +461,8 @@ class OrbifoldTheory:
         Its coefficient of t^M lambda^{2g-2} is the single correlator
         <tau(v_1) ... tau(v_k) tau(M)>_g / M!, so the series is generated
         from correlators directly, for free monomials M of degree
-        <= caps.degree with levels <= caps.level and genus <= caps.genus.
+        <= caps.degree and genus <= caps.genus; the dimension constraint
+        bounds their levels.
         ``mutate`` ((monomial, lambda) pair) doubles every term whose full
         insertion multiset fixed + M is that monomial at that lambda,
         matching a potential with that one coefficient doubled.
@@ -511,8 +512,8 @@ class OrbifoldTheory:
         """(genus, free levels, psi value) for every contributing key.
 
         The free levels are a sorted tuple of at most caps.degree levels
-        <= caps.level; psi is that of the free levels merged with the
-        levels of the fixed insertions.
+        summing to 3g - 3 + n minus the fixed levels; psi is that of the
+        free levels merged with the levels of the fixed insertions.
         """
         k = len(fixed_levels)
         for genus in range(caps.genus + 1):
@@ -522,7 +523,7 @@ class OrbifoldTheory:
                 target = 3 * genus - 3 + k + n - sum(fixed_levels)
                 if target < 0:
                     continue
-                for levels in _bounded_partitions(target, n, caps.level):
+                for levels in _partitions(target, n):
                     psi = _psi(genus, tuple(sorted(fixed_levels + levels)))
                     if psi:
                         yield genus, levels, psi
@@ -538,21 +539,20 @@ class OrbifoldTheory:
         }
 
 
-def _bounded_partitions(total: int, parts: int, cap: int):
-    """Sorted tuples of ``parts`` nonnegative ints <= cap summing to total."""
+def _partitions(total: int, parts: int):
+    """Sorted tuples of ``parts`` nonnegative ints summing to total."""
     if parts == 0:
         if total == 0:
             yield ()
         return
-    if total > parts * cap:
-        return
 
     def rec(remaining, slots, low):
         if slots == 1:
-            if low <= remaining <= cap:
+            if low <= remaining:
                 yield (remaining,)
             return
-        for first in range(low, min(cap, remaining) + 1):
+        # the later parts are >= first, so first <= remaining / slots
+        for first in range(low, remaining // slots + 1):
             for rest in rec(remaining - first, slots - 1, first):
                 yield (first,) + rest
 

@@ -433,7 +433,8 @@ def direct_product(g: GroupTable, h: GroupTable, *,
 
 
 def conjugacy_data(g: GroupTable) -> ConjugacyData:
-    """Conjugation orbits and centralizer orders by direct enumeration."""
+    """Conjugation orbits by direct enumeration; each centralizer order is
+    |G| divided by the size of the orbit."""
     n = g.order
     mult, inv = g.mult, g.inv
     class_of = [-1] * n
@@ -453,11 +454,6 @@ def conjugacy_data(g: GroupTable) -> ConjugacyData:
         for y in members:
             class_of[y] = k
 
-    centralizer = []
-    for x in range(n):
-        row = mult[x]
-        centralizer.append(sum(1 for a in range(n) if row[a] == mult[a][x]))
-
     representative = tuple(min(c) if k > 0 else g.identity
                            for k, c in enumerate(classes))
     inverse_class = tuple(class_of[inv[representative[k]]]
@@ -467,7 +463,7 @@ def conjugacy_data(g: GroupTable) -> ConjugacyData:
         class_of=tuple(class_of),
         representative=representative,
         class_size=tuple(len(c) for c in classes),
-        centralizer_order=tuple(centralizer),
+        centralizer_order=tuple(n // len(classes[k]) for k in class_of),
         inverse_class=inverse_class,
     )
 
@@ -500,13 +496,7 @@ def group_from_spec(spec, *, max_order: int = DEFAULT_MAX_ORDER) -> GroupTable:
     if "name" in spec:
         return named_group(spec["name"], int(spec.get("param", 0)))
     if "generators" in spec:
-        degree = 0
-        for text in spec["generators"]:
-            pts = [int(p) for grp in re.findall(r"\(([^()]*)\)", text)
-                   for p in grp.split()]
-            if pts:
-                degree = max(degree, max(pts) + 1)
-        perms = [parse_cycles(text, degree) for text in spec["generators"]]
+        perms = [parse_cycles(text) for text in spec["generators"]]
         return build_from_generators(perms, max_order=max_order)
     if "cayley" in spec:
         return build_from_cayley(spec["cayley"])

@@ -4,7 +4,9 @@ A variable is a pair (a, m): descendant level a >= 0 and basis slot m.
 Coefficients are Laurent polynomials in the genus parameter lambda with
 even exponents only; exponent 2g-2 carries the genus-g part.  Monomials
 are capped by total degree, lambda exponents live in a per-series window
-[lam_floor, 2*genus_cap - 2].
+[lam_floor, 2*genus_cap - 2].  Levels are not capped: in a potential at
+degree D and genus G the dimension constraint sum a_i = 3g-3+n already
+bounds them by 3G-3+D.
 
 Truncation contract: a series keeps every term its caps allow and records
 no degree up to which it is exact.  The derivative of a series capped at
@@ -49,14 +51,9 @@ class SingularMatrix(Exception):
     pass
 
 
-class LevelCapExceeded(Exception):
-    pass
-
-
 @dataclass(frozen=True)
 class SeriesCaps:
     degree: int   # max total monomial degree
-    level: int    # max descendant level
     genus: int    # lambda exponents stored up to 2*genus - 2
 
     @property
@@ -124,9 +121,6 @@ class TruncatedSeries:
         if lam % 2 != 0:
             raise ValueError("lambda exponents must be even")
         mono = tuple(sorted(mono))
-        for (level, _slot), _e in mono:
-            if level > caps.level:
-                raise LevelCapExceeded(f"level {level} > cap {caps.level}")
         kw.setdefault("lam_floor", min(-2, lam))
         s = cls(caps, **kw)
         if value and mono_degree(mono) <= caps.degree and lam <= caps.lam_ceiling:

@@ -28,9 +28,8 @@ from typing import Optional, Sequence
 
 from .algebra import ClassAlgebra, CanonicalBasis, canonical_basis, character_table
 from .correlators import CANONICAL_RESCALED, CLASS_BASIS, OrbifoldTheory
-from .series import (EXACT, NUMERIC, LevelCapExceeded, SeriesCaps,
-                     TruncatedSeries, max_abs_difference, mono_degree,
-                     mono_from_vars)
+from .series import (EXACT, NUMERIC, SeriesCaps, TruncatedSeries,
+                     max_abs_difference, mono_degree, mono_from_vars)
 from .util import Q, double_factorial, float_str, rat_str
 
 
@@ -132,9 +131,6 @@ def _check_operator(spec, series, algebra):
             f"{spec.flavor} operator on {series.system!r} series")
     if spec.flavor == DIAGONAL and algebra is None:
         raise ValueError("diagonal operator requires the class algebra")
-    if spec.n + 1 > series.caps.level:
-        raise LevelCapExceeded(
-            f"operator touches level {spec.n + 1} > cap {series.caps.level}")
 
 
 def _first_variable(spec: VirasoroSpec) -> tuple:
@@ -227,9 +223,6 @@ def _dilation_term(spec, series, max_degree=None):
             i = a - n
             if i < 0:
                 continue
-            if i > caps.level:
-                raise LevelCapExceeded(
-                    f"dilation shifts level {a} to {i} > cap {caps.level}")
             c = _coeff_dilation(n, i)
             new_mono = _replace_var(mono, (a, m), (i, m))
             for lam, v in lc.items():
@@ -291,13 +284,6 @@ class ConstraintReport:
 
 def _mono_json(mono):
     return [[v[0], v[1], e] for v, e in mono]
-
-
-def _check_caps(degree: int, genus: int) -> SeriesCaps:
-    """Caps of the potential for the F-form check at degree D and genus G:
-    levels reach 3G-3+D, plus one for the shift of L_{-1}."""
-    return SeriesCaps(degree=degree, level=3 * genus - 2 + degree,
-                      genus=genus)
 
 
 def _compare(operator, caps, lhs, rhs, *, max_degree, lam_max,
@@ -368,7 +354,7 @@ def virasoro_check(theory: OrbifoldTheory, *, n_values: Sequence[int] = (-1, 0, 
     applies to the diagonal family only and raises MissingCoefficient when
     that potential stores no coefficient there.
     """
-    caps = _check_caps(degree, genus)
+    caps = SeriesCaps(degree=degree, genus=genus)
     reports = []
 
     if families in ("both", PER_INDEX):
@@ -421,11 +407,8 @@ def commutator_check(spec1: VirasoroSpec, spec2: VirasoroSpec, *,
     if m + n < -1:
         raise ValueError("bracket index below -1")
     r = spec1.r
-    max_level = 3
-    caps = SeriesCaps(degree=3 + 6, level=max_level + abs(m) + abs(n) + 3,
-                      genus=4)
-    s = random_test_series(caps, r=r, system=spec1.expected_system, seed=seed,
-                           max_level=max_level)
+    caps = SeriesCaps(degree=3 + 6, genus=4)
+    s = random_test_series(caps, r=r, system=spec1.expected_system, seed=seed)
 
     def op(spec, series):
         return apply_virasoro(spec, series, algebra=algebra)
@@ -467,14 +450,9 @@ def kdv_check(theory: OrbifoldTheory, *, a_max: int = 2, degree: int = 4,
     g_big = genus + 1
     if mutate is not None:
         # raises MissingCoefficient when that potential stores nothing there
-        theory.potential(SeriesCaps(degree=degree + 5,
-                                    level=max(3 * g_big - 3 + degree + 5,
-                                              a_max + 1),
-                                    genus=g_big), mutate=mutate)
-    # never binds: a free level is at most the level sum 3g - 3 + n of its
-    # correlator, and a bracket has n <= degree + 5 insertions
-    caps = SeriesCaps(degree=degree, level=3 * g_big - 3 + degree + 5,
-                      genus=g_big)
+        theory.potential(SeriesCaps(degree=degree + 5, genus=g_big),
+                         mutate=mutate)
+    caps = SeriesCaps(degree=degree, genus=g_big)
     r = theory.r
     pairs = _metric_pairs(theory.algebra)
 
@@ -543,8 +521,7 @@ def factorization_check(theory: OrbifoldTheory, *, degree: int = 6,
     ``strict`` a failing comparison raises ToleranceExceeded naming the
     worst monomial instead of returning a failing report.
     """
-    caps = SeriesCaps(degree=degree, level=max(3 * genus - 3 + degree, degree),
-                      genus=genus)
+    caps = SeriesCaps(degree=degree, genus=genus)
     if cb is None:
         ct = character_table(theory.group, theory.cd, seed=seed)
         cb = canonical_basis(ct, theory.algebra)
@@ -591,8 +568,7 @@ def factorization_check(theory: OrbifoldTheory, *, degree: int = 6,
 def mutation_targets(theory: OrbifoldTheory, *, degree: int = 4,
                      max_genus: int = 1) -> list:
     """Stored class-basis potential coefficients with genus <= max_genus."""
-    caps = SeriesCaps(degree=degree, level=3 * max_genus - 3 + degree + 2,
-                      genus=max_genus)
+    caps = SeriesCaps(degree=degree, genus=max_genus)
     phi = theory.potential(caps, basis=CLASS_BASIS)
     return sorted((mono, lam) for mono, lam, _c in phi.iter_terms())
 
@@ -619,7 +595,8 @@ def mutation_sensitivity(theory: OrbifoldTheory, *, targets=None) -> dict:
 
     def virasoro_detects(target):
         for degree, genus, ns in _MUTATION_STAGES:
-            phi = theory.potential(_check_caps(degree, genus), mutate=target)
+            phi = theory.potential(SeriesCaps(degree=degree, genus=genus),
+                                   mutate=target)
             for n in ns:
                 spec = VirasoroSpec(DIAGONAL, n, theory.r)
                 if not _fform_report(spec, phi, degree=degree,
@@ -653,10 +630,9 @@ def diagonal_combination_residual(theory: OrbifoldTheory, m: int, *,
         ct = character_table(theory.group, theory.cd, seed=seed)
         cb = canonical_basis(ct, theory.algebra)
     r = theory.r
-    max_level = 3
-    caps = SeriesCaps(degree=6, level=max_level + abs(m) + 4, genus=4)
-    s_t = random_test_series(caps, r=r, system=CLASS_BASIS, seed=seed,
-                             max_level=max_level).to_numeric()
+    caps = SeriesCaps(degree=6, genus=4)
+    s_t = random_test_series(caps, r=r, system=CLASS_BASIS,
+                             seed=seed).to_numeric()
 
     def forward(a):
         return [[cb.vectors[alpha][mm] * float(cb.nus[alpha]) ** ((a - 1) / 3.0)

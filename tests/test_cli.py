@@ -91,6 +91,7 @@ def test_potential_command():
     assert len(report["potential"]) == 1
     row = report["potential"][0]
     assert row["coeff"] == "1/6" and row["lambda"] == -2
+    assert set(report["caps"]) == {"degree", "genus"}
 
     code, out = run_cli(["potential", "--group", '{"name":"Z","param":1}',
                          "--degree", "2", "--genus", "0"])
@@ -124,6 +125,20 @@ def test_check_commands_pass():
     assert code == 0 and json.loads(out)["passed"]
 
 
+@pytest.mark.parametrize("group", [Z2, S3], ids=["Z2", "S3"])
+def test_check_virasoro_at_small_caps(group):
+    # caps where the potential's levels (<= 3G - 3 + D) stay below the
+    # level n + 1 that L_n differentiates in
+    for degree, genus in ((1, 0), (2, 0), (3, 0), (4, 0), (1, 1)):
+        code, out = run_cli(["check", "virasoro", "--group", group,
+                             "--degree", str(degree), "--genus", str(genus)])
+        assert code == 0
+        reports = json.loads(out)["reports"]
+        assert reports
+        for rep in reports:
+            assert rep["max_residual"] == "0/1" and rep["violations"] == []
+
+
 def test_check_mutation_fails_with_located_violation():
     mutate = json.dumps([[[1, 0, 1]], 0])
     code, out = run_cli(["check", "virasoro", "--group", Z2,
@@ -134,6 +149,13 @@ def test_check_mutation_fails_with_located_violation():
     assert not report["passed"]
     located = [v for rep in report["reports"] for v in rep["violations"]]
     assert located and "monomial" in located[0]
+
+    # and at genus 0, where D <= 4 leaves every level of the potential
+    # below the level n + 1 of some L_n
+    code, out = run_cli(["check", "virasoro", "--group", Z2,
+                         "--degree", "4", "--genus", "0",
+                         "--mutate", json.dumps([[[0, 0, 3]], -2])])
+    assert code == 1 and not json.loads(out)["passed"]
 
     # the KdV identity pulls three-point data, so mutate a genus-0 cube
     mutate = json.dumps([[[0, 0, 1], [0, 1, 2]], -2])

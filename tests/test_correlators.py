@@ -301,21 +301,21 @@ def test_canonical_correlator_matches_multilinear_expansion():
 
 def test_potential_trivial_group():
     triv = OrbifoldTheory(named_group("Z", 1))
-    phi = triv.potential(SeriesCaps(degree=3, level=3, genus=0))
+    phi = triv.potential(SeriesCaps(degree=3, genus=0))
     assert len(phi.terms) == 1
     assert phi.coefficient((((0, 0), 3),), -2) == Q(1, 6)
-    empty = triv.potential(SeriesCaps(degree=2, level=2, genus=0))
+    empty = triv.potential(SeriesCaps(degree=2, genus=0))
     assert empty.is_zero()
 
 
 def test_potential_z2_genus_one_term(z2):
-    phi = z2.potential(SeriesCaps(degree=3, level=4, genus=1))
+    phi = z2.potential(SeriesCaps(degree=3, genus=1))
     assert phi.coefficient((((1, 0), 1),), 0) == Q(1, 12)
 
 
 def test_potential_symmetry_factor(z2):
     # coefficient of (t_0^1)^2 t_1^1 at genus 0 is <tau_0 tau_0 tau_1> * Omega / 2!
-    phi = z2.potential(SeriesCaps(degree=4, level=4, genus=1))
+    phi = z2.potential(SeriesCaps(degree=4, genus=1))
     omega = z2.surface_count(0, (1, 1, 0))
     mono = (((0, 1), 2), ((1, 0), 1))
     want = psi_correlator(0, (0, 0, 1)) * omega / 2
@@ -323,7 +323,7 @@ def test_potential_symmetry_factor(z2):
 
 
 def test_potential_canonical_is_disjoint_point_copies(z2):
-    caps = SeriesCaps(degree=4, level=4, genus=1)
+    caps = SeriesCaps(degree=4, genus=1)
     phi = z2.potential(caps, basis=CANONICAL_RESCALED)
     triv = OrbifoldTheory(named_group("Z", 1))
     point = triv.potential(caps, basis=CANONICAL_RESCALED)
@@ -338,7 +338,7 @@ def test_potential_canonical_is_disjoint_point_copies(z2):
 
 
 def test_potential_mutation_hook(z2):
-    caps = SeriesCaps(degree=3, level=4, genus=1)
+    caps = SeriesCaps(degree=3, genus=1)
     mono = (((1, 0), 1),)
     phi = z2.potential(caps, mutate=(mono, 0))
     assert phi.coefficient(mono, 0) == Q(1, 6)  # doubled from 1/12

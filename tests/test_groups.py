@@ -232,6 +232,8 @@ def test_class_equation_and_orbit_stabilizer(group):
     for x in range(group.order):
         k = cd.class_of[x]
         assert cd.class_size[k] * cd.centralizer_order[x] == group.order
+        # counted directly, not through the orbit size
+        assert cd.centralizer_order[x] == joint_centralizer_order(group, [x])
     # centralizer order constant on classes
     for k, members in enumerate(cd.classes):
         assert len({cd.centralizer_order[x] for x in members}) == 1

@@ -2,13 +2,13 @@ import random
 
 import pytest
 
-from orbigw.series import (CapMismatch, GenusUnderflow, LevelCapExceeded,
-                           ModeMismatch, PreconditionViolated, SeriesCaps,
-                           SingularMatrix, TruncatedSeries,
-                           max_abs_difference, mono_from_vars)
+from orbigw.series import (CapMismatch, GenusUnderflow, ModeMismatch,
+                           PreconditionViolated, SeriesCaps, SingularMatrix,
+                           TruncatedSeries, max_abs_difference,
+                           mono_from_vars)
 from orbigw.util import Q
 
-CAPS = SeriesCaps(degree=6, level=8, genus=2)
+CAPS = SeriesCaps(degree=6, genus=2)
 
 T0 = (0, 0)   # the single variable used in one-slot tests
 
@@ -26,7 +26,7 @@ def poly(pairs, caps=CAPS, **kw):
 
 
 def test_truncated_product():
-    caps = SeriesCaps(degree=2, level=2, genus=1)
+    caps = SeriesCaps(degree=2, genus=1)
     one_plus_t = poly([((), 0, Q(1)), (mono(T0), 0, Q(1))], caps)
     one_minus_t = poly([((), 0, Q(1)), (mono(T0), 0, Q(-1))], caps)
     prod = one_plus_t.multiply(one_minus_t)
@@ -54,8 +54,7 @@ def test_genus_underflow():
 
 def test_mode_and_cap_mismatch():
     s = poly([(mono(T0), 0, Q(1))])
-    other_caps = poly([(mono(T0), 0, Q(1))], SeriesCaps(degree=4, level=8,
-                                                        genus=2))
+    other_caps = poly([(mono(T0), 0, Q(1))], SeriesCaps(degree=4, genus=2))
     with pytest.raises(CapMismatch):
         s.add(other_caps)
     numeric = s.to_numeric()
@@ -63,17 +62,12 @@ def test_mode_and_cap_mismatch():
         s.add(numeric)
 
 
-def test_level_cap():
-    with pytest.raises(LevelCapExceeded):
-        TruncatedSeries.from_monomial(CAPS, mono((9, 0)), Q(1))
-
-
 def test_exponential_examples():
     zero = TruncatedSeries(CAPS)
     assert zero.exponential().coefficient((), 0) == 1
     assert len(zero.exponential().terms) == 1
 
-    caps3 = SeriesCaps(degree=3, level=2, genus=1)
+    caps3 = SeriesCaps(degree=3, genus=1)
     ct = poly([(mono(T0), 0, Q(3))], caps3)
     e = ct.exponential()
     assert e.coefficient(mono(T0), 0) == 3
@@ -111,7 +105,7 @@ def test_partial_derivatives():
 
 
 def test_substitute_linear_identity_and_permutation():
-    caps = SeriesCaps(degree=4, level=3, genus=1)
+    caps = SeriesCaps(degree=4, genus=1)
     s = poly([(mono((0, 0), (1, 1)), 0, Q(5)), (mono((2, 0)), -2, Q(1, 3))],
              caps)
     ident = s.substitute_linear(lambda a: [[Q(1), Q(0)], [Q(0), Q(1)]], 2)
@@ -123,7 +117,7 @@ def test_substitute_linear_identity_and_permutation():
 
 def test_substitute_linear_roundtrip():
     # Z_2-style change of basis applied twice with mutually inverse matrices
-    caps = SeriesCaps(degree=4, level=2, genus=1)
+    caps = SeriesCaps(degree=4, genus=1)
     fwd = [[0.5, 0.5], [0.5, -0.5]]
     bwd = [[1.0, 1.0], [1.0, -1.0]]
     s = poly([(mono((0, 0), (0, 1)), 0, Q(3)), (mono((1, 0)), 0, Q(2)),
@@ -134,7 +128,7 @@ def test_substitute_linear_roundtrip():
 
 
 def test_substitute_linear_singular():
-    s = poly([(mono((0, 0)), 0, Q(1))], SeriesCaps(degree=2, level=1, genus=1))
+    s = poly([(mono((0, 0)), 0, Q(1))], SeriesCaps(degree=2, genus=1))
     for singular in ([[1, 1], [1, 1]], [[1e-9, 2], [3e-9, 6]],
                      [[0, 1], [0, 2]]):
         with pytest.raises(SingularMatrix):
@@ -159,7 +153,7 @@ def random_series(rng, caps, n_terms=6, system=None):
     s = TruncatedSeries(caps, system=system)
     for _ in range(n_terms):
         deg = rng.randint(0, 3)
-        vars_ = [(rng.randint(0, caps.level), 0) for _ in range(deg)]
+        vars_ = [(rng.randint(0, 4), 0) for _ in range(deg)]
         lam = rng.choice([-2, 0, 2])
         s._set(mono_from_vars(vars_), lam, Q(rng.randint(-5, 5), rng.randint(1, 4)))
     return s
@@ -167,7 +161,7 @@ def random_series(rng, caps, n_terms=6, system=None):
 
 def test_ring_laws_randomized():
     rng = random.Random(42)
-    caps = SeriesCaps(degree=5, level=4, genus=3)
+    caps = SeriesCaps(degree=5, genus=3)
     for _ in range(10):
         a, b, c = (random_series(rng, caps) for _ in range(3))
         left = a.multiply(b, floor=-8).multiply(c, floor=-8)
@@ -183,7 +177,7 @@ def test_ring_laws_randomized():
 
 def test_exp_is_multiplicative():
     rng = random.Random(7)
-    caps = SeriesCaps(degree=5, level=4, genus=3)
+    caps = SeriesCaps(degree=5, genus=3)
     for trial in range(6):
         s1 = random_series(rng, caps, n_terms=3)
         s2 = random_series(rng, caps, n_terms=3)
@@ -207,7 +201,7 @@ def test_exp_is_multiplicative():
 
 def test_derivative_of_exponential():
     rng = random.Random(19)
-    caps = SeriesCaps(degree=5, level=4, genus=3)
+    caps = SeriesCaps(degree=5, genus=3)
     s = random_series(rng, caps, n_terms=4)
     s.terms.pop((), None)
     for m in list(s.terms):

@@ -3,8 +3,8 @@ import pytest
 from orbigw.correlators import (CANONICAL_RESCALED, CLASS_BASIS,
                                 OrbifoldTheory)
 from orbigw.groups import named_group
-from orbigw.series import (EXACT, LevelCapExceeded, SeriesCaps,
-                           TruncatedSeries, mono_degree, mono_from_vars)
+from orbigw.series import (EXACT, SeriesCaps, TruncatedSeries, mono_degree,
+                           mono_from_vars)
 from orbigw.util import Q
 from orbigw.virasoro import (DIAGONAL, PER_INDEX, VariableSystemMismatch,
                              VirasoroSpec, apply_virasoro, commutator_check,
@@ -12,7 +12,7 @@ from orbigw.virasoro import (DIAGONAL, PER_INDEX, VariableSystemMismatch,
                              factorization_check, fform_residual, kdv_check,
                              mutation_sensitivity, virasoro_check)
 
-CAPS = SeriesCaps(degree=6, level=8, genus=3)
+CAPS = SeriesCaps(degree=6, genus=3)
 
 
 @pytest.fixture(scope="module")
@@ -66,13 +66,6 @@ def test_variable_system_mismatch():
     s = TruncatedSeries.one(CAPS, system=CLASS_BASIS)
     with pytest.raises(VariableSystemMismatch):
         apply_virasoro(VirasoroSpec(PER_INDEX, 0, 1, alpha=0), s)
-
-
-def test_level_cap_guard():
-    caps = SeriesCaps(degree=4, level=2, genus=1)
-    s = TruncatedSeries.one(caps, system=CANONICAL_RESCALED)
-    with pytest.raises(LevelCapExceeded):
-        apply_virasoro(VirasoroSpec(PER_INDEX, 2, 1, alpha=0), s)
 
 
 def test_spec_validation():
@@ -137,10 +130,9 @@ def zform_fform_mismatches(theory, spec, monkeypatch, *, degree, genus,
     through a lambda^-2 factor.
     """
     basis = CLASS_BASIS if spec.flavor == DIAGONAL else CANONICAL_RESCALED
-    level = 3 * genus - 2 + degree
-    phi = theory.potential(SeriesCaps(degree=degree, level=level,
-                                      genus=genus), basis=basis)
-    caps = SeriesCaps(degree=degree, level=level, genus=genus + 1)
+    phi = theory.potential(SeriesCaps(degree=degree, genus=genus),
+                           basis=basis)
+    caps = SeriesCaps(degree=degree, genus=genus + 1)
     f = TruncatedSeries(caps, mode=EXACT, system=phi.system,
                         lam_floor=phi.lam_floor)
     for k, (mono, lam, c) in enumerate(sorted(phi.iter_terms())):
@@ -220,8 +212,7 @@ def test_kdv_brackets_match_differentiated_potential(z2, s3, monkeypatch):
     for theory, degree, mutate in cases:
         calls = kdv_bracket_requests(theory, monkeypatch, a_max=2,
                                      degree=degree, genus=1, mutate=mutate)
-        caps = SeriesCaps(degree=degree + 5, level=3 * 2 - 3 + degree + 5,
-                          genus=2)
+        caps = SeriesCaps(degree=degree + 5, genus=2)
         derivs = {(): theory.potential(caps, mutate=mutate)}
 
         def deriv(fixed):
