@@ -196,12 +196,16 @@ def cmd_potential(args) -> int:
     basis = CANONICAL_RESCALED if args.basis == "canonical" else CLASS_BASIS
     caps = SeriesCaps(degree=args.degree, genus=args.genus)
     phi = theory.potential(caps, basis=basis)
-    z = phi.exponential()
+    # exact at lambda <= 2G-2 with this padding (see TruncatedSeries.exponential)
+    padded = SeriesCaps(degree=caps.degree,
+                        genus=caps.genus + (caps.degree - 1) // 3)
+    z = theory.potential(padded, basis=basis).exponential()
     report = {
         "basis": args.basis,
         "caps": {"degree": caps.degree, "genus": caps.genus},
         "potential": phi.to_json_list(),
-        "partition_function": z.to_json_list(),
+        "partition_function": [row for row in z.to_json_list()
+                               if row["lambda"] <= caps.lam_ceiling],
     }
     emit(report, args)
     return EXIT_OK

@@ -454,6 +454,28 @@ class OrbifoldTheory:
             lc[lam] = 2 * lc[lam]
         return series
 
+    def check_stored(self, target, caps: SeriesCaps) -> None:
+        """Raise MissingCoefficient, as ``potential(caps, mutate=target)``
+        does, unless the class-basis potential at ``caps`` stores a
+        coefficient at ``target`` ((monomial, lambda) pair).
+
+        It stores one exactly where the correlator of the monomial's
+        insertions is nonzero inside the caps, so this evaluates that one
+        correlator and builds no potential.
+        """
+        mono, lam = target
+        mono = tuple(sorted(mono))
+        insertions = tuple(v for v, e in mono for _ in range(e))
+        genus, odd = divmod(lam + 2, 2)
+        key = CorrelatorKey(genus, insertions)
+        if (odd or not 0 <= genus <= caps.genus
+                or not 0 < len(insertions) <= caps.degree
+                or mono != mono_from_vars(insertions)
+                or any(a < 0 or not 0 <= m < self.r for a, m in insertions)
+                or not key.stable or not self.orbifold_correlator(key)):
+            raise MissingCoefficient(
+                f"no stored coefficient at {mono} lambda^{lam}")
+
     def potential_derivative(self, fixed: Sequence, caps: SeriesCaps, *,
                              mutate=None) -> TruncatedSeries:
         """Class-basis series d/dt_{v_1} ... d/dt_{v_k} F for fixed = (v_1..v_k).

@@ -3,19 +3,17 @@
 A variable is a pair (a, m): descendant level a >= 0 and basis slot m.
 Coefficients are Laurent polynomials in the genus parameter lambda with
 even exponents only; exponent 2g-2 carries the genus-g part.  Monomials
-are capped by total degree, lambda exponents live in a per-series window
-[lam_floor, 2*genus_cap - 2].  Levels are not capped: in a potential at
-degree D and genus G the dimension constraint sum a_i = 3g-3+n already
-bounds them by 3G-3+D.
+are capped by total degree and lambda exponents by 2*genus_cap - 2, the
+only lambda truncation: a genus expansion is bounded below by itself.
+Levels are not capped: in a potential at degree D and genus G the
+dimension constraint sum a_i = 3g-3+n already bounds them by 3G-3+D.
 
 Truncation contract: a series keeps every term its caps allow and records
 no degree up to which it is exact.  The derivative of a series capped at
 degree D is exact only up to degree D-1, so each constraint check in
-``virasoro`` states the region it compares.  Products landing below a
-series' lambda floor raise GenusUnderflow rather than being dropped
-silently; the exponential deliberately widens its floor
-(each lambda^{-2} factor carries at least three units of degree, so the
-default floor -2*ceil(D/3) loses nothing below the degree cap).
+``virasoro`` states the region it compares.  Genus truncation loses
+terms that lambda^-2 factors would bring back below the ceiling; see
+``exponential`` for the genus padding that makes exp exact.
 """
 
 from __future__ import annotations
@@ -36,10 +34,6 @@ class ModeMismatch(Exception):
 
 
 class CapMismatch(Exception):
-    pass
-
-
-class GenusUnderflow(Exception):
     pass
 
 
@@ -88,15 +82,13 @@ def mono_degree(m: tuple) -> int:
 class TruncatedSeries:
     """terms: {monomial: {lambda exponent: coefficient}}"""
 
-    __slots__ = ("caps", "mode", "system", "terms", "lam_floor")
+    __slots__ = ("caps", "mode", "system", "terms")
 
     def __init__(self, caps: SeriesCaps, *, mode: str = EXACT,
-                 system: Optional[str] = None, lam_floor: int = -2,
-                 terms=None):
+                 system: Optional[str] = None, terms=None):
         self.caps = caps
         self.mode = mode
         self.system = system
-        self.lam_floor = lam_floor
         self.terms = {} if terms is None else terms
 
     # -- construction -------------------------------------------------------
@@ -105,7 +97,6 @@ class TruncatedSeries:
     def constant(cls, caps, value, *, lam: int = 0, **kw):
         if lam % 2 != 0:
             raise ValueError("lambda exponents must be even")
-        kw.setdefault("lam_floor", min(-2, lam))
         s = cls(caps, **kw)
         if value and lam <= caps.lam_ceiling:
             s.terms[()] = {lam: value}
@@ -121,7 +112,6 @@ class TruncatedSeries:
         if lam % 2 != 0:
             raise ValueError("lambda exponents must be even")
         mono = tuple(sorted(mono))
-        kw.setdefault("lam_floor", min(-2, lam))
         s = cls(caps, **kw)
         if value and mono_degree(mono) <= caps.degree and lam <= caps.lam_ceiling:
             s.terms[mono] = {lam: value}
@@ -130,7 +120,7 @@ class TruncatedSeries:
     def copy(self):
         return TruncatedSeries(
             self.caps, mode=self.mode, system=self.system,
-            lam_floor=self.lam_floor, terms={m: dict(lc) for m, lc in self.terms.items()})
+            terms={m: dict(lc) for m, lc in self.terms.items()})
 
     def _zero_scalar(self):
         return Q(0) if self.mode == EXACT else complex(0)
@@ -180,7 +170,6 @@ class TruncatedSeries:
     def add(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check_compatible(other)
         out = self.copy()
-        out.lam_floor = min(self.lam_floor, other.lam_floor)
         for mono, lam, c in other.iter_terms():
             out._set(mono, lam, c)
         return out
@@ -189,14 +178,13 @@ class TruncatedSeries:
              lam_shift: int = 0) -> "TruncatedSeries":
         """self += value * lambda^lam_shift * other, in place; returns self.
 
-        Same result and floor as
+        Same result as
         ``self.add(other.scale(value, lam_shift=lam_shift))`` without
         copying the accumulated series.
         """
         self._check_compatible(other)
         if lam_shift % 2 != 0:
             raise ValueError("lambda shift must be even")
-        self.lam_floor = min(self.lam_floor, other.lam_floor + lam_shift)
         if not value:
             return self
         ceiling = self.caps.lam_ceiling
@@ -207,11 +195,11 @@ class TruncatedSeries:
         return self
 
     def scale(self, value, *, lam_shift: int = 0) -> "TruncatedSeries":
-        """Multiply by value * lambda^lam_shift; the window shifts along."""
+        """Multiply by value * lambda^lam_shift, dropping what the shift
+        lifts above the lambda ceiling."""
         if lam_shift % 2 != 0:
             raise ValueError("lambda shift must be even")
-        out = TruncatedSeries(self.caps, mode=self.mode, system=self.system,
-                              lam_floor=self.lam_floor + lam_shift)
+        out = TruncatedSeries(self.caps, mode=self.mode, system=self.system)
         if not value:
             return out
         ceiling = self.caps.lam_ceiling
@@ -229,23 +217,18 @@ class TruncatedSeries:
         return out
 
     def multiply(self, other: "TruncatedSeries", *,
-                 floor: Optional[int] = None,
                  max_degree: Optional[int] = None) -> "TruncatedSeries":
         """Truncated product.
 
-        Monomials exceeding the degree cap are dropped; lambda exponents
-        above the window are genus-truncated; exponents below the result
-        floor raise GenusUnderflow.  ``floor`` overrides the default
-        min(lam_floor) of the operands (used by the exponential);
-        ``max_degree`` tightens the output degree below the cap.
+        Monomials exceeding the degree cap and lambda exponents above the
+        ceiling are dropped; every lambda exponent below it is kept, so
+        two genus-0 terms give a lambda^-4 term.  ``max_degree`` tightens
+        the output degree below the cap.
         """
         self._check_compatible(other)
-        if floor is None:
-            floor = min(self.lam_floor, other.lam_floor)
         dcap = self.caps.degree if max_degree is None else min(
             max_degree, self.caps.degree)
-        out = TruncatedSeries(self.caps, mode=self.mode, system=self.system,
-                              lam_floor=floor)
+        out = TruncatedSeries(self.caps, mode=self.mode, system=self.system)
         if not self.terms or not other.terms:
             return out
         ceiling = self.caps.lam_ceiling
@@ -264,12 +247,8 @@ class TruncatedSeries:
                     for l1, c1 in lc1.items():
                         for l2, c2 in lc2.items():
                             lam = l1 + l2
-                            if lam > ceiling:
-                                continue
-                            if lam < floor:
-                                raise GenusUnderflow(
-                                    f"lambda^{lam} below floor {floor}")
-                            out._set(mono, lam, c1 * c2)
+                            if lam <= ceiling:
+                                out._set(mono, lam, c1 * c2)
         return out
 
     def multiply_by_monomial(self, mono, value, *,
@@ -277,8 +256,7 @@ class TruncatedSeries:
         """Single-pass multiply by value * lambda^shift * monomial."""
         mono = tuple(sorted(mono))
         deg = mono_degree(mono)
-        out = TruncatedSeries(self.caps, mode=self.mode, system=self.system,
-                              lam_floor=self.lam_floor + lam_shift)
+        out = TruncatedSeries(self.caps, mode=self.mode, system=self.system)
         if not value:
             return out
         dcap = self.caps.degree
@@ -297,8 +275,7 @@ class TruncatedSeries:
     # -- calculus -------------------------------------------------------------
 
     def partial_derivative(self, var) -> "TruncatedSeries":
-        out = TruncatedSeries(self.caps, mode=self.mode, system=self.system,
-                              lam_floor=self.lam_floor)
+        out = TruncatedSeries(self.caps, mode=self.mode, system=self.system)
         for mono, lc in self.terms.items():
             e = dict(mono).get(var, 0)
             if not e:
@@ -312,12 +289,20 @@ class TruncatedSeries:
     def second_partial(self, v1, v2) -> "TruncatedSeries":
         return self.partial_derivative(v1).partial_derivative(v2)
 
-    def exponential(self, *, floor: Optional[int] = None) -> "TruncatedSeries":
-        """exp of a series with zero constant term.
+    def exponential(self) -> "TruncatedSeries":
+        """exp of a series with zero constant term, computed degree by
+        degree via d*Z_d = sum k*S_k*Z_{d-k}; lambda exponents above the
+        ceiling are dropped along the way.
 
-        Genus-zero terms must have degree >= 3 so that widening the floor
-        to -2*ceil(D/3) (default) captures every product below the degree
-        cap.  Computed degree-by-degree via d*Z_d = sum k*S_k*Z_{d-k}.
+        Negative-lambda terms must have degree >= 3, which makes the drop
+        exact under genus padding.  For a genus expansion (no exponent
+        below -2) capped at degree D, the coefficients at lambda <= 2G-2
+        are those of the untruncated exp when the series is built at genus
+        G + (D-1)//3.  A product landing there with z lambda^-2 factors
+        has degree >= 3z, plus one if it has any other factor, so then
+        z <= (D-1)//3; each partial product of it, each factor included,
+        lies at lambda <= 2G-2 + 2z, inside the padded ceiling.  Products
+        of lambda^-2 factors alone stay below zero.
         """
         if () in self.terms:
             raise PreconditionViolated("exp needs zero constant term")
@@ -326,11 +311,8 @@ class TruncatedSeries:
                 raise PreconditionViolated(
                     "negative-lambda term of degree < 3")
         dcap = self.caps.degree
-        if floor is None:
-            floor = min(-2 * ((dcap + 2) // 3), self.lam_floor)
         one = Q(1) if self.mode == EXACT else complex(1)
-        out = TruncatedSeries(self.caps, mode=self.mode, system=self.system,
-                              lam_floor=floor)
+        out = TruncatedSeries(self.caps, mode=self.mode, system=self.system)
         out.terms[()] = {0: one}
 
         s_by_deg = {}
@@ -352,9 +334,6 @@ class TruncatedSeries:
                                 lam = l1 + l2
                                 if lam > ceiling:
                                     continue
-                                if lam < floor:
-                                    raise GenusUnderflow(
-                                        f"lambda^{lam} below exp floor {floor}")
                                 prev = level.setdefault(mono, {})
                                 prev[lam] = prev.get(lam, 0) + c1 * c2 * k
             cleaned = {}
@@ -394,8 +373,7 @@ class TruncatedSeries:
                 checked[a] = m
             return checked[a]
 
-        out = TruncatedSeries(self.caps, mode=self.mode, system=self.system,
-                              lam_floor=self.lam_floor)
+        out = TruncatedSeries(self.caps, mode=self.mode, system=self.system)
         for mono, lc in self.terms.items():
             expansion = {(): 1}
             for (a, m), e in mono:
@@ -426,8 +404,7 @@ class TruncatedSeries:
 
     def truncated_to_degree(self, degree: int) -> "TruncatedSeries":
         """Drop monomials above `degree`."""
-        out = TruncatedSeries(self.caps, mode=self.mode, system=self.system,
-                              lam_floor=self.lam_floor)
+        out = TruncatedSeries(self.caps, mode=self.mode, system=self.system)
         for mono, lc in self.terms.items():
             if mono_degree(mono) <= degree:
                 out.terms[mono] = dict(lc)
@@ -436,8 +413,7 @@ class TruncatedSeries:
     def to_numeric(self) -> "TruncatedSeries":
         if self.mode == NUMERIC:
             return self.copy()
-        out = TruncatedSeries(self.caps, mode=NUMERIC, system=self.system,
-                              lam_floor=self.lam_floor)
+        out = TruncatedSeries(self.caps, mode=NUMERIC, system=self.system)
         for mono, lc in self.terms.items():
             out.terms[mono] = {lam: complex(c) for lam, c in lc.items()}
         return out
@@ -463,7 +439,7 @@ class TruncatedSeries:
 
     def __repr__(self):
         return (f"TruncatedSeries({len(self.terms)} monomials, caps={self.caps},"
-                f" floor={self.lam_floor}, mode={self.mode})")
+                f" mode={self.mode})")
 
 
 def _multiset_permutations_count(combo: tuple) -> int:

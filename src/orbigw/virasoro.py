@@ -171,8 +171,7 @@ def fform_residual(spec: VirasoroSpec, potential: TruncatedSeries, *,
     what the Z-form oracle test checks against L_n exp(F).
     """
     out = TruncatedSeries(potential.caps, mode=potential.mode,
-                          system=potential.system,
-                          lam_floor=potential.lam_floor)
+                          system=potential.system)
     for series, value, lam_shift in _fform_terms(spec, potential,
                                                  algebra=algebra,
                                                  max_degree=max_degree):
@@ -197,8 +196,7 @@ def _fform_terms(spec, potential, *, algebra=None, max_degree=None):
     yield _dilation_term(spec, potential, dcap), 1, 0
     for v1, v2, w in _second_order_terms(spec, algebra):
         yield d(v1).partial_derivative(v2), w, 2
-        yield d(v1).multiply(d(v2), floor=2 * potential.lam_floor,
-                             max_degree=dcap), w, 2
+        yield d(v1).multiply(d(v2), max_degree=dcap), w, 2
     for mono, w in _multiplication_terms(spec, algebra):
         yield TruncatedSeries.from_monomial(caps, mono, w, lam=-2, **kind), 1, 0
     const = _constant_term(spec)
@@ -212,8 +210,7 @@ def _dilation_term(spec, series, max_degree=None):
     n = spec.n
     caps = series.caps
     dcap = caps.degree if max_degree is None else max_degree
-    out = TruncatedSeries(caps, mode=series.mode, system=series.system,
-                          lam_floor=series.lam_floor)
+    out = TruncatedSeries(caps, mode=series.mode, system=series.system)
     for mono, lc in series.terms.items():
         if mono_degree(mono) > dcap:
             continue
@@ -331,14 +328,15 @@ def _compare(operator, caps, lhs, rhs, *, max_degree, lam_max,
 
 
 def _fform_report(spec, potential, *, degree, algebra=None):
-    """R_n(F) against zero at every degree <= D-1 (n <= 0) or D-2 (n >= 1)."""
+    """R_n(F) against zero at every degree <= D-1 (n <= 0) or D-2 (n >= 1),
+    over genus 0 to G."""
     watermark = degree - (2 if spec.n >= 1 else 1)
     lam_max = potential.caps.lam_ceiling
     return _compare(
         spec.label(), potential.caps,
         _fform_terms(spec, potential, algebra=algebra, max_degree=watermark),
         (), max_degree=watermark, lam_max=lam_max,
-        window={"lambda_min": potential.lam_floor, "lambda_max": lam_max})
+        window={"lambda_min": -2, "lambda_max": lam_max})
 
 
 def virasoro_check(theory: OrbifoldTheory, *, n_values: Sequence[int] = (-1, 0, 1, 2),
@@ -381,8 +379,7 @@ def random_test_series(caps: SeriesCaps, *, r: int, system: str,
                        max_level: int = 3,
                        lam_values: Sequence[int] = (-2, 0, 2)) -> TruncatedSeries:
     rng = random.Random(seed)
-    s = TruncatedSeries(caps, mode=EXACT, system=system,
-                        lam_floor=min(lam_values))
+    s = TruncatedSeries(caps, mode=EXACT, system=system)
     for _ in range(n_terms):
         deg = rng.randint(0, max_degree)
         variables = [(rng.randint(0, max_level), rng.randint(0, r - 1))
@@ -442,16 +439,15 @@ def kdv_check(theory: OrbifoldTheory, *, a_max: int = 2, degree: int = 4,
     potential and dots are inverse-metric contractions.  Each bracket is
     generated from correlators over the compared region only (degree <=
     ``degree``, and one genus above ``genus`` because the left side
-    carries lam^-2), so the stated box is fully certified.  ``mutate``
-    doubles one coefficient of the potential truncated at degree + 5, the
-    most any bracket differentiates, and raises MissingCoefficient when
-    that potential stores no coefficient there.
+    carries lam^-2), so the stated box is fully certified.  Both sides
+    start at lam^-4: lam^-2 times a genus-0 bracket, or a product of two.
+    ``mutate`` doubles one coefficient of the potential truncated at
+    degree + 5, the most any bracket differentiates, and raises
+    MissingCoefficient when that potential stores no coefficient there.
     """
     g_big = genus + 1
     if mutate is not None:
-        # raises MissingCoefficient when that potential stores nothing there
-        theory.potential(SeriesCaps(degree=degree + 5, genus=g_big),
-                         mutate=mutate)
+        theory.check_stored(mutate, SeriesCaps(degree=degree + 5, genus=g_big))
     caps = SeriesCaps(degree=degree, genus=g_big)
     r = theory.r
     pairs = _metric_pairs(theory.algebra)
@@ -467,8 +463,7 @@ def kdv_check(theory: OrbifoldTheory, *, a_max: int = 2, degree: int = 4,
             factor_memo[key] = got
         return got
 
-    zero = partial(TruncatedSeries, caps, mode=EXACT, system=CLASS_BASIS,
-                   lam_floor=-4)
+    zero = partial(TruncatedSeries, caps, mode=EXACT, system=CLASS_BASIS)
 
     triple = {}   # sum_k z_k <<tau_0(m) tau_0(k) tau_0(k^-1)>>, per class m
     for m in range(r):
@@ -487,12 +482,12 @@ def kdv_check(theory: OrbifoldTheory, *, a_max: int = 2, degree: int = 4,
             rhs = zero()
             for j, jinv, zj in pairs:
                 rhs.iadd(factor((a - 1, c), (0, j)).multiply(
-                    triple[jinv], floor=-4, max_degree=degree), zj)
+                    triple[jinv], max_degree=degree), zj)
             for j, jinv, zj in pairs:
                 for k, kinv, zk in pairs:
                     rhs.iadd(factor((a - 1, c), (0, j), (0, k)).multiply(
-                        factor((0, jinv), (0, kinv)), floor=-4,
-                        max_degree=degree), 2 * zj * zk)
+                        factor((0, jinv), (0, kinv)), max_degree=degree),
+                        2 * zj * zk)
                     rhs.iadd(factor((a - 1, c), (0, j), (0, jinv),
                                     (0, k), (0, kinv)), Q(zj * zk, 4))
 
@@ -500,8 +495,7 @@ def kdv_check(theory: OrbifoldTheory, *, a_max: int = 2, degree: int = 4,
                 {"kdv_a": a, "direction_class": c}, caps,
                 [(lhs, Q(2 * a + 1), -2)], [(rhs, 1, 0)],
                 max_degree=degree, lam_max=lam_max,
-                window={"lambda_min": lhs.lam_floor - 2,
-                        "lambda_max": lam_max}))
+                window={"lambda_min": -4, "lambda_max": lam_max}))
     return reports
 
 
@@ -644,8 +638,7 @@ def diagonal_combination_residual(theory: OrbifoldTheory, m: int, *,
 
     s_u = s_t.substitute_linear(forward, r)
     s_u.system = CANONICAL_RESCALED
-    combo = TruncatedSeries(caps, mode=NUMERIC, system=CANONICAL_RESCALED,
-                            lam_floor=s_u.lam_floor)
+    combo = TruncatedSeries(caps, mode=NUMERIC, system=CANONICAL_RESCALED)
     for alpha in range(r):
         spec = VirasoroSpec(PER_INDEX, m, r, alpha=alpha)
         term = apply_virasoro(spec, s_u)

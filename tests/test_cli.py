@@ -2,9 +2,11 @@ import hashlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,8 @@ import orbigw
 import orbigw.cli
 import orbigw.groups
 from orbigw.cli import main
+from orbigw.correlators import CANONICAL_RESCALED, CLASS_BASIS, OrbifoldTheory
+from orbigw.series import SeriesCaps
 
 Z2 = '{"name":"Z","param":2}'
 S3 = '{"name":"S","param":3}'
@@ -96,6 +100,51 @@ def test_potential_command():
     code, out = run_cli(["potential", "--group", '{"name":"Z","param":1}',
                          "--degree", "2", "--genus", "0"])
     assert json.loads(out)["potential"] == []
+
+
+def test_partition_function_includes_higher_genus_products():
+    # <tau_4>_2 <tau_0^3>_0 / 3! = 1/6912 reaches lambda^0 through a
+    # genus-2 factor above the genus cap: 1/144 + 1/6912
+    code, out = run_cli(["potential", "--group", '{"name":"Z","param":1}',
+                         "--degree", "4", "--genus", "1"])
+    assert code == 0
+    rows = {(json.dumps(row["monomial"]), row["lambda"]): row["coeff"]
+            for row in json.loads(out)["partition_function"]}
+    assert rows[("[[0, 0, 3], [4, 0, 1]]", 0)] == "49/6912"
+
+
+@pytest.mark.parametrize("group,degree,genus,basis", [
+    (Z2, 4, 1, "class"), (Z2, 6, 2, "class"), (S3, 5, 1, "class"),
+    (S3, 5, 1, "canonical")])
+def test_partition_function_matches_wider_padding(group, degree, genus,
+                                                  basis):
+    code, out = run_cli(["potential", "--group", group, "--basis", basis,
+                         "--degree", str(degree), "--genus", str(genus)])
+    assert code == 0
+    theory = OrbifoldTheory(orbigw.groups.group_from_spec(group))
+    wide = SeriesCaps(degree=degree, genus=genus + (degree - 1) // 3 + 2)
+    series_basis = CLASS_BASIS if basis == "class" else CANONICAL_RESCALED
+    z = theory.potential(wide, basis=series_basis).exponential()
+    expected = [row for row in z.to_json_list()
+                if row["lambda"] <= 2 * genus - 2]
+    assert json.loads(out)["partition_function"] == expected
+
+
+def readme_examples():
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("Examples:\n\n```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("orbigw ")]
+
+
+def test_readme_examples_run():
+    examples = readme_examples()
+    assert examples
+    for argv in examples:
+        with redirect_stderr(io.StringIO()):
+            code, out = run_cli(argv)
+        assert code == 0, argv
+        json.loads(out)
 
 
 def test_check_commands_pass():
@@ -269,13 +318,13 @@ PINNED_REPORTS = [
     ("virasoro", S3, 4, None,
      "d6746ec7cb3db610ebf66e6a237da893a738229e6f4913805cba5e88dc64418a"),
     ("kdv", Z2, 4, None,
-     "4b95926d6552d320fb4bb9d16e8ddb2dab114977ea5fd55c9806a388cd28d89b"),
+     "9ab7b4805b706a4f64fc0bc156e31de4094dcacb68d3add67e4106fb2d9bf849"),
     ("kdv", S3, 2, None,
-     "a1a1bd735f6497e82d800d601be41d3bcd612c5049f7e46668b6bb9ef5659f50"),
+     "0792e996a15ece732b6826db7f63cc42b26082f49830c50af1f7713a90fa33cd"),
     ("virasoro", Z2, 4, "[[[0,0,1],[0,1,2]],-2]",
      "c886b75aa2b4b01c7e4c1ad303b82e7f8108c27e6de5551a1206025fb6465926"),
     ("kdv", Z2, 4, "[[[0,0,1],[0,1,2]],-2]",
-     "34f388f88f090f03f4ef51dbdbabc81623c279b30e196e472cc0018440691f19"),
+     "58f75ff28089d6620722225d104c3a24361847ef79ba90512009523e4c7fa64e"),
     # the n = -1 residual reaches its largest |c| at both signs, so this
     # pins which one max_residual reports
     ("virasoro", Z2, 4, "[[[0,0,3]],-2]",

@@ -5,12 +5,13 @@ import pytest
 
 from orbigw.algebra import canonical_basis, character_table
 from orbigw.correlators import (CANONICAL_RESCALED, CorrelatorKey,
-                                OrbifoldTheory, UnstableKey,
-                                WorkCapExceeded, genus0_closed_form,
-                                psi_correlator, tensor_omega_check)
+                                MissingCoefficient, OrbifoldTheory,
+                                UnstableKey, WorkCapExceeded,
+                                genus0_closed_form, psi_correlator,
+                                tensor_omega_check)
 from orbigw.checks import cohft_check, cutting_loops_check
 from orbigw.groups import named_group
-from orbigw.series import SeriesCaps
+from orbigw.series import SeriesCaps, mono_from_vars
 from orbigw.util import Q
 
 
@@ -344,6 +345,37 @@ def test_potential_mutation_hook(z2):
     assert phi.coefficient(mono, 0) == Q(1, 6)  # doubled from 1/12
     with pytest.raises(KeyError):
         z2.potential(caps, mutate=((((5, 0), 1),), 0))
+
+
+def test_check_stored_matches_the_potential(z2, s3):
+    # every target of degree <= 4 (one above the cap) over levels <= 4,
+    # classes up to one out of range and lambda in -4..5: check_stored
+    # raises exactly where the potential at the same caps stores nothing,
+    # with the message of potential(mutate=)
+    caps = SeriesCaps(degree=3, genus=2)
+    malformed = [(((0, 0), 1), ((0, 0), 2)), (((0, 0), 0), ((0, 1), 3)),
+                 (((-1, 0), 1), ((0, 0), 3)), (((0, 0), -1),)]
+    for theory in (z2, s3):
+        stored = theory.potential(caps).terms
+        variables = [(a, m) for a in range(5) for m in range(theory.r + 1)]
+        monos = [mono_from_vars(combo) for n in range(5)
+                 for combo in combinations_with_replacement(variables, n)]
+        missing = []
+        for mono in monos + malformed:
+            for lam in range(-4, 6):
+                if lam in stored.get(mono, {}):
+                    theory.check_stored((mono, lam), caps)
+                    continue
+                with pytest.raises(MissingCoefficient):
+                    theory.check_stored((mono, lam), caps)
+                missing.append((mono, lam))
+        assert len(missing) < 10 * (len(monos) + len(malformed))
+        for target in missing[::97] + missing[-40:]:
+            with pytest.raises(MissingCoefficient) as got:
+                theory.check_stored(target, caps)
+            with pytest.raises(MissingCoefficient) as want:
+                theory.potential(caps, mutate=target)
+            assert str(got.value) == str(want.value)
 
 
 # -- tensor products and axioms ---------------------------------------------------

@@ -1,7 +1,7 @@
 import pytest
 
 from orbigw.correlators import (CANONICAL_RESCALED, CLASS_BASIS,
-                                OrbifoldTheory)
+                                MissingCoefficient, OrbifoldTheory)
 from orbigw.groups import named_group
 from orbigw.series import (EXACT, SeriesCaps, TruncatedSeries, mono_degree,
                            mono_from_vars)
@@ -133,8 +133,7 @@ def zform_fform_mismatches(theory, spec, monkeypatch, *, degree, genus,
     phi = theory.potential(SeriesCaps(degree=degree, genus=genus),
                            basis=basis)
     caps = SeriesCaps(degree=degree, genus=genus + 1)
-    f = TruncatedSeries(caps, mode=EXACT, system=phi.system,
-                        lam_floor=phi.lam_floor)
+    f = TruncatedSeries(caps, mode=EXACT, system=phi.system)
     for k, (mono, lam, c) in enumerate(sorted(phi.iter_terms())):
         f.terms.setdefault(mono, {})[lam] = c * Q(k + 2, k + 1)
     z = f.exponential()
@@ -143,7 +142,7 @@ def zform_fform_mismatches(theory, spec, monkeypatch, *, degree, genus,
         if drop_products:   # d1F d2F is the only product in R_n(F)
             m.setattr(TruncatedSeries, "multiply",
                       lambda self, other, **kw: TruncatedSeries(
-                          self.caps, system=self.system, lam_floor=-4))
+                          self.caps, system=self.system))
         r_n = fform_residual(spec, f, algebra=algebra,
                              max_degree=degree - 2)
     lhs = apply_virasoro(spec, z, algebra=algebra)
@@ -229,6 +228,21 @@ def test_kdv_brackets_match_differentiated_potential(z2, s3, monkeypatch):
             # same insertion order too, so ties in the reports break alike
             assert list(got.terms) == list(ref.terms)
         assert len({fixed for fixed, _c, _m in calls}) > 10
+
+
+def test_kdv_mutation_builds_no_potential(z2, monkeypatch):
+    # the target is checked from its own correlator, not by building the
+    # degree-(D+5) potential
+    def no_potential(*_args, **_kwargs):
+        raise AssertionError("kdv_check built a potential")
+
+    monkeypatch.setattr(z2, "potential", no_potential)
+    reports = kdv_check(z2, a_max=2, degree=4, genus=1,
+                        mutate=((((0, 0), 1), ((0, 1), 2)), -2))
+    assert any(not rep.passed for rep in reports)
+    with pytest.raises(MissingCoefficient):
+        kdv_check(z2, a_max=2, degree=4, genus=1,
+                  mutate=((((0, 0), 9),), -2))
 
 
 def test_kdv_vanishing_slice(z2):
