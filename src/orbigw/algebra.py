@@ -18,6 +18,10 @@ import numpy as np
 from .groups import ConjugacyData, GroupTable, conjugacy_data
 from .util import Q
 
+# Random class-matrix combinations tried before the spectrum is declared
+# degenerate.
+CHARACTER_DRAWS = 20
+
 
 class DimensionMismatch(Exception):
     pass
@@ -176,8 +180,7 @@ class CharacterTable:
 
 
 def character_table(group: GroupTable, cd: Optional[ConjugacyData] = None, *,
-                    tol: float = 1e-9, seed: int = 0,
-                    max_retries: int = 20) -> CharacterTable:
+                    tol: float = 1e-9, seed: int = 0) -> CharacterTable:
     """Irreducible characters by the Burnside eigenvector method.
 
     The class multiplication matrices (M_i)_{jk} = a_ijk commute; the
@@ -198,7 +201,7 @@ def character_table(group: GroupTable, cd: Optional[ConjugacyData] = None, *,
     rng = random.Random(seed)
 
     eigvecs = None
-    for _ in range(max_retries):
+    for _ in range(CHARACTER_DRAWS):
         coeffs = [rng.randint(1, 10 ** 6) for _ in range(r)]
         m = sum(c * mat for c, mat in zip(coeffs, mats))
         vals, vecs = np.linalg.eig(m)
@@ -211,7 +214,7 @@ def character_table(group: GroupTable, cd: Optional[ConjugacyData] = None, *,
         break
     if eigvecs is None:
         raise DegenerateSpectrum(
-            f"no separating combination found in {max_retries} draws")
+            f"no separating combination found in {CHARACTER_DRAWS} draws")
 
     n = group.order
     sizes = cd.class_size
@@ -285,21 +288,21 @@ class CanonicalBasis:
         return len(self.vectors)
 
 
-def canonical_basis(ct: CharacterTable, algebra: ClassAlgebra, *,
-                    tol: Optional[float] = None) -> CanonicalBasis:
+def canonical_basis(ct: CharacterTable,
+                    algebra: ClassAlgebra) -> CanonicalBasis:
     """Idempotents from characters: coefficient of e_k in f_alpha is
     (d_alpha/|G|) chi_alpha(inverse class of k).
 
-    Idempotency, eta-orthogonality and sum-to-unit are verified within
-    tolerance before returning.  All products f_alpha * f_beta come from
-    one O(r^4) contraction with the structure constants, and all pairings
-    eta(f_alpha, f_beta) from one more; the pairs are then checked in
-    order, (0, 0), (0, 1), ..., product before pairing.
+    Idempotency, eta-orthogonality and sum-to-unit are verified within the
+    table's tolerance before returning.  All products f_alpha * f_beta
+    come from one O(r^4) contraction with the structure constants, and all
+    pairings eta(f_alpha, f_beta) from one more; the pairs are then
+    checked in order, (0, 0), (0, 1), ..., product before pairing.
     """
     cd = algebra.cd
     n = algebra.group.order
     r = cd.r
-    tol = ct.tolerance if tol is None else tol
+    tol = ct.tolerance
     vectors = []
     nus = []
     for alpha in range(r):

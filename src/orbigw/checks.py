@@ -9,22 +9,8 @@ from __future__ import annotations
 import random
 from itertools import combinations_with_replacement
 
-from .correlators import OrbifoldTheory
+from .correlators import OrbifoldTheory, _multiset_difference, _submultisets
 from .util import Q, rat_str
-
-
-def _submultiset_splits(classes: tuple):
-    """All (I, J) splittings of a sorted class tuple, as multisets."""
-    n = len(classes)
-    seen = set()
-    for mask in range(2 ** n):
-        left = tuple(sorted(classes[i] for i in range(n) if mask & (1 << i)))
-        right = tuple(sorted(classes[i] for i in range(n)
-                             if not mask & (1 << i)))
-        key = (left, right)
-        if key not in seen:
-            seen.add(key)
-            yield left, right
 
 
 def cutting_trees_check(theory: OrbifoldTheory, *, genus_max: int = 2,
@@ -40,7 +26,8 @@ def cutting_trees_check(theory: OrbifoldTheory, *, genus_max: int = 2,
                 total = theory.surface_count(genus, classes)
                 for g1 in range(genus + 1):
                     g2 = genus - g1
-                    for left, right in _submultiset_splits(classes):
+                    for left, _weight in _submultisets(classes):
+                        right = _multiset_difference(classes, left)
                         glued = Q(0)
                         for z in range(cd.r):
                             glued += cd.centralizer_of_class(z) \

@@ -246,7 +246,7 @@ def cmd_check(args) -> int:
         reports = virasoro_check(theory, degree=args.degree, genus=args.genus,
                                  mutate=mutate)
     elif args.which == "kdv":
-        reports = kdv_check(theory, a_max=2, degree=min(args.degree, 4),
+        reports = kdv_check(theory, degree=min(args.degree, 4),
                             genus=min(args.genus, 1), mutate=mutate)
     elif args.which == "factorization":
         reports = [factorization_check(theory, degree=args.degree,
@@ -328,6 +328,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for flag in ("genus", "degree"):
+            value = getattr(args, flag)
+            if value < 0:
+                raise ValueError(f"--{flag} must be >= 0, got {value}")
         return args.func(args)
     except (NotAGroup, UnsupportedName, UnstableKey, ValueError,
             MissingCoefficient, json.JSONDecodeError, FileNotFoundError,

@@ -22,9 +22,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from multiprocessing import get_context
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .algebra import ClassAlgebra
 from .groups import GroupTable, conjugacy_data, direct_product
@@ -185,16 +185,8 @@ def _submultisets(items: tuple):
 
     The weight is the number of position-subsets realizing the submultiset.
     """
-    distinct = []
-    i = 0
-    while i < len(items):
-        j = i
-        while j < len(items) and items[j] == items[i]:
-            j += 1
-        distinct.append((items[i], j - i))
-        i = j
     out = [((), 1)]
-    for value, mult in distinct:
+    for value, mult in _level_blocks(items):
         grown = []
         for sub, weight in out:
             for take in range(mult + 1):
@@ -297,11 +289,12 @@ class OrbifoldTheory:
 
     # -- oracle side ---------------------------------------------------------
 
-    def commutator_distribution(self, genus: int, jobs: Optional[int] = None):
+    def commutator_distribution(self, genus: int):
         """counts[x] = #{(a_1..a_g, b_1..b_g) : prod [a_i, b_i] = x}.
 
         Literal enumeration of |G|^{2g} tuples; the outer (a_1, b_1) loop
-        splits across worker processes.  genus 0 is the empty product.
+        splits across ``self.jobs`` worker processes.  genus 0 is the empty
+        product.
         """
         if genus in self._distributions:
             return self._distributions[genus]
@@ -313,7 +306,7 @@ class OrbifoldTheory:
             return counts
 
         import time
-        jobs = self.jobs if jobs is None else jobs
+        jobs = self.jobs
         started = time.perf_counter()
         mult = [list(row) for row in self.group.mult]
         inv = list(self.group.inv)
@@ -333,8 +326,8 @@ class OrbifoldTheory:
         self._distributions[genus] = counts
         return counts
 
-    def surface_count_brute(self, genus: int, classes: Sequence[int], *,
-                            jobs: Optional[int] = None) -> Fraction:
+    def surface_count_brute(self, genus: int,
+                            classes: Sequence[int]) -> Fraction:
         """Oracle count by enumeration, in the given argument order."""
         self._check_surface_key(genus, classes)
         cd = self.cd
@@ -343,7 +336,7 @@ class OrbifoldTheory:
             work *= cd.class_size[c]
         if work > self.work_cap:
             raise WorkCapExceeded(f"{work} tuples exceed cap {self.work_cap}")
-        counts = self.commutator_distribution(genus, jobs=jobs)
+        counts = self.commutator_distribution(genus)
         mult = self.group.mult
         # The commutator product must equal prod sigma_j, so each literal
         # sigma-tuple contributes the tuple count at its product.
@@ -391,6 +384,8 @@ class OrbifoldTheory:
         """psi intersection number times the surface count (zero when the
         dimension constraint fails); empty correlators vanish."""
         self._check_surface_key(key.genus, key.classes)
+        if any(a < 0 for a in key.levels):
+            raise ValueError("descendant levels must be >= 0")
         if not key.stable:
             raise UnstableKey(f"unstable key {key}")
         n = len(key.insertions)
@@ -596,18 +591,8 @@ def _level_blocks(levels: tuple):
 
 def _class_assignments(blocks, r):
     """Cartesian product of class multisets, one per equal-level block."""
-    pools = [list(combinations_with_replacement(range(r), mult))
-             for _level, mult in blocks]
-
-    def rec(i):
-        if i == len(pools):
-            yield ()
-            return
-        for choice in pools[i]:
-            for rest in rec(i + 1):
-                yield (choice,) + rest
-
-    yield from rec(0)
+    return product(*(combinations_with_replacement(range(r), mult)
+                     for _level, mult in blocks))
 
 
 def _multiset_aut(items) -> int:

@@ -13,7 +13,6 @@ import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-DEFAULT_MAX_ORDER = 100_000
 # Largest dense multiplication table built: 1 GiB admits order ~5,400
 # (S7 at 5,040) and rejects S8.
 MAX_TABLE_BYTES = 2 ** 30
@@ -247,12 +246,13 @@ def _compose(p: tuple, q: tuple) -> tuple:
     return tuple(p[q[i]] for i in range(len(p)))
 
 
-def build_from_generators(perms: Sequence[Sequence[int]], *,
-                          max_order: int = DEFAULT_MAX_ORDER) -> GroupTable:
+def build_from_generators(perms: Sequence[Sequence[int]]) -> GroupTable:
     """BFS closure of permutation generators.
 
     Elements are ordered by discovery with the identity first, so index 0
-    is always the identity.  Element names are cycle notations.
+    is always the identity.  Element names are cycle notations.  The
+    closure raises OrderExceedsLimit as soon as it grows past the order
+    whose table ``check_table_size`` admits.
 
     The table is read off the BFS (Schreier) tree: every element j > 0 was
     found as parent(j) * g_j, and right[k][g] records the index of
@@ -283,9 +283,6 @@ def build_from_generators(perms: Sequence[Sequence[int]], *,
             y = _compose(x, g)
             j = index.get(y)
             if j is None:
-                if len(elems) >= max_order:
-                    raise OrderExceedsLimit(
-                        f"closure exceeds {max_order} elements")
                 check_table_size(len(elems) + 1)
                 j = index[y] = len(elems)
                 elems.append(y)
@@ -407,12 +404,9 @@ def _quaternion8() -> GroupTable:
     return build_from_cayley(table, element_names=names)
 
 
-def direct_product(g: GroupTable, h: GroupTable, *,
-                   max_order: int = DEFAULT_MAX_ORDER) -> GroupTable:
+def direct_product(g: GroupTable, h: GroupTable) -> GroupTable:
     """Componentwise product; element (x, y) has index x*|H| + y."""
     n = g.order * h.order
-    if n > max_order:
-        raise OrderExceedsLimit(f"product order {n} exceeds {max_order}")
     check_table_size(n)
     nh = h.order
     gm, hm = g.mult, h.mult
@@ -482,12 +476,14 @@ def joint_centralizer_order(g: GroupTable, elems: Sequence[int]) -> int:
 
 # -- external interface -----------------------------------------------------
 
-def group_from_spec(spec, *, max_order: int = DEFAULT_MAX_ORDER) -> GroupTable:
+def group_from_spec(spec) -> GroupTable:
     """Build a group from the JSON input format.
 
     Accepts {"name": "S", "param": 3}, {"generators": ["(0 1)", "(0 1 2)"]},
     {"cayley": [[...]]}, or {"product": [spec, spec]}; nested products are
-    allowed.  A string argument is parsed as JSON first.
+    allowed.  A string argument is parsed as JSON first.  Every builder
+    raises OrderExceedsLimit before it allocates a table that
+    ``check_table_size`` refuses.
     """
     if isinstance(spec, str):
         spec = json.loads(spec)
@@ -497,16 +493,15 @@ def group_from_spec(spec, *, max_order: int = DEFAULT_MAX_ORDER) -> GroupTable:
         return named_group(spec["name"], int(spec.get("param", 0)))
     if "generators" in spec:
         perms = [parse_cycles(text) for text in spec["generators"]]
-        return build_from_generators(perms, max_order=max_order)
+        return build_from_generators(perms)
     if "cayley" in spec:
         return build_from_cayley(spec["cayley"])
     if "product" in spec:
         parts = spec["product"]
         if len(parts) < 2:
             raise ValueError("product needs at least two factors")
-        acc = group_from_spec(parts[0], max_order=max_order)
+        acc = group_from_spec(parts[0])
         for part in parts[1:]:
-            acc = direct_product(acc, group_from_spec(part, max_order=max_order),
-                                 max_order=max_order)
+            acc = direct_product(acc, group_from_spec(part))
         return acc
     raise ValueError(f"unrecognized group spec keys: {sorted(spec)}")

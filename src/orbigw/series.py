@@ -94,12 +94,11 @@ class TruncatedSeries:
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def constant(cls, caps, value, *, lam: int = 0, **kw):
-        if lam % 2 != 0:
-            raise ValueError("lambda exponents must be even")
+    def constant(cls, caps, value, **kw):
+        """value * lambda^0, empty at genus cap 0 (ceiling lambda^-2)."""
         s = cls(caps, **kw)
-        if value and lam <= caps.lam_ceiling:
-            s.terms[()] = {lam: value}
+        if value and 0 <= caps.lam_ceiling:
+            s.terms[()] = {0: value}
         return s
 
     @classmethod
@@ -178,9 +177,9 @@ class TruncatedSeries:
              lam_shift: int = 0) -> "TruncatedSeries":
         """self += value * lambda^lam_shift * other, in place; returns self.
 
-        Same result as
-        ``self.add(other.scale(value, lam_shift=lam_shift))`` without
-        copying the accumulated series.
+        Terms the shift lifts above the lambda ceiling are dropped.  Same
+        result as ``self.add(other.scale(value))`` when lam_shift is 0,
+        without copying the accumulated series.
         """
         self._check_compatible(other)
         if lam_shift % 2 != 0:
@@ -194,24 +193,17 @@ class TruncatedSeries:
                     self._set(mono, lam + lam_shift, c * value)
         return self
 
-    def scale(self, value, *, lam_shift: int = 0) -> "TruncatedSeries":
-        """Multiply by value * lambda^lam_shift, dropping what the shift
-        lifts above the lambda ceiling."""
-        if lam_shift % 2 != 0:
-            raise ValueError("lambda shift must be even")
+    def scale(self, value) -> "TruncatedSeries":
+        """Multiply by value; lambda shifts go through ``iadd``."""
         out = TruncatedSeries(self.caps, mode=self.mode, system=self.system)
         if not value:
             return out
-        ceiling = self.caps.lam_ceiling
         for mono, lc in self.terms.items():
             nw = {}
             for lam, c in lc.items():
-                nl = lam + lam_shift
-                if nl > ceiling:
-                    continue
                 nc = c * value
                 if nc:
-                    nw[nl] = nc
+                    nw[lam] = nc
             if nw:
                 out.terms[mono] = nw
         return out

@@ -297,6 +297,26 @@ def test_omega_negative_genus_is_input_error():
     assert err.getvalue().startswith("input error")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["check", "virasoro", "--degree", "-1"], "--degree must be >= 0, got -1"),
+    (["check", "kdv", "--degree", "-1"], "--degree must be >= 0, got -1"),
+    (["check", "factorization", "--degree", "-2"],
+     "--degree must be >= 0, got -2"),
+    (["potential", "--genus", "-1"], "--genus must be >= 0, got -1"),
+    (["check", "cohft", "--genus", "-1"], "--genus must be >= 0, got -1"),
+    (["correlator", "--key",
+      '{"genus": 0, "insertions": [[-1, 0], [1, 0], [1, 0], [0, 0], [0, 0]]}'],
+     "descendant levels must be >= 0"),
+], ids=["virasoro", "kdv", "factorization", "potential", "cohft",
+        "correlator"])
+def test_negative_caps_and_levels_are_input_errors(argv, message):
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli(argv + ["--group", Z2])
+    assert code == 2 and out == ""
+    assert err.getvalue() == f"input error: {message}\n"
+
+
 def test_byte_identical_reports():
     argv = ["check", "virasoro", "--group", Z2, "--degree", "4",
             "--genus", "1", "--seed", "7"]

@@ -172,8 +172,7 @@ def test_fform_matches_zform(z2, monkeypatch):
 
 def test_virasoro_mutation_detected(z2):
     target = ((((1, 0), 1),), 0)
-    reports = virasoro_check(z2, degree=5, genus=1, families=DIAGONAL,
-                             mutate=target)
+    reports = virasoro_check(z2, degree=5, genus=1, mutate=target)
     assert any(not rep.passed for rep in reports)
     bad = next(rep for rep in reports if not rep.passed)
     assert bad.violations  # located violation with monomial and lambda
@@ -183,7 +182,7 @@ def test_virasoro_mutation_detected(z2):
 def test_kdv_trivial_and_z2(z2):
     triv = OrbifoldTheory(named_group("Z", 1))
     for theory in (triv, z2):
-        reports = kdv_check(theory, a_max=2, degree=4, genus=1)
+        reports = kdv_check(theory, degree=4, genus=1)
         assert reports and all(rep.passed for rep in reports)
         assert all(rep.checked_monomials > 0 for rep in reports)
 
@@ -209,8 +208,8 @@ def test_kdv_brackets_match_differentiated_potential(z2, s3, monkeypatch):
     cases = [(th, d, None) for th in (z2, s3) for d in (1, 2, 3)]
     cases.append((z2, 3, ((((0, 0), 1), ((0, 1), 2)), -2)))
     for theory, degree, mutate in cases:
-        calls = kdv_bracket_requests(theory, monkeypatch, a_max=2,
-                                     degree=degree, genus=1, mutate=mutate)
+        calls = kdv_bracket_requests(theory, monkeypatch, degree=degree,
+                                     genus=1, mutate=mutate)
         caps = SeriesCaps(degree=degree + 5, genus=2)
         derivs = {(): theory.potential(caps, mutate=mutate)}
 
@@ -237,18 +236,17 @@ def test_kdv_mutation_builds_no_potential(z2, monkeypatch):
         raise AssertionError("kdv_check built a potential")
 
     monkeypatch.setattr(z2, "potential", no_potential)
-    reports = kdv_check(z2, a_max=2, degree=4, genus=1,
+    reports = kdv_check(z2, degree=4, genus=1,
                         mutate=((((0, 0), 1), ((0, 1), 2)), -2))
     assert any(not rep.passed for rep in reports)
     with pytest.raises(MissingCoefficient):
-        kdv_check(z2, a_max=2, degree=4, genus=1,
-                  mutate=((((0, 0), 9),), -2))
+        kdv_check(z2, degree=4, genus=1, mutate=((((0, 0), 9),), -2))
 
 
 def test_kdv_vanishing_slice(z2):
     # with v in the nontrivial class both sides vanish in the genus-0
     # degree-0 slice: the lhs coefficient of the empty monomial is zero
-    reports = kdv_check(z2, a_max=1, degree=2, genus=0)
+    reports = kdv_check(z2, degree=2, genus=0)
     assert all(rep.passed for rep in reports)
 
 
@@ -269,11 +267,10 @@ def test_factorization_trivial_group_exact():
     assert rep.passed
 
 
-def test_factorization_strict_raises(z2):
-    from orbigw.virasoro import ToleranceExceeded
-    with pytest.raises(ToleranceExceeded) as exc:
-        factorization_check(z2, degree=4, genus=1, tol=1e-30, strict=True)
-    assert "monomial" in str(exc.value)
+def test_factorization_failure_is_located(z2):
+    rep = factorization_check(z2, degree=4, genus=1, tol=1e-30)
+    assert not rep.passed
+    assert all("monomial" in v and "lambda" in v for v in rep.violations)
 
 
 def test_factorization_complex_characters():
@@ -288,7 +285,7 @@ def test_factorization_complex_characters():
 def test_virasoro_complex_characters_and_q8():
     z3 = OrbifoldTheory(named_group("Z", 3))
     assert all(r.passed for r in virasoro_check(z3, degree=4, genus=1))
-    assert all(r.passed for r in kdv_check(z3, a_max=1, degree=3, genus=1))
+    assert all(r.passed for r in kdv_check(z3, degree=3, genus=1))
     q8 = OrbifoldTheory(named_group("Q8"))
     assert all(r.passed for r in virasoro_check(q8, degree=4, genus=1))
 
