@@ -1,12 +1,14 @@
 """Command-line front end.
 
 Commands: group, chartable, omega, correlator, potential,
-check {cohft|virasoro|kdv|factorization|tensor}.  Reports are JSON with
-sorted keys (or a plain-text rendering); identical configurations produce
-byte-identical output.
+check {cohft|virasoro|kdv|factorization|tensor}.  ``OPTIONS`` holds every
+option once; ``COMMANDS`` and ``CHECKS`` give each command only the
+options its code reads, besides --group, --format and --out.  Reports are
+JSON with sorted keys (or a plain-text rendering); identical
+configurations produce byte-identical output.
 
-Exit codes: 0 success / all checks pass, 1 check failure, 2 input error,
-3 resource cap exceeded.
+Exit codes: 0 success / all checks pass, 1 check failure, 2 input error
+(an option the command does not take included), 3 resource cap exceeded.
 """
 
 from __future__ import annotations
@@ -74,10 +76,7 @@ def emit(report: dict, args) -> None:
 
 
 def load_group(args) -> GroupTable:
-    spec = args.group
-    if spec is None:
-        raise ValueError("--group is required")
-    spec = spec.strip()
+    spec = args.group.strip()
     if not spec.startswith("{"):
         with open(spec, "r", encoding="utf-8") as fh:
             spec = fh.read()
@@ -163,7 +162,7 @@ def cmd_omega(args) -> int:
 
 
 def cmd_correlator(args) -> int:
-    theory = OrbifoldTheory(load_group(args), work_cap=args.work_cap)
+    theory = OrbifoldTheory(load_group(args))
     try:
         key_spec = json.loads(args.key)
         genus = int(key_spec["genus"])
@@ -192,76 +191,124 @@ def cmd_correlator(args) -> int:
 
 
 def cmd_potential(args) -> int:
-    theory = OrbifoldTheory(load_group(args), work_cap=args.work_cap)
+    theory = OrbifoldTheory(load_group(args))
     basis = CANONICAL_RESCALED if args.basis == "canonical" else CLASS_BASIS
     caps = SeriesCaps(degree=args.degree, genus=args.genus)
-    phi = theory.potential(caps, basis=basis)
-    # exact at lambda <= 2G-2 with this padding (see TruncatedSeries.exponential)
+    # Z is exact at lambda <= 2G-2 with this padding (see
+    # TruncatedSeries.exponential); F there is the unpadded potential
     padded = SeriesCaps(degree=caps.degree,
                         genus=caps.genus + (caps.degree - 1) // 3)
-    z = theory.potential(padded, basis=basis).exponential()
+    phi = theory.potential(padded, basis=basis)
+
+    def rows(series):
+        return [row for row in series.to_json_list()
+                if row["lambda"] <= caps.lam_ceiling]
+
     report = {
         "basis": args.basis,
         "caps": {"degree": caps.degree, "genus": caps.genus},
-        "potential": phi.to_json_list(),
-        "partition_function": [row for row in z.to_json_list()
-                               if row["lambda"] <= caps.lam_ceiling],
+        "potential": rows(phi),
+        "partition_function": rows(phi.exponential()),
     }
     emit(report, args)
     return EXIT_OK
 
 
-def cmd_check(args) -> int:
-    theory = OrbifoldTheory(load_group(args), work_cap=args.work_cap,
-                            jobs=args.jobs)
-    mutate = None
-    if args.mutate:
-        try:
-            mono_spec, lam = json.loads(args.mutate)
-            mutate = (tuple(((a, m), e) for a, m, e in mono_spec), lam)
-            integral = all(type(x) is int for x in [lam, *sum(mono_spec, [])])
-        except (TypeError, ValueError):
-            integral = False
-        if not integral:
-            raise ValueError(f"--mutate {args.mutate!r} is not "
-                             f"[[[a, m, exp], ...], lambda] in integers")
+def parse_mutate(text):
+    """The ``--mutate`` target as a (monomial, lambda) pair, if given."""
+    if not text:
+        return None
+    try:
+        mono_spec, lam = json.loads(text)
+        if all(type(x) is int for x in [lam, *sum(mono_spec, [])]):
+            return tuple(((a, m), e) for a, m, e in mono_spec), lam
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"--mutate {text!r} is not "
+                     f"[[[a, m, exp], ...], lambda] in integers")
 
-    if args.which == "cohft":
+
+def cmd_check(args) -> int:
+    group = load_group(args)
+    if args.which == "tensor":
+        report = tensor_omega_check(group, group_from_spec(args.group2),
+                                    genus_max=min(args.genus, 2), n_max=3)
+    elif args.which == "cohft":
+        theory = OrbifoldTheory(group, work_cap=args.work_cap, jobs=args.jobs)
         report = checks.cohft_check(theory, genus_max=min(args.genus, 2),
                                     n_max=4, seed=args.seed)
-        emit(report, args)
-        return EXIT_OK if report["passed"] else EXIT_CHECK_FAILED
-
-    if args.which == "tensor":
-        if args.group2 is None:
-            raise ValueError("check tensor requires --group2")
-        g2 = group_from_spec(args.group2)
-        report = tensor_omega_check(theory.group, g2,
-                                    genus_max=min(args.genus, 2), n_max=3,
-                                    work_cap=args.work_cap)
-        emit(report, args)
-        return EXIT_OK if report["passed"] else EXIT_CHECK_FAILED
-
-    if args.which == "virasoro":
-        reports = virasoro_check(theory, degree=args.degree, genus=args.genus,
-                                 mutate=mutate)
-    elif args.which == "kdv":
-        reports = kdv_check(theory, degree=min(args.degree, 4),
-                            genus=min(args.genus, 1), mutate=mutate)
-    elif args.which == "factorization":
-        reports = [factorization_check(theory, degree=args.degree,
-                                       genus=args.genus, tol=args.tol,
-                                       seed=args.seed)]
     else:
-        raise ValueError(f"unknown check {args.which!r}")
+        theory = OrbifoldTheory(group)
+        if args.which == "virasoro":
+            reports = virasoro_check(theory, degree=args.degree,
+                                     genus=args.genus,
+                                     mutate=parse_mutate(args.mutate))
+        elif args.which == "kdv":
+            reports = kdv_check(theory, degree=min(args.degree, 4),
+                                genus=min(args.genus, 1),
+                                mutate=parse_mutate(args.mutate))
+        else:
+            reports = [factorization_check(theory, degree=args.degree,
+                                           genus=args.genus, tol=args.tol,
+                                           seed=args.seed)]
+        report = {
+            "check": args.which,
+            "reports": [rep.to_json_dict() for rep in reports],
+            "passed": all(rep.passed for rep in reports),
+        }
+    emit(report, args)
+    return EXIT_OK if report["passed"] else EXIT_CHECK_FAILED
 
-    payload = {
-        "check": args.which,
-        "reports": [rep.to_json_dict() for rep in reports],
-        "passed": all(rep.passed for rep in reports),
-    }
-    emit(payload, args)
-    return EXIT_OK if payload["passed"] else EXIT_CHECK_FAILED
+
+# Every option once; --group, --format and --out go to every command.
+OPTIONS = {
+    "--group": dict(required=True,
+                    help="inline JSON or path to a group spec file"),
+    "--group2": dict(required=True,
+                     help="second factor for the tensor check"),
+    "--genus": dict(type=int, default=2),
+    "--degree": dict(type=int, default=6),
+    "--tol": dict(type=float, default=1e-9),
+    "--work-cap": dict(type=int, default=10 ** 9),
+    "--jobs": dict(type=int, default=1),
+    "--seed": dict(type=int, default=0),
+    "--classes": dict(default="",
+                      help="comma-separated class indices or element names"),
+    "--profile": dict(action="store_true",
+                      help="report enumeration throughput on stderr"),
+    "--key": dict(required=True,
+                  help='JSON like {"genus":1,"insertions":[[1,"0"]]}'),
+    "--basis": dict(choices=("class", "canonical"), default="class"),
+    "--mutate": dict(help="debug: JSON [monomial, lambda] coefficient to "
+                          "double"),
+    "--format": dict(choices=("json", "text"), default="json"),
+    "--out": dict(),
+}
+
+# (command, help, handler, options it reads besides the common three)
+COMMANDS = (
+    ("group", "conjugacy structure report", cmd_group, ()),
+    ("chartable", "character table and idempotent data", cmd_chartable,
+     ("--tol", "--seed")),
+    ("omega", "surface count by both algorithms", cmd_omega,
+     ("--genus", "--work-cap", "--jobs", "--classes", "--profile")),
+    ("correlator", "one descendant correlator", cmd_correlator, ("--key",)),
+    ("potential", "truncated potential and partition function",
+     cmd_potential, ("--genus", "--degree", "--basis")),
+)
+
+# --seed draws nothing in virasoro and kdv; the benchmark passes it to both.
+CHECKS = (
+    ("cohft", "cutting and forgetting axioms",
+     ("--genus", "--seed", "--work-cap", "--jobs")),
+    ("virasoro", "Virasoro constraints, both operator families",
+     ("--genus", "--degree", "--mutate", "--seed")),
+    ("kdv", "KdV identity", ("--genus", "--degree", "--mutate", "--seed")),
+    ("factorization", "potential through rescaled idempotent variables",
+     ("--genus", "--degree", "--tol", "--seed")),
+    ("tensor", "surface counts multiply over a direct product",
+     ("--genus", "--group2")),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -271,56 +318,18 @@ def build_parser() -> argparse.ArgumentParser:
                     "classifying orbifold, in exact arithmetic.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--group", required=False,
-                       help="inline JSON or path to a group spec file")
-        p.add_argument("--genus", type=int, default=2)
-        p.add_argument("--degree", type=int, default=6)
-        p.add_argument("--tol", type=float, default=1e-9)
-        p.add_argument("--work-cap", type=int, default=10 ** 9)
-        p.add_argument("--jobs", type=int, default=1)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument("--out", default=None)
+    def add(subparsers, name, help_text, options):
+        p = subparsers.add_parser(name, help=help_text)
+        for flag in ("--group", *options, "--format", "--out"):
+            p.add_argument(flag, **OPTIONS[flag])
+        return p
 
-    p = sub.add_parser("group", help="conjugacy structure report")
-    common(p)
-    p.set_defaults(func=cmd_group)
-
-    p = sub.add_parser("chartable", help="character table and idempotent data")
-    common(p)
-    p.set_defaults(func=cmd_chartable)
-
-    p = sub.add_parser("omega", help="surface count by both algorithms")
-    common(p)
-    p.add_argument("--classes", default="",
-                   help="comma-separated class indices or element names")
-    p.add_argument("--profile", action="store_true",
-                   help="report enumeration throughput on stderr")
-    p.set_defaults(func=cmd_omega)
-
-    p = sub.add_parser("correlator", help="one descendant correlator")
-    common(p)
-    p.add_argument("--key", required=True,
-                   help='JSON like {"genus":1,"insertions":[[1,"0"]]}')
-    p.set_defaults(func=cmd_correlator)
-
-    p = sub.add_parser("potential", help="truncated potential and partition "
-                                         "function")
-    common(p)
-    p.add_argument("--basis", choices=("class", "canonical"), default="class")
-    p.set_defaults(func=cmd_potential)
-
-    p = sub.add_parser("check", help="constraint verification")
-    common(p)
-    p.add_argument("which",
-                   choices=("cohft", "virasoro", "kdv", "factorization",
-                            "tensor"))
-    p.add_argument("--group2", default=None,
-                   help="second factor for the tensor check")
-    p.add_argument("--mutate", default=None,
-                   help="debug: JSON [monomial, lambda] coefficient to double")
-    p.set_defaults(func=cmd_check)
+    for name, help_text, func, options in COMMANDS:
+        add(sub, name, help_text, options).set_defaults(func=func)
+    kinds = sub.add_parser("check", help="constraint verification") \
+        .add_subparsers(dest="which", required=True)
+    for name, help_text, options in CHECKS:
+        add(kinds, name, help_text, options).set_defaults(func=cmd_check)
     return parser
 
 
@@ -329,7 +338,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         for flag in ("genus", "degree"):
-            value = getattr(args, flag)
+            value = getattr(args, flag, 0)
             if value < 0:
                 raise ValueError(f"--{flag} must be >= 0, got {value}")
         return args.func(args)

@@ -630,17 +630,16 @@ def product_class_map(g1: GroupTable, g2: GroupTable):
 
 
 def tensor_omega_check(g1: GroupTable, g2: GroupTable, *, genus_max: int = 2,
-                       n_max: int = 3,
-                       work_cap: int = DEFAULT_WORK_CAP) -> dict:
+                       n_max: int = 3) -> dict:
     """Verify multiplicativity of surface counts over a direct product.
 
     Checks Omega^{GxH}_g((c_1, d_1), ...) = Omega^G_g(c) * Omega^H_g(d)
     exactly for every class tuple of size <= n_max and genus <= genus_max.
     """
     prod, mapping = product_class_map(g1, g2)
-    t1 = OrbifoldTheory(g1, work_cap=work_cap)
-    t2 = OrbifoldTheory(g2, work_cap=work_cap)
-    tp = OrbifoldTheory(prod, work_cap=work_cap)
+    t1 = OrbifoldTheory(g1)
+    t2 = OrbifoldTheory(g2)
+    tp = OrbifoldTheory(prod)
     checked = 0
     mismatches = []
     pair_list = sorted(mapping)

@@ -531,24 +531,21 @@ def factorization_check(theory: OrbifoldTheory, *, degree: int = 6,
     transported = phi_t.substitute_linear(partial(_transport_matrix, cb), r)
     transported.system = CANONICAL_RESCALED
     target = theory.potential(caps, basis=CANONICAL_RESCALED).to_numeric()
-    worst = max_abs_difference(transported, target)
+    keys = sorted(transported.support() | target.support())
+    worst = 0.0
     violations = []
-    if worst > tol:
-        for mono, lam in sorted(transported.support() | target.support()):
-            d = abs(complex(transported.coefficient(mono, lam))
-                    - complex(target.coefficient(mono, lam)))
-            if d > tol:
-                violations.append({
-                    "monomial": _mono_json(mono), "lambda": lam,
-                    "lhs": float_str(abs(complex(
-                        transported.coefficient(mono, lam)))),
-                    "rhs": float_str(abs(complex(
-                        target.coefficient(mono, lam)))),
-                })
-    checked = len(transported.support() | target.support())
+    for mono, lam in keys:
+        lhs = complex(transported.coefficient(mono, lam))
+        rhs = complex(target.coefficient(mono, lam))
+        d = abs(lhs - rhs)
+        worst = max(worst, d)
+        if d > tol:
+            violations.append({"monomial": _mono_json(mono), "lambda": lam,
+                               "lhs": float_str(abs(lhs)),
+                               "rhs": float_str(abs(rhs))})
     return ConstraintReport(
         operator={"check": "factorization", "tol": tol},
-        checked_monomials=checked, max_residual=worst,
+        checked_monomials=len(keys), max_residual=worst,
         watermark=degree, violations=violations)
 
 
@@ -557,49 +554,40 @@ def factorization_check(theory: OrbifoldTheory, *, degree: int = 6,
 
 def mutation_targets(theory: OrbifoldTheory) -> list:
     """Stored class-basis potential coefficients of degree <= 4 and genus
-    <= 1, the region of the KdV check the sweep falls back on."""
+    <= 1, the targets ``mutation_sensitivity`` detects."""
     caps = SeriesCaps(degree=4, genus=1)
     phi = theory.potential(caps, basis=CLASS_BASIS)
     return sorted((mono, lam) for mono, lam, _c in phi.iter_terms())
 
 
-# (degree, genus, n values) of the Virasoro stages of the mutation sweep
-_MUTATION_STAGES = ((5, 1, (-1, 0)), (6, 2, VIRASORO_N))
-
-
 def mutation_sensitivity(theory: OrbifoldTheory, *, targets=None) -> dict:
     """Double each stored low-genus coefficient; every mutation must trip
-    at least one Virasoro or KdV residual.
+    an n = -1 or n = 0 residual of the diagonal family at D5 G1.
 
     Each target doubles its coefficient in a copy of the potential, and
-    R_n(F) of the diagonal family is compared as in ``virasoro_check``:
-    first at D5 G1 with n <= 0, then at D6 G2 with every n.  Both regions
-    are sub-regions of the degree-6 checks, so any failure found here is
-    a failure of those.  Survivors escalate to the KdV identity before
-    being reported as undetected.  A target the potential does not store
-    raises MissingCoefficient.  ``targets`` defaults to every
-    ``mutation_targets`` entry (degree <= 4, genus <= 1).
+    R_n(F) is compared as in ``virasoro_check``.  Doubling adds delta, and
+    R_-1 changes by -d_{(0,0)} delta + dilation(delta), whose dilation part
+    raises one level of delta's monomial per variable with coefficient 1:
+    distinct monomials of its degree that cannot cancel and that lie in
+    the compared region (degree <= 4, lambda <= 0) when delta has degree
+    <= 4 and genus <= 1.  So every such target is caught by construction:
+    the sweep shows that the check compares, not that the constraints
+    determine F.  A target of degree > 4 raises ValueError, and one the
+    potential does not store raises MissingCoefficient.  ``targets``
+    defaults to every ``mutation_targets`` entry.
     """
     if targets is None:
         targets = mutation_targets(theory)
-
-    def virasoro_detects(target):
-        for degree, genus, ns in _MUTATION_STAGES:
-            phi = theory.potential(SeriesCaps(degree=degree, genus=genus),
-                                   mutate=target)
-            for n in ns:
-                spec = VirasoroSpec(DIAGONAL, n, theory.r)
-                if not _fform_report(spec, phi, degree=degree,
-                                     algebra=theory.algebra).passed:
-                    return True
-        return False
-
+    caps = SeriesCaps(degree=5, genus=1)
     undetected = []
     for mono, lam in targets:
-        if virasoro_detects((mono, lam)):
-            continue
-        reports = kdv_check(theory, degree=4, genus=1, mutate=(mono, lam))
-        if all(rep.passed for rep in reports):
+        if mono_degree(mono) > 4:
+            raise ValueError(f"mutation target {mono} has degree > 4")
+        phi = theory.potential(caps, mutate=(mono, lam))
+        if all(_fform_report(VirasoroSpec(DIAGONAL, n, theory.r), phi,
+                             degree=caps.degree,
+                             algebra=theory.algebra).passed
+               for n in (-1, 0)):
             undetected.append({"monomial": _mono_json(mono), "lambda": lam})
     return {"mutated": len(targets), "undetected": undetected,
             "passed": not undetected}

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -224,6 +225,69 @@ def test_check_mutation_fails_with_located_violation():
                                  "--mutate", json.dumps(target)])
         assert code == 2 and out == ""
         assert err.getvalue().startswith("input error")
+
+
+def parser_options(parser, path=()):
+    """{command: set of option flags} over the leaves of the parser tree."""
+    found = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                found.update(parser_options(child, path + (name,)))
+    return found or {" ".join(path): {
+        action.option_strings[-1] for action in parser._actions
+        if action.option_strings and action.dest != "help"}}
+
+
+def test_each_command_takes_only_the_options_it_reads():
+    common = {"--group", "--format", "--out"}
+    expected = {
+        "group": set(),
+        "chartable": {"--tol", "--seed"},
+        "omega": {"--genus", "--work-cap", "--jobs", "--classes",
+                  "--profile"},
+        "correlator": {"--key"},
+        "potential": {"--genus", "--degree", "--basis"},
+        "check virasoro": {"--genus", "--degree", "--mutate", "--seed"},
+        "check kdv": {"--genus", "--degree", "--mutate", "--seed"},
+        "check factorization": {"--genus", "--degree", "--tol", "--seed"},
+        "check cohft": {"--genus", "--seed", "--work-cap", "--jobs"},
+        "check tensor": {"--genus", "--group2"},
+    }
+    found = parser_options(orbigw.cli.build_parser())
+    assert found == {cmd: opts | common for cmd, opts in expected.items()}
+    assert sum(map(len, found.values())) == 59
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "factorization", "--degree", "2", "--genus", "0",
+     "--mutate", "[[[0,0,3]],-2]"],
+    ["check", "cohft", "--genus", "0", "--degree", "3"],
+    ["check", "tensor", "--group2", Z2, "--genus", "0", "--seed", "1"],
+    ["check", "virasoro", "--degree", "2", "--genus", "0", "--tol", "1"],
+    ["group", "--degree", "3"],
+    ["group", "--work-cap", "1"],
+    ["correlator", "--key", '{"genus":1,"insertions":[[1,0]]}',
+     "--genus", "1"],
+    ["potential", "--degree", "2", "--genus", "0", "--jobs", "2"],
+    ["omega", "--genus", "0", "--tol", "1e-3"],
+], ids=["factorization-mutate", "cohft-degree", "tensor-seed",
+        "virasoro-tol", "group-degree", "group-work-cap", "correlator-genus",
+        "potential-jobs", "omega-tol"])
+def test_option_a_command_does_not_read_exits_2(argv):
+    err = io.StringIO()
+    with redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        run_cli(argv + ["--group", Z2])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in err.getvalue()
+
+
+@pytest.mark.parametrize("which", ["virasoro", "kdv"])
+def test_virasoro_and_kdv_accept_seed(which):
+    # the benchmark's virasoro and kdv workloads append --seed N; it draws
+    # nothing, so the report bytes do not depend on it
+    argv = ["check", which, "--group", Z2, "--degree", "2", "--genus", "0"]
+    assert run_cli(argv + ["--seed", "5"]) == run_cli(argv)
 
 
 def test_exit_codes_for_bad_input():

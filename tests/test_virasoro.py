@@ -302,6 +302,14 @@ def test_mutation_sensitivity_z2(z2):
     assert out["mutated"] > 20
 
 
+def test_mutation_sensitivity_rejects_degree_above_4(z2):
+    # stored in the D5 G1 potential, but outside its compared degree <= 4
+    target = ((((0, 0), 3), ((1, 0), 2)), -2)
+    z2.check_stored(target, SeriesCaps(degree=5, genus=1))
+    with pytest.raises(ValueError, match="degree > 4"):
+        mutation_sensitivity(z2, targets=[target])
+
+
 def test_reports_serialize(z2):
     reports = virasoro_check(z2, degree=4, genus=1)
     payload = [rep.to_json_dict() for rep in reports]
