@@ -20,6 +20,7 @@ from orbigw.series import SeriesCaps
 
 Z2 = '{"name":"Z","param":2}'
 S3 = '{"name":"S","param":3}'
+Z3 = '{"name":"Z","param":3}'
 
 
 def run_cli(argv):
@@ -413,6 +414,12 @@ PINNED_REPORTS = [
     # pins which one max_residual reports
     ("virasoro", Z2, 4, "[[[0,0,3]],-2]",
      "bc6d4dc354cc62a1992803a19751ea7f95c1f2202b087bd225e78aeffd304ae2"),
+    # Z3 has classes that are not self-inverse, so these pin the
+    # inverse-class pairing of the diagonal operator and its term order
+    ("virasoro", Z3, 4, None,
+     "d337cd91ab4361f847c90e94b84495e86df2973d4e0e76ea4e4527bdeb1ab922"),
+    ("virasoro", Z3, 4, "[[[0,1,1],[0,2,1],[0,0,1]],-2]",
+     "d2a2d824d14dc61257cb43eb6d3f960b3181b47cf91dd2cad6c649137a43c99d"),
 ]
 
 
