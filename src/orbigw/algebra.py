@@ -39,6 +39,21 @@ class ReconstructionFailed(Exception):
     pass
 
 
+def frobenius_product(a, u: Sequence, v: Sequence) -> tuple:
+    """Bilinear extension of e_i * e_j = sum_k a[i][j][k] e_k."""
+    out = [0 * u[0] for _ in u]
+    for i, ui in enumerate(u):
+        if not ui:
+            continue
+        for j, vj in enumerate(v):
+            if vj:
+                w = ui * vj
+                for k, c in enumerate(a[i][j]):
+                    if c:
+                        out[k] = out[k] + w * c
+    return tuple(out)
+
+
 class ClassAlgebra:
     """Frobenius algebra on the class basis e_0, ..., e_{r-1}.
 
@@ -52,8 +67,6 @@ class ClassAlgebra:
         self.group = group
         self.cd = cd if cd is not None else conjugacy_data(group)
         self._structure = None
-        self._metric = None
-        self._inverse_metric = None
         self._handle = None
 
     @property
@@ -61,24 +74,12 @@ class ClassAlgebra:
         return self.cd.r
 
     def metric(self):
-        """eta_{jk} = delta_{k, inv(j)} / |C(rep_j)|, exact and symmetric."""
-        if self._metric is None:
-            cd = self.cd
-            m = [[Q(0)] * cd.r for _ in range(cd.r)]
-            for j in range(cd.r):
-                m[j][cd.inverse_class[j]] = Q(1, cd.centralizer_of_class(j))
-            self._metric = tuple(tuple(row) for row in m)
-        return self._metric
-
-    def inverse_metric(self):
-        """eta^{jk} = delta_{k, inv(j)} * |C(rep_j)|."""
-        if self._inverse_metric is None:
-            cd = self.cd
-            m = [[Q(0)] * cd.r for _ in range(cd.r)]
-            for j in range(cd.r):
-                m[j][cd.inverse_class[j]] = Q(cd.centralizer_of_class(j))
-            self._inverse_metric = tuple(tuple(row) for row in m)
-        return self._inverse_metric
+        """eta_{jk} = delta_{k, inv(j)} / |C(rep_j)|, exact and symmetric;
+        the inverse metric is the pairs of ``virasoro.class_table``."""
+        cd = self.cd
+        return tuple(tuple(Q(1, cd.centralizer_of_class(j))
+                           if k == cd.inverse_class[j] else Q(0)
+                           for k in range(cd.r)) for j in range(cd.r))
 
     def structure_constants(self):
         """a[i][j][k] = #{(x, y) in C_i x C_j : xy = representative[k]}.
@@ -132,22 +133,7 @@ class ClassAlgebra:
         r = self.r
         if len(u) != r or len(v) != r:
             raise DimensionMismatch(f"expected length {r}")
-        a = self.structure_constants()
-        out = [0 * u[0] for _ in range(r)]
-        for i in range(r):
-            ui = u[i]
-            if not ui:
-                continue
-            ai = a[i]
-            for j in range(r):
-                vj = v[j]
-                if not vj:
-                    continue
-                w = ui * vj
-                for k in range(r):
-                    if ai[j][k]:
-                        out[k] = out[k] + w * ai[j][k]
-        return tuple(out)
+        return frobenius_product(self.structure_constants(), u, v)
 
     def eta(self, u: Sequence, v: Sequence):
         """Bilinear (not sesquilinear) pairing in the class basis."""

@@ -216,7 +216,7 @@ def cmd_potential(args) -> int:
 
 def parse_mutate(text):
     """The ``--mutate`` target as a (monomial, lambda) pair, if given."""
-    if not text:
+    if text is None:
         return None
     try:
         mono_spec, lam = json.loads(text)

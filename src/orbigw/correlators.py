@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, groupby, product
 from multiprocessing import get_context
 from typing import Sequence
 
@@ -578,15 +578,7 @@ def _partitions(total: int, parts: int):
 
 def _level_blocks(levels: tuple):
     """Run-length encode a sorted level tuple."""
-    blocks = []
-    i = 0
-    while i < len(levels):
-        j = i
-        while j < len(levels) and levels[j] == levels[i]:
-            j += 1
-        blocks.append((levels[i], j - i))
-        i = j
-    return blocks
+    return [(level, len(list(run))) for level, run in groupby(levels)]
 
 
 def _class_assignments(blocks, r):

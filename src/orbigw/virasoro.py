@@ -1,11 +1,12 @@
 """Virasoro operators, the KdV identity, and the constraint checks.
 
-Two operator families act on truncated partition functions:
+One operator L_n^{(v)}, for v in a Frobenius algebra, acts on truncated
+partition functions; its terms are read from a ``FrobeniusTable``:
 
-* per-index operators, one family per idempotent index, acting on series
-  in the rescaled canonical variables (slots = idempotent indices);
-* the diagonal family acting on class-basis series, with the identity
-  class in slot 0 and metric contractions in the quadratic terms.
+* the split table on rescaled canonical variables, where the idempotent
+  v = f_alpha gives the per-index family;
+* the class table on class-basis series, where the unit v = e_0 gives the
+  diagonal family, with metric contractions in its quadratic terms.
 
 Both have exact rational coefficients, so the constraints are checked
 coefficient by coefficient in exact arithmetic.  Each exact check states
@@ -26,7 +27,8 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Optional
 
-from .algebra import ClassAlgebra, CanonicalBasis, canonical_basis, character_table
+from .algebra import (ClassAlgebra, CanonicalBasis, canonical_basis,
+                      character_table, frobenius_product)
 from .correlators import CANONICAL_RESCALED, CLASS_BASIS, OrbifoldTheory
 from .series import (EXACT, NUMERIC, SeriesCaps, TruncatedSeries,
                      max_abs_difference, mono_degree, mono_from_vars)
@@ -37,34 +39,75 @@ class VariableSystemMismatch(Exception):
     pass
 
 
-PER_INDEX = "per_index"
-DIAGONAL = "diagonal"
+@dataclass(frozen=True)
+class FrobeniusTable:
+    """e_i e_j = sum_k a[i][j][k] e_k, eps(e_k) = counit[k], the inverse
+    metric sum z e_m (x) e_m' over ``pairs`` (m, m', z), H = sum z e_m e_m',
+    the unit, and the ``system`` of the variables t_{(a, k)}; ``flavor``
+    only labels the operators."""
+
+    a: tuple
+    counit: tuple
+    pairs: tuple
+    handle: tuple
+    unit: tuple
+    system: str
+    flavor: str
+
+    def product(self, x, y) -> tuple:
+        return frobenius_product(self.a, x, y)
+
+    def eps(self, x) -> Fraction:
+        return sum((xk * ek for xk, ek in zip(x, self.counit)), Q(0))
+
+
+def _basis(r: int, k: int) -> tuple:
+    return tuple(int(j == k) for j in range(r))
+
+
+def class_table(algebra: ClassAlgebra) -> FrobeniusTable:
+    """The class algebra: eps(e_k) = delta_{k0}/|G|, pairs (m, m^-1, |C(m)|)."""
+    cd = algebra.cd
+    return FrobeniusTable(
+        algebra.structure_constants(),
+        tuple(Q(int(k == 0), algebra.group.order) for k in range(cd.r)),
+        tuple((m, cd.inverse_class[m], cd.centralizer_of_class(m))
+              for m in range(cd.r)),
+        algebra.handle_element(), algebra.unit(), CLASS_BASIS, "diagonal")
+
+
+def split_table(r: int) -> FrobeniusTable:
+    """The split algebra of rank r: f_a f_b = delta_ab f_a, eps(f_a) = 1."""
+    a = tuple(tuple(_basis(r, i) if i == j else (0,) * r for j in range(r))
+              for i in range(r))
+    return FrobeniusTable(a, (Q(1),) * r, tuple((m, m, 1) for m in range(r)),
+                          (1,) * r, (1,) * r, CANONICAL_RESCALED, "per_index")
 
 
 @dataclass(frozen=True)
 class VirasoroSpec:
-    flavor: str            # PER_INDEX or DIAGONAL
+    """L_n^{(v)} for v = e_v of ``table``, or for its unit when v is None."""
+
     n: int                 # >= -1
-    r: int                 # state-space dimension
-    alpha: Optional[int] = None
+    table: FrobeniusTable
+    v: Optional[int] = None
 
     def __post_init__(self):
         if self.n < -1:
             raise ValueError("Virasoro index must be >= -1")
-        if self.flavor == PER_INDEX:
-            if self.alpha is None or not 0 <= self.alpha < self.r:
-                raise ValueError("per-index operator needs 0 <= alpha < r")
-        elif self.flavor != DIAGONAL:
-            raise ValueError(f"unknown flavor {self.flavor!r}")
+        if self.v is not None and not 0 <= self.v < len(self.table.unit):
+            raise ValueError("operator vector needs 0 <= v < r")
 
-    @property
-    def expected_system(self) -> str:
-        return CANONICAL_RESCALED if self.flavor == PER_INDEX else CLASS_BASIS
+    def times(self, m=None) -> tuple:
+        """v e_m, or v when m is None."""
+        unit = self.table.unit
+        v = unit if self.v is None else _basis(len(unit), self.v)
+        return v if m is None else self.table.product(v, _basis(len(v), m))
 
     def label(self) -> dict:
-        out = {"flavor": self.flavor, "n": self.n}
-        if self.alpha is not None:
-            out["alpha"] = self.alpha
+        out = {"flavor": self.table.flavor, "n": self.n}
+        if self.v is not None:
+            out["alpha"] = self.v
         return out
 
 
@@ -83,73 +126,61 @@ def _coeff_second(n: int, i: int) -> Fraction:
              * double_factorial(2 * (n - 1 - i) + 1), 2 ** (n + 1))
 
 
-def _metric_pairs(algebra: ClassAlgebra) -> list:
-    """(m, m^-1, |C(m)|) per class: the inverse-metric contractions."""
-    cd = algebra.cd
-    return [(m, cd.inverse_class[m], cd.centralizer_of_class(m))
-            for m in range(cd.r)]
+def _first_order_terms(spec: VirasoroSpec) -> list:
+    """(var, w) for each term w d/d var of -c_n d/dt_{(n+1, v)}."""
+    return [((spec.n + 1, k), -_coeff_first(spec.n) * w)
+            for k, w in enumerate(spec.times()) if w]
 
 
-def _second_order_terms(spec: VirasoroSpec, algebra) -> list:
-    """(v1, v2, w) for each second-order term w lambda^2 d/dv1 d/dv2."""
+def _second_order_terms(spec: VirasoroSpec) -> list:
+    """(v1, v2, w) for each second-order term w lambda^2 d/dv1 d/dv2: b_i
+    sum_m z_m d/dt_{(i, v e_m)} d/dt_{(n-1-i, m')}."""
     n = spec.n
     out = []
     for i in range(n):
-        j = n - 1 - i
         b = _coeff_second(n, i) / 2
-        if spec.flavor == PER_INDEX:
-            out.append(((i, spec.alpha), (j, spec.alpha), b))
-        else:
-            out.extend(((i, m1), (j, m2), b * z)
-                       for m1, m2, z in _metric_pairs(algebra))
+        for m, m2, z in spec.table.pairs:
+            out.extend(((i, k), (n - 1 - i, m2), b * z * w)
+                       for k, w in enumerate(spec.times(m)) if w)
     return out
 
 
-def _multiplication_terms(spec: VirasoroSpec, algebra) -> list:
-    """(monomial, w) for each multiplication term w lambda^-2 monomial."""
-    if spec.n != -1:
-        return []
-    if spec.flavor == PER_INDEX:
-        return [(mono_from_vars([(0, spec.alpha), (0, spec.alpha)]), Q(1, 2))]
-    return [(mono_from_vars([(0, m1), (0, m2)]), Q(1, 2 * z))
-            for m1, m2, z in _metric_pairs(algebra)]
+def _multiplication_terms(spec: VirasoroSpec) -> list:
+    """(monomial, w) for each multiplication term w lambda^-2 monomial:
+    eps(v e_a e_b)/2 t_{(0, a)} t_{(0, b)} at n = -1."""
+    t, r = spec.table, len(spec.table.unit)
+    eps = [[t.eps(t.product(spec.times(a), _basis(r, b))) for b in range(r)]
+           for a in range(r)] if spec.n == -1 else []
+    return [(mono_from_vars([(0, a), (0, b)]), w / 2)
+            for a, row in enumerate(eps) for b, w in enumerate(row) if w]
 
 
 def _constant_term(spec: VirasoroSpec) -> Fraction:
-    if spec.n != 0:
-        return Q(0)
-    return Q(1, 16) if spec.flavor == PER_INDEX else Q(spec.r, 16)
+    """eps(v H)/16 at n = 0."""
+    t = spec.table
+    return t.eps(t.product(spec.times(), t.handle)) / 16 if spec.n == 0 else 0
 
 
-def _check_operator(spec, series, algebra):
-    if series.system is not None and series.system != spec.expected_system:
+def _check_operator(spec, series):
+    if series.system is not None and series.system != spec.table.system:
         raise VariableSystemMismatch(
-            f"{spec.flavor} operator on {series.system!r} series")
-    if spec.flavor == DIAGONAL and algebra is None:
-        raise ValueError("diagonal operator requires the class algebra")
+            f"{spec.table.flavor} operator on {series.system!r} series")
 
 
-def _first_variable(spec: VirasoroSpec) -> tuple:
-    """The variable of the first-order term -c_n d/dv."""
-    return (spec.n + 1, spec.alpha if spec.flavor == PER_INDEX else 0)
-
-
-def apply_virasoro(spec: VirasoroSpec, series: TruncatedSeries, *,
-                   algebra: Optional[ClassAlgebra] = None) -> TruncatedSeries:
-    """Apply one constraint operator to a truncated series.
-
-    The diagonal flavor needs the class algebra for its metric
-    contractions.  The result is exact one degree below the caps of the
-    series (first-order terms), or two below for n >= 1 (second-order
-    terms).
-    """
-    _check_operator(spec, series, algebra)
-    out = series.partial_derivative(_first_variable(spec)).scale(
-        -_coeff_first(spec.n))
+def apply_virasoro(spec: VirasoroSpec,
+                   series: TruncatedSeries) -> TruncatedSeries:
+    """Apply L_n^{(v)}, its terms read from the spec's class or split table,
+    to a truncated series.  The result is exact one degree below the caps
+    of the series (first-order terms), or two below for n >= 1
+    (second-order terms)."""
+    _check_operator(spec, series)
+    out = TruncatedSeries(series.caps, mode=series.mode, system=series.system)
+    for var, w in _first_order_terms(spec):
+        out.iadd(series.partial_derivative(var), w)
     out.iadd(_dilation_term(spec, series))
-    for v1, v2, w in _second_order_terms(spec, algebra):
+    for v1, v2, w in _second_order_terms(spec):
         out.iadd(series.second_partial(v1, v2), w, lam_shift=2)
-    for mono, w in _multiplication_terms(spec, algebra):
+    for mono, w in _multiplication_terms(spec):
         out.iadd(series.multiply_by_monomial(mono, w, lam_shift=-2))
     const = _constant_term(spec)
     if const:
@@ -158,7 +189,6 @@ def apply_virasoro(spec: VirasoroSpec, series: TruncatedSeries, *,
 
 
 def fform_residual(spec: VirasoroSpec, potential: TruncatedSeries, *,
-                   algebra: Optional[ClassAlgebra] = None,
                    max_degree: Optional[int] = None) -> TruncatedSeries:
     """R_n(F) = e^{-F} L_n e^{F} for the potential F, up to ``max_degree``:
     the sum of the terms of ``_fform_terms``.
@@ -169,13 +199,12 @@ def fform_residual(spec: VirasoroSpec, potential: TruncatedSeries, *,
     out = TruncatedSeries(potential.caps, mode=potential.mode,
                           system=potential.system)
     for series, value, lam_shift in _fform_terms(spec, potential,
-                                                 algebra=algebra,
                                                  max_degree=max_degree):
         out.iadd(series, value, lam_shift=lam_shift)
     return out
 
 
-def _fform_terms(spec, potential, *, algebra=None, max_degree=None):
+def _fform_terms(spec, potential, *, max_degree=None):
     """Yield the terms (series, value, lam_shift) of R_n(F), each standing
     for value * lambda^lam_shift * series, up to ``max_degree``.
 
@@ -183,17 +212,18 @@ def _fform_terms(spec, potential, *, algebra=None, max_degree=None):
     part applied to F, w lambda^2 (d1 d2 F + d1 F d2 F) per second-order
     term, and the multiplication and constant terms applied to 1.
     """
-    _check_operator(spec, potential, algebra)
+    _check_operator(spec, potential)
     caps = potential.caps
     kind = dict(mode=potential.mode, system=potential.system)
     dcap = caps.degree if max_degree is None else max_degree
     d = lru_cache(maxsize=None)(potential.partial_derivative)
-    yield d(_first_variable(spec)), -_coeff_first(spec.n), 0
+    for var, w in _first_order_terms(spec):
+        yield d(var), w, 0
     yield _dilation_term(spec, potential, dcap), 1, 0
-    for v1, v2, w in _second_order_terms(spec, algebra):
+    for v1, v2, w in _second_order_terms(spec):
         yield d(v1).partial_derivative(v2), w, 2
         yield d(v1).multiply(d(v2), max_degree=dcap), w, 2
-    for mono, w in _multiplication_terms(spec, algebra):
+    for mono, w in _multiplication_terms(spec):
         yield TruncatedSeries.from_monomial(caps, mono, w, lam=-2, **kind), 1, 0
     const = _constant_term(spec)
     if const:
@@ -201,25 +231,26 @@ def _fform_terms(spec, potential, *, algebra=None, max_degree=None):
 
 
 def _dilation_term(spec, series, max_degree=None):
-    """sum_i coeff(n, i) * v_i d/dv_{i+n}, one pass over the terms of
-    degree <= max_degree (the operator keeps the degree)."""
+    """sum_{i,m} c(n, i) t_{(i,m)} d/dt_{(i+n, v e_m)} over the terms of
+    degree <= max_degree (the operator keeps the degree): t_{(a, k)} goes
+    to c(n, a-n) (v e_m)_k t_{(a-n, m)}, moves built once per variable."""
     n = spec.n
-    caps = series.caps
-    dcap = caps.degree if max_degree is None else max_degree
-    out = TruncatedSeries(caps, mode=series.mode, system=series.system)
+    dcap = series.caps.degree if max_degree is None else max_degree
+    rows = list(enumerate(spec.times(m) for m in range(len(spec.table.unit))))
+    moves = {}
+    out = TruncatedSeries(series.caps, mode=series.mode, system=series.system)
     for mono, lc in series.terms.items():
         if mono_degree(mono) > dcap:
             continue
-        for (a, m), e in mono:
-            if spec.flavor == PER_INDEX and m != spec.alpha:
-                continue
-            i = a - n
-            if i < 0:
-                continue
-            c = _coeff_dilation(n, i)
-            new_mono = _replace_var(mono, (a, m), (i, m))
-            for lam, v in lc.items():
-                out._set(new_mono, lam, v * e * c)
+        for var, e in mono:
+            if var not in moves:
+                a, k = var
+                moves[var] = [((a - n, m), _coeff_dilation(n, a - n) * row[k])
+                              for m, row in rows if row[k] and a >= n]
+            for new_var, c in moves[var]:
+                new_mono = _replace_var(mono, var, new_var)
+                for lam, v in lc.items():
+                    out._set(new_mono, lam, v * e * c)
     return out
 
 
@@ -323,14 +354,14 @@ def _compare(operator, caps, lhs, rhs, *, max_degree, lam_max,
         window=window)
 
 
-def _fform_report(spec, potential, *, degree, algebra=None):
+def _fform_report(spec, potential, *, degree):
     """R_n(F) against zero at every degree <= D-1 (n <= 0) or D-2 (n >= 1),
     over genus 0 to G."""
     watermark = degree - (2 if spec.n >= 1 else 1)
     lam_max = potential.caps.lam_ceiling
     return _compare(
         spec.label(), potential.caps,
-        _fform_terms(spec, potential, algebra=algebra, max_degree=watermark),
+        _fform_terms(spec, potential, max_degree=watermark),
         (), max_degree=watermark, lam_max=lam_max,
         window={"lambda_min": -2, "lambda_max": lam_max})
 
@@ -355,31 +386,26 @@ def virasoro_check(theory: OrbifoldTheory, *, degree: int = 6, genus: int = 2,
     potential stores no coefficient there.
     """
     caps = SeriesCaps(degree=degree, genus=genus)
-    reports = []
     phi_u = theory.potential(caps, basis=CANONICAL_RESCALED)
-    for alpha in range(theory.r):
-        for n in VIRASORO_N:
-            spec = VirasoroSpec(PER_INDEX, n, theory.r, alpha=alpha)
-            reports.append(_fform_report(spec, phi_u, degree=degree))
-
+    split = split_table(theory.r)
+    reports = [_fform_report(VirasoroSpec(n, split, alpha), phi_u, degree=degree)
+               for alpha in range(theory.r) for n in VIRASORO_N]
     phi_t = theory.potential(caps, basis=CLASS_BASIS, mutate=mutate)
-    for n in VIRASORO_N:
-        spec = VirasoroSpec(DIAGONAL, n, theory.r)
-        reports.append(_fform_report(spec, phi_t, degree=degree,
-                                     algebra=theory.algebra))
-    return reports
+    table = class_table(theory.algebra)
+    return reports + [_fform_report(VirasoroSpec(n, table), phi_t,
+                                    degree=degree) for n in VIRASORO_N]
 
 
 # -- operator algebra ---------------------------------------------------------
 
 
-def random_test_series(caps: SeriesCaps, *, r: int, system: str,
+def random_test_series(caps: SeriesCaps, table: FrobeniusTable, *,
                        seed: int = 0) -> TruncatedSeries:
     rng = random.Random(seed)
-    s = TruncatedSeries(caps, mode=EXACT, system=system)
+    s = TruncatedSeries(caps, mode=EXACT, system=table.system)
     for _ in range(12):
         deg = rng.randint(0, 3)
-        variables = [(rng.randint(0, 3), rng.randint(0, r - 1))
+        variables = [(rng.randint(0, 3), rng.randint(0, len(table.unit) - 1))
                      for _ in range(deg)]
         lam = rng.choice([-2, 0, 2])
         coeff = Q(rng.randint(1, 9), rng.randint(1, 9))
@@ -388,31 +414,28 @@ def random_test_series(caps: SeriesCaps, *, r: int, system: str,
 
 
 def commutator_check(spec1: VirasoroSpec, spec2: VirasoroSpec, *,
-                     algebra: Optional[ClassAlgebra] = None,
                      seed: int = 0) -> ConstraintReport:
-    """[L_m, L_n] = (m - n) L_{m+n} on a randomized polynomial series.
+    """[L_m^{(u)}, L_n^{(v)}] = (m - n) L_{m+n}^{(uv)} on a randomized
+    polynomial series, for two operators of one table.
 
     The test series is padded inside caps so no truncation occurs; the
-    identity then holds exactly.  Distinct per-index copies commute.
+    identity then holds exactly.  L^{(uv)} is expanded in the basis, so
+    distinct idempotents (uv = 0) commute.
     """
-    if spec1.flavor != spec2.flavor:
-        raise ValueError("comparing operators of different flavors")
     m, n = spec1.n, spec2.n
     if m + n < -1:
         raise ValueError("bracket index below -1")
-    r = spec1.r
+    table = spec1.table
     caps = SeriesCaps(degree=3 + 6, genus=4)
-    s = random_test_series(caps, r=r, system=spec1.expected_system, seed=seed)
-
-    def op(spec, series):
-        return apply_virasoro(spec, series, algebra=algebra)
+    s = random_test_series(caps, table, seed=seed)
+    op = apply_virasoro
 
     # one side: L_m L_n s - L_n L_m s - (m - n) L_{m+n} s
     terms = [(op(spec1, op(spec2, s)), 1, 0),
              (op(spec2, op(spec1, s)), -1, 0)]
-    if spec1.flavor == DIAGONAL or spec1.alpha == spec2.alpha:
-        bracket_spec = VirasoroSpec(spec1.flavor, m + n, r, alpha=spec1.alpha)
-        terms.append((op(bracket_spec, s).scale(Q(m - n)), -1, 0))
+    uv = table.product(spec1.times(), spec2.times())
+    terms += [(op(VirasoroSpec(m + n, table, k), s).scale(Q(m - n) * w), -1, 0)
+              for k, w in enumerate(uv) if w]
     return _compare({"bracket": [spec1.label(), spec2.label()]}, caps,
                     terms, (), max_degree=caps.degree,
                     lam_max=caps.lam_ceiling)
@@ -447,7 +470,7 @@ def kdv_check(theory: OrbifoldTheory, *, degree: int = 4, genus: int = 1,
         theory.check_stored(mutate, SeriesCaps(degree=degree + 5, genus=g_big))
     caps = SeriesCaps(degree=degree, genus=g_big)
     r = theory.r
-    pairs = _metric_pairs(theory.algebra)
+    pairs = class_table(theory.algebra).pairs
 
     # Derivatives commute, so memoize on the sorted variable tuple.
     factor_memo = {}
@@ -579,14 +602,14 @@ def mutation_sensitivity(theory: OrbifoldTheory, *, targets=None) -> dict:
     if targets is None:
         targets = mutation_targets(theory)
     caps = SeriesCaps(degree=5, genus=1)
+    table = class_table(theory.algebra)
     undetected = []
     for mono, lam in targets:
         if mono_degree(mono) > 4:
             raise ValueError(f"mutation target {mono} has degree > 4")
         phi = theory.potential(caps, mutate=(mono, lam))
-        if all(_fform_report(VirasoroSpec(DIAGONAL, n, theory.r), phi,
-                             degree=caps.degree,
-                             algebra=theory.algebra).passed
+        if all(_fform_report(VirasoroSpec(n, table), phi,
+                             degree=caps.degree).passed
                for n in (-1, 0)):
             undetected.append({"monomial": _mono_json(mono), "lambda": lam})
     return {"mutated": len(targets), "undetected": undetected,
@@ -606,8 +629,8 @@ def diagonal_combination_residual(theory: OrbifoldTheory, m: int, *,
     cb = canonical_basis(ct, theory.algebra)
     r = theory.r
     caps = SeriesCaps(degree=6, genus=4)
-    s_t = random_test_series(caps, r=r, system=CLASS_BASIS,
-                             seed=seed).to_numeric()
+    table = class_table(theory.algebra)
+    s_t = random_test_series(caps, table, seed=seed).to_numeric()
     forward = partial(_transport_matrix, cb)
 
     def backward(a):
@@ -618,12 +641,10 @@ def diagonal_combination_residual(theory: OrbifoldTheory, m: int, *,
     s_u.system = CANONICAL_RESCALED
     combo = TruncatedSeries(caps, mode=NUMERIC, system=CANONICAL_RESCALED)
     for alpha in range(r):
-        spec = VirasoroSpec(PER_INDEX, m, r, alpha=alpha)
-        term = apply_virasoro(spec, s_u)
+        term = apply_virasoro(VirasoroSpec(m, split_table(r), alpha), s_u)
         combo.iadd(term, float(cb.nus[alpha]) ** (-m / 3.0))
     combo_t = combo.substitute_linear(backward, r)
     combo_t.system = CLASS_BASIS
 
-    diag = apply_virasoro(VirasoroSpec(DIAGONAL, m, r), s_t,
-                          algebra=theory.algebra)
+    diag = apply_virasoro(VirasoroSpec(m, table), s_t)
     return max_abs_difference(diag, combo_t)

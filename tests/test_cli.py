@@ -382,6 +382,17 @@ def test_negative_caps_and_levels_are_input_errors(argv, message):
     assert err.getvalue() == f"input error: {message}\n"
 
 
+@pytest.mark.parametrize("which", ["virasoro", "kdv"])
+def test_empty_mutate_is_input_error(which):
+    # an empty target is malformed, not "no mutation"
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli(["check", which, "--group", Z2, "--mutate", ""])
+    assert code == 2 and out == ""
+    assert err.getvalue() == ("input error: --mutate '' is not "
+                              "[[[a, m, exp], ...], lambda] in integers\n")
+
+
 def test_byte_identical_reports():
     argv = ["check", "virasoro", "--group", Z2, "--degree", "4",
             "--genus", "1", "--seed", "7"]

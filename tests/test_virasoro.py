@@ -1,16 +1,18 @@
 import pytest
 
+from orbigw.algebra import ClassAlgebra
 from orbigw.correlators import (CANONICAL_RESCALED, CLASS_BASIS,
                                 MissingCoefficient, OrbifoldTheory)
 from orbigw.groups import named_group
 from orbigw.series import (EXACT, SeriesCaps, TruncatedSeries, mono_degree,
                            mono_from_vars)
 from orbigw.util import Q
-from orbigw.virasoro import (DIAGONAL, PER_INDEX, VariableSystemMismatch,
-                             VirasoroSpec, apply_virasoro, commutator_check,
+from orbigw.virasoro import (VariableSystemMismatch, VirasoroSpec,
+                             apply_virasoro, class_table, commutator_check,
                              diagonal_combination_residual,
                              factorization_check, fform_residual, kdv_check,
-                             mutation_sensitivity, virasoro_check)
+                             mutation_sensitivity, split_table,
+                             virasoro_check)
 
 CAPS = SeriesCaps(degree=6, genus=3)
 
@@ -25,23 +27,57 @@ def s3():
     return OrbifoldTheory(named_group("S", 3))
 
 
+def assert_frobenius_data(table):
+    """Unit, splitting sum_m z_m eps(x e_m) eps(e_m' y) = eps(xy), and the
+    handle H = sum_m z_m e_m e_m', on basis vectors."""
+    t, r = table, len(table.unit)
+
+    def e(k):
+        return tuple(int(j == k) for j in range(r))
+
+    for x in range(r):
+        assert t.product(t.unit, e(x)) == e(x)
+        for y in range(r):
+            split = sum(z * t.eps(t.product(e(x), e(m)))
+                        * t.eps(t.product(e(m2), e(y))) for m, m2, z in t.pairs)
+            assert split == t.eps(t.product(e(x), e(y))), (x, y)
+    handle = [0] * r
+    for m, m2, z in t.pairs:
+        handle = [h + z * c for h, c in zip(handle, t.product(e(m), e(m2)))]
+    assert tuple(handle) == t.handle
+
+
+def test_frobenius_tables():
+    for name, param in (("S", 3), ("Z", 3), ("S", 4)):
+        algebra = ClassAlgebra(named_group(name, param))
+        table = class_table(algebra)
+        assert_frobenius_data(table)
+        assert table.handle == algebra.handle_element()
+        assert table.eps(table.handle) == algebra.r
+    for r in (1, 2, 3):
+        table = split_table(r)
+        assert_frobenius_data(table)
+        for alpha in range(r):
+            f_alpha = tuple(int(j == alpha) for j in range(r))
+            assert table.eps(table.product(f_alpha, table.handle)) == 1
+
+
 def test_first_term_coefficient():
     # leading term of L_1 is -(5!!/4) d/du_2
     s = TruncatedSeries.from_monomial(CAPS, mono_from_vars([(2, 0)]), Q(1),
                                       system=CANONICAL_RESCALED)
-    out = apply_virasoro(VirasoroSpec(PER_INDEX, 1, 1, alpha=0), s)
+    out = apply_virasoro(VirasoroSpec(1, split_table(1), 0), s)
     assert out.coefficient((), 0) == Q(-15, 4)
 
 
 def test_constant_terms():
     one_u = TruncatedSeries.one(CAPS, system=CANONICAL_RESCALED)
-    out = apply_virasoro(VirasoroSpec(PER_INDEX, 0, 1, alpha=0), one_u)
+    out = apply_virasoro(VirasoroSpec(0, split_table(1), 0), one_u)
     assert out.coefficient((), 0) == Q(1, 16)
 
     s3 = OrbifoldTheory(named_group("S", 3))
     one_t = TruncatedSeries.one(CAPS, system=CLASS_BASIS)
-    out = apply_virasoro(VirasoroSpec(DIAGONAL, 0, 3), one_t,
-                         algebra=s3.algebra)
+    out = apply_virasoro(VirasoroSpec(0, class_table(s3.algebra)), one_t)
     assert out.coefficient((), 0) == Q(3, 16)
 
 
@@ -49,7 +85,7 @@ def test_string_operator_on_constant_is_not_zero():
     # L_{-1} applied to Z = 1 leaves the quadratic lambda^-2 term, so the
     # constant series is not annihilated
     one_u = TruncatedSeries.one(CAPS, system=CANONICAL_RESCALED)
-    out = apply_virasoro(VirasoroSpec(PER_INDEX, -1, 1, alpha=0), one_u)
+    out = apply_virasoro(VirasoroSpec(-1, split_table(1), 0), one_u)
     assert out.coefficient(mono_from_vars([(0, 0), (0, 0)]), -2) == Q(1, 2)
 
 
@@ -57,7 +93,7 @@ def test_dilation_shift():
     # dilation part of L_1 maps u_3 to ((2*2+2+1)!!/(3!! * 4)) u_2
     s = TruncatedSeries.from_monomial(CAPS, mono_from_vars([(3, 0)]), Q(1),
                                       system=CANONICAL_RESCALED)
-    out = apply_virasoro(VirasoroSpec(PER_INDEX, 1, 1, alpha=0), s)
+    out = apply_virasoro(VirasoroSpec(1, split_table(1), 0), s)
     assert out.coefficient(mono_from_vars([(2, 0)]), 0) == \
         Q(105, 3 * 4)
 
@@ -65,42 +101,44 @@ def test_dilation_shift():
 def test_variable_system_mismatch():
     s = TruncatedSeries.one(CAPS, system=CLASS_BASIS)
     with pytest.raises(VariableSystemMismatch):
-        apply_virasoro(VirasoroSpec(PER_INDEX, 0, 1, alpha=0), s)
+        apply_virasoro(VirasoroSpec(0, split_table(1), 0), s)
 
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        VirasoroSpec(PER_INDEX, -2, 1, alpha=0)
+        VirasoroSpec(-2, split_table(1), 0)
     with pytest.raises(ValueError):
-        VirasoroSpec(PER_INDEX, 0, 2)
+        VirasoroSpec(0, split_table(2), 2)
     with pytest.raises(ValueError):
-        VirasoroSpec("sideways", 0, 2)
+        VirasoroSpec(0, split_table(2), -1)
 
 
 def test_bracket_antisymmetry_and_relation():
-    rep = commutator_check(VirasoroSpec(PER_INDEX, 0, 2, alpha=0),
-                           VirasoroSpec(PER_INDEX, 0, 2, alpha=0), seed=1)
+    rep = commutator_check(VirasoroSpec(0, split_table(2), 0),
+                           VirasoroSpec(0, split_table(2), 0), seed=1)
     assert rep.passed
-    rep = commutator_check(VirasoroSpec(PER_INDEX, 1, 2, alpha=0),
-                           VirasoroSpec(PER_INDEX, -1, 2, alpha=0), seed=2)
+    rep = commutator_check(VirasoroSpec(1, split_table(2), 0),
+                           VirasoroSpec(-1, split_table(2), 0), seed=2)
     assert rep.passed
-    rep = commutator_check(VirasoroSpec(PER_INDEX, 2, 2, alpha=0),
-                           VirasoroSpec(PER_INDEX, 1, 2, alpha=0), seed=3)
+    rep = commutator_check(VirasoroSpec(2, split_table(2), 0),
+                           VirasoroSpec(1, split_table(2), 0), seed=3)
     assert rep.passed
 
 
 def test_bracket_distinct_indices_commute():
-    rep = commutator_check(VirasoroSpec(PER_INDEX, 1, 3, alpha=1),
-                           VirasoroSpec(PER_INDEX, -1, 3, alpha=2), seed=4)
+    rep = commutator_check(VirasoroSpec(1, split_table(3), 1),
+                           VirasoroSpec(-1, split_table(3), 2), seed=4)
     assert rep.passed
 
 
 def test_bracket_diagonal(s3):
-    for m, n in ((1, -1), (2, 0), (2, -1), (0, 0)):
-        rep = commutator_check(VirasoroSpec(DIAGONAL, m, 3),
-                               VirasoroSpec(DIAGONAL, n, 3),
-                               algebra=s3.algebra, seed=5)
-        assert rep.passed, (m, n)
+    # Z3 has classes that are not self-inverse (m' != m)
+    for theory in (s3, OrbifoldTheory(named_group("Z", 3))):
+        table = class_table(theory.algebra)
+        for m, n in ((1, -1), (2, 0), (2, -1), (0, 0)):
+            rep = commutator_check(VirasoroSpec(m, table),
+                                   VirasoroSpec(n, table), seed=5)
+            assert rep.passed, (theory.r, m, n)
 
 
 def test_virasoro_annihilation_trivial_group():
@@ -129,23 +167,20 @@ def zform_fform_mismatches(theory, spec, monkeypatch, *, degree, genus,
     is lambda-truncated: above the cap a term could come back down
     through a lambda^-2 factor.
     """
-    basis = CLASS_BASIS if spec.flavor == DIAGONAL else CANONICAL_RESCALED
     phi = theory.potential(SeriesCaps(degree=degree, genus=genus),
-                           basis=basis)
+                           basis=spec.table.system)
     caps = SeriesCaps(degree=degree, genus=genus + 1)
     f = TruncatedSeries(caps, mode=EXACT, system=phi.system)
     for k, (mono, lam, c) in enumerate(sorted(phi.iter_terms())):
         f.terms.setdefault(mono, {})[lam] = c * Q(k + 2, k + 1)
     z = f.exponential()
-    algebra = theory.algebra if spec.flavor == DIAGONAL else None
     with monkeypatch.context() as m:
         if drop_products:   # d1F d2F is the only product in R_n(F)
             m.setattr(TruncatedSeries, "multiply",
                       lambda self, other, **kw: TruncatedSeries(
                           self.caps, system=self.system))
-        r_n = fform_residual(spec, f, algebra=algebra,
-                             max_degree=degree - 2)
-    lhs = apply_virasoro(spec, z, algebra=algebra)
+        r_n = fform_residual(spec, f, max_degree=degree - 2)
+    lhs = apply_virasoro(spec, z)
     rhs = z.multiply(r_n, max_degree=degree - 2)
     region = [(mono, lam) for mono, lam in lhs.support() | rhs.support()
               if mono_degree(mono) <= degree - 2 and lam <= 2 * genus - 2]
@@ -155,19 +190,23 @@ def zform_fform_mismatches(theory, spec, monkeypatch, *, degree, genus,
 
 
 def test_fform_matches_zform(z2, monkeypatch):
-    # e^{-F} L_n e^{F} = R_n(F) on Z1 and Z2 at D4 G1, both families
-    for theory in (OrbifoldTheory(named_group("Z", 1)), z2):
-        specs = [VirasoroSpec(DIAGONAL, n, theory.r) for n in (-1, 0, 1, 2)]
-        specs += [VirasoroSpec(PER_INDEX, n, theory.r, alpha=alpha)
-                  for alpha in range(theory.r) for n in (-1, 0, 1, 2)]
-        for spec in specs:
-            assert not zform_fform_mismatches(theory, spec, monkeypatch,
-                                              degree=4, genus=1), spec
-            # without d1F d2F the identity must fail where it shows
-            if spec.n == 2:
-                assert zform_fform_mismatches(theory, spec, monkeypatch,
-                                              degree=4, genus=1,
-                                              drop_products=True), spec
+    # e^{-F} L_n e^{F} = R_n(F) on Z1 and Z2 at D4 G1, both families, and
+    # the diagonal family on Z3, whose classes are not all self-inverse
+    z1 = OrbifoldTheory(named_group("Z", 1))
+    z3 = OrbifoldTheory(named_group("Z", 3))
+    cases = [(th, VirasoroSpec(n, class_table(th.algebra)))
+             for th in (z1, z2, z3) for n in (-1, 0, 1, 2)]
+    cases += [(th, VirasoroSpec(n, split_table(th.r), alpha))
+              for th in (z1, z2) for alpha in range(th.r)
+              for n in (-1, 0, 1, 2)]
+    for theory, spec in cases:
+        assert not zform_fform_mismatches(theory, spec, monkeypatch,
+                                          degree=4, genus=1), spec
+        # without d1F d2F the identity must fail where it shows
+        if spec.n == 2:
+            assert zform_fform_mismatches(theory, spec, monkeypatch,
+                                          degree=4, genus=1,
+                                          drop_products=True), spec
 
 
 def test_virasoro_mutation_detected(z2):
