@@ -66,7 +66,7 @@ def _basis(r: int, k: int) -> tuple:
 
 
 def class_table(algebra: ClassAlgebra) -> FrobeniusTable:
-    """The class algebra: eps(e_k) = delta_{k0}/|G|, pairs (m, m^-1, |C(m)|)."""
+    """Class algebra: eps(e_k) = delta_{k0}/|G|, pairs (m, m^-1, |C(m)|)."""
     cd = algebra.cd
     return FrobeniusTable(
         algebra.structure_constants(),
@@ -86,7 +86,7 @@ def split_table(r: int) -> FrobeniusTable:
 
 @dataclass(frozen=True)
 class VirasoroSpec:
-    """L_n^{(v)} for v = e_v of ``table``, or for its unit when v is None."""
+    """L_n^{(v)} on ``table``, for the basis vector e_v (the unit if None)."""
 
     n: int                 # >= -1
     table: FrobeniusTable
@@ -99,7 +99,7 @@ class VirasoroSpec:
             raise ValueError("operator vector needs 0 <= v < r")
 
     def times(self, m=None) -> tuple:
-        """v e_m, or v when m is None."""
+        """v e_m, or v (v times the unit) when m is None."""
         unit = self.table.unit
         v = unit if self.v is None else _basis(len(unit), self.v)
         return v if m is None else self.table.product(v, _basis(len(v), m))
@@ -388,7 +388,8 @@ def virasoro_check(theory: OrbifoldTheory, *, degree: int = 6, genus: int = 2,
     caps = SeriesCaps(degree=degree, genus=genus)
     phi_u = theory.potential(caps, basis=CANONICAL_RESCALED)
     split = split_table(theory.r)
-    reports = [_fform_report(VirasoroSpec(n, split, alpha), phi_u, degree=degree)
+    reports = [_fform_report(VirasoroSpec(n, split, alpha), phi_u,
+                             degree=degree)
                for alpha in range(theory.r) for n in VIRASORO_N]
     phi_t = theory.potential(caps, basis=CLASS_BASIS, mutate=mutate)
     table = class_table(theory.algebra)
@@ -423,8 +424,8 @@ def commutator_check(spec1: VirasoroSpec, spec2: VirasoroSpec, *,
     distinct idempotents (uv = 0) commute.
     """
     m, n = spec1.n, spec2.n
-    if m + n < -1:
-        raise ValueError("bracket index below -1")
+    if m + n < -1 or spec1.table != spec2.table:
+        raise ValueError("a bracket needs m + n >= -1 and one table")
     table = spec1.table
     caps = SeriesCaps(degree=3 + 6, genus=4)
     s = random_test_series(caps, table, seed=seed)

@@ -39,7 +39,8 @@ def assert_frobenius_data(table):
         assert t.product(t.unit, e(x)) == e(x)
         for y in range(r):
             split = sum(z * t.eps(t.product(e(x), e(m)))
-                        * t.eps(t.product(e(m2), e(y))) for m, m2, z in t.pairs)
+                        * t.eps(t.product(e(m2), e(y)))
+                        for m, m2, z in t.pairs)
             assert split == t.eps(t.product(e(x), e(y))), (x, y)
     handle = [0] * r
     for m, m2, z in t.pairs:
@@ -139,6 +140,16 @@ def test_bracket_diagonal(s3):
             rep = commutator_check(VirasoroSpec(m, table),
                                    VirasoroSpec(n, table), seed=5)
             assert rep.passed, (theory.r, m, n)
+
+
+def test_bracket_needs_one_table(s3):
+    z3 = OrbifoldTheory(named_group("Z", 3))
+    with pytest.raises(ValueError):
+        commutator_check(VirasoroSpec(0, class_table(s3.algebra)),
+                         VirasoroSpec(0, class_table(z3.algebra)))
+    with pytest.raises(ValueError):
+        commutator_check(VirasoroSpec(-1, split_table(2), 0),
+                         VirasoroSpec(-1, split_table(2), 1))
 
 
 def test_virasoro_annihilation_trivial_group():
