@@ -12,6 +12,9 @@ from itertools import combinations_with_replacement
 from .correlators import OrbifoldTheory, _multiset_difference, _submultisets
 from .util import Q, rat_str
 
+# Randomized keys, and conjugations, drawn by ``invariance_check``.
+INVARIANCE_TRIALS = 25
+
 
 def cutting_trees_check(theory: OrbifoldTheory, *, genus_max: int = 2,
                         n_max: int = 4) -> dict:
@@ -96,7 +99,7 @@ def forgetting_tails_check(theory: OrbifoldTheory, *, genus_max: int = 2,
 
 
 def invariance_check(theory: OrbifoldTheory, *, genus_max: int = 2,
-                     n_max: int = 4, trials: int = 25, seed: int = 0) -> dict:
+                     n_max: int = 4, seed: int = 0) -> dict:
     """Permutation invariance of the oracle on randomized ordered keys, and
     stability of class membership under conjugation."""
     rng = random.Random(seed)
@@ -104,7 +107,7 @@ def invariance_check(theory: OrbifoldTheory, *, genus_max: int = 2,
     g = theory.group
     checked = 0
     mismatches = []
-    for _ in range(trials):
+    for _ in range(INVARIANCE_TRIALS):
         genus = rng.randint(0, genus_max)
         n = rng.randint(0, n_max)
         ordered = [rng.randrange(cd.r) for _ in range(n)]
@@ -119,7 +122,7 @@ def invariance_check(theory: OrbifoldTheory, *, genus_max: int = 2,
                                "shuffled": shuffled,
                                "values": [rat_str(base), rat_str(perm),
                                           rat_str(rec)]})
-    for _ in range(trials):
+    for _ in range(INVARIANCE_TRIALS):
         x = rng.randrange(g.order)
         a = rng.randrange(g.order)
         checked += 1

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -45,8 +46,6 @@ def _round_floats(obj):
         return [_round_floats(v) for v in obj]
     if isinstance(obj, Fraction):
         return rat_str(obj)
-    if isinstance(obj, complex):
-        return [float_str(obj.real), float_str(obj.imag)]
     return obj
 
 
@@ -165,11 +164,15 @@ def cmd_correlator(args) -> int:
     theory = OrbifoldTheory(load_group(args))
     try:
         key_spec = json.loads(args.key)
-        genus = int(key_spec["genus"])
-        raw = [(int(a), lab) for a, lab in key_spec["insertions"]]
+        genus = key_spec["genus"]
+        raw = [(a, lab) for a, lab in key_spec["insertions"]]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"--key {args.key!r} is not {{\"genus\": g, "
                          f"\"insertions\": [[level, class], ...]}}") from exc
+    for field, value in [("genus", genus), *(("level", a) for a, _ in raw)]:
+        if type(value) is not int:
+            raise ValueError(f"--key {field} must be an integer, "
+                             f"got {value!r}")
     insertions = tuple((a, resolve_class_label(theory, lab)) for a, lab in raw)
     key = CorrelatorKey(genus=genus, insertions=insertions)
     value = theory.orbifold_correlator(key)
@@ -341,6 +344,9 @@ def main(argv=None) -> int:
             value = getattr(args, flag, 0)
             if value < 0:
                 raise ValueError(f"--{flag} must be >= 0, got {value}")
+        tol = getattr(args, "tol", 0.0)
+        if not 0 <= tol < math.inf:
+            raise ValueError(f"--tol must be finite and >= 0, got {tol}")
         return args.func(args)
     except (NotAGroup, UnsupportedName, UnstableKey, ValueError,
             MissingCoefficient, json.JSONDecodeError, FileNotFoundError,

@@ -28,8 +28,7 @@ from typing import Sequence
 
 from .algebra import ClassAlgebra
 from .groups import GroupTable, conjugacy_data, direct_product
-from .series import (EXACT, SeriesCaps, TruncatedSeries, mono_from_vars,
-                     mono_mul)
+from .series import SeriesCaps, TruncatedSeries, mono_from_vars, mono_mul
 from .util import Q, double_factorial
 
 DEFAULT_WORK_CAP = 10 ** 9
@@ -490,7 +489,7 @@ class OrbifoldTheory:
         fixed_mono = mono_from_vars(fixed)
         if mutate is not None:
             mutate = (tuple(sorted(mutate[0])), mutate[1])
-        out = TruncatedSeries(caps, mode=EXACT, system=CLASS_BASIS)
+        out = TruncatedSeries(caps, system=CLASS_BASIS)
         r = self.r
         for genus, levels, psi in self._stable_level_keys(caps, fixed_levels):
             lam = 2 * genus - 2
@@ -516,7 +515,7 @@ class OrbifoldTheory:
         return out
 
     def _potential_canonical(self, caps):
-        out = TruncatedSeries(caps, mode=EXACT, system=CANONICAL_RESCALED)
+        out = TruncatedSeries(caps, system=CANONICAL_RESCALED)
         for genus, levels, psi in self._stable_level_keys(caps):
             lam = 2 * genus - 2
             aut = _multiset_aut(levels)

@@ -113,11 +113,13 @@ def build_from_cayley(table: Sequence[Sequence[int]], *,
     for i, row in enumerate(table):
         if len(row) != n:
             raise NotAGroup("table is not square", (i, len(row)))
-        r = tuple(int(x) for x in row)
-        for x in r:
+        for x in row:
+            if type(x) is not int:
+                raise ValueError(f"cayley entry in row {i} must be an "
+                                 f"integer, got {x!r}")
             if not 0 <= x < n:
                 raise NotAGroup("entry out of range", (i, x))
-        rows.append(r)
+        rows.append(tuple(row))
     mult = tuple(rows)
 
     full = frozenset(range(n))
@@ -490,7 +492,10 @@ def group_from_spec(spec) -> GroupTable:
     if not isinstance(spec, dict):
         raise ValueError(f"group spec must be an object, got {type(spec)}")
     if "name" in spec:
-        return named_group(spec["name"], int(spec.get("param", 0)))
+        param = spec.get("param", 0)
+        if type(param) is not int:
+            raise ValueError(f"group param must be an integer, got {param!r}")
+        return named_group(spec["name"], param)
     if "generators" in spec:
         perms = [parse_cycles(text) for text in spec["generators"]]
         return build_from_generators(perms)

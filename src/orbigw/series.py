@@ -2,7 +2,8 @@
 
 A variable is a pair (a, m): descendant level a >= 0 and basis slot m.
 Coefficients are Laurent polynomials in the genus parameter lambda with
-even exponents only; exponent 2g-2 carries the genus-g part.  Monomials
+even exponents only and exact rational values; no float enters a
+series.  Exponent 2g-2 carries the genus-g part.  Monomials
 are capped by total degree and lambda exponents by 2*genus_cap - 2, the
 only lambda truncation: a genus expansion is bounded below by itself.
 Levels are not capped: in a potential at degree D and genus G the
@@ -18,19 +19,10 @@ terms that lambda^-2 factors would bring back below the ceiling; see
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
-from typing import Callable, Iterable, Optional
-
 from dataclasses import dataclass
+from typing import Iterable, Optional
 
-from .util import Q
-
-EXACT = "exact"
-NUMERIC = "numeric"
-
-
-class ModeMismatch(Exception):
-    pass
+from .util import Q, rat_str
 
 
 class CapMismatch(Exception):
@@ -38,10 +30,6 @@ class CapMismatch(Exception):
 
 
 class PreconditionViolated(Exception):
-    pass
-
-
-class SingularMatrix(Exception):
     pass
 
 
@@ -82,12 +70,11 @@ def mono_degree(m: tuple) -> int:
 class TruncatedSeries:
     """terms: {monomial: {lambda exponent: coefficient}}"""
 
-    __slots__ = ("caps", "mode", "system", "terms")
+    __slots__ = ("caps", "system", "terms")
 
-    def __init__(self, caps: SeriesCaps, *, mode: str = EXACT,
-                 system: Optional[str] = None, terms=None):
+    def __init__(self, caps: SeriesCaps, *, system: Optional[str] = None,
+                 terms=None):
         self.caps = caps
-        self.mode = mode
         self.system = system
         self.terms = {} if terms is None else terms
 
@@ -103,8 +90,7 @@ class TruncatedSeries:
 
     @classmethod
     def one(cls, caps, **kw):
-        one = Q(1) if kw.get("mode", EXACT) == EXACT else complex(1)
-        return cls.constant(caps, one, **kw)
+        return cls.constant(caps, Q(1), **kw)
 
     @classmethod
     def from_monomial(cls, caps, mono, value, *, lam: int = 0, **kw):
@@ -118,11 +104,8 @@ class TruncatedSeries:
 
     def copy(self):
         return TruncatedSeries(
-            self.caps, mode=self.mode, system=self.system,
+            self.caps, system=self.system,
             terms={m: dict(lc) for m, lc in self.terms.items()})
-
-    def _zero_scalar(self):
-        return Q(0) if self.mode == EXACT else complex(0)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -130,8 +113,6 @@ class TruncatedSeries:
     # -- bookkeeping ----------------------------------------------------------
 
     def _check_compatible(self, other: "TruncatedSeries"):
-        if self.mode != other.mode:
-            raise ModeMismatch(f"{self.mode} vs {other.mode}")
         if self.caps != other.caps:
             raise CapMismatch(f"{self.caps} vs {other.caps}")
 
@@ -154,7 +135,7 @@ class TruncatedSeries:
 
     def coefficient(self, mono, lam: int):
         mono = tuple(sorted(mono))
-        return self.terms.get(mono, {}).get(lam, self._zero_scalar())
+        return self.terms.get(mono, {}).get(lam, Q(0))
 
     def iter_terms(self):
         for mono, lc in self.terms.items():
@@ -195,7 +176,7 @@ class TruncatedSeries:
 
     def scale(self, value) -> "TruncatedSeries":
         """Multiply by value; lambda shifts go through ``iadd``."""
-        out = TruncatedSeries(self.caps, mode=self.mode, system=self.system)
+        out = TruncatedSeries(self.caps, system=self.system)
         if not value:
             return out
         for mono, lc in self.terms.items():
@@ -220,7 +201,7 @@ class TruncatedSeries:
         self._check_compatible(other)
         dcap = self.caps.degree if max_degree is None else min(
             max_degree, self.caps.degree)
-        out = TruncatedSeries(self.caps, mode=self.mode, system=self.system)
+        out = TruncatedSeries(self.caps, system=self.system)
         if not self.terms or not other.terms:
             return out
         ceiling = self.caps.lam_ceiling
@@ -248,7 +229,7 @@ class TruncatedSeries:
         """Single-pass multiply by value * lambda^shift * monomial."""
         mono = tuple(sorted(mono))
         deg = mono_degree(mono)
-        out = TruncatedSeries(self.caps, mode=self.mode, system=self.system)
+        out = TruncatedSeries(self.caps, system=self.system)
         if not value:
             return out
         dcap = self.caps.degree
@@ -267,7 +248,7 @@ class TruncatedSeries:
     # -- calculus -------------------------------------------------------------
 
     def partial_derivative(self, var) -> "TruncatedSeries":
-        out = TruncatedSeries(self.caps, mode=self.mode, system=self.system)
+        out = TruncatedSeries(self.caps, system=self.system)
         for mono, lc in self.terms.items():
             e = dict(mono).get(var, 0)
             if not e:
@@ -303,14 +284,13 @@ class TruncatedSeries:
                 raise PreconditionViolated(
                     "negative-lambda term of degree < 3")
         dcap = self.caps.degree
-        one = Q(1) if self.mode == EXACT else complex(1)
-        out = TruncatedSeries(self.caps, mode=self.mode, system=self.system)
-        out.terms[()] = {0: one}
+        out = TruncatedSeries(self.caps, system=self.system)
+        out.terms[()] = {0: Q(1)}
 
         s_by_deg = {}
         for mono, lc in self.terms.items():
             s_by_deg.setdefault(mono_degree(mono), {})[mono] = lc
-        z_by_deg = {0: {(): {0: one}}}
+        z_by_deg = {0: {(): {0: Q(1)}}}
         ceiling = self.caps.lam_ceiling
         for d in range(1, dcap + 1):
             level = {}
@@ -339,123 +319,28 @@ class TruncatedSeries:
                     out.terms[mono] = dict(lc)
         return out
 
-    # -- substitutions ----------------------------------------------------------
-
-    def substitute_linear(self, matrix_for_level: Callable,
-                          n_slots: int) -> "TruncatedSeries":
-        """Replace t_a^m by sum_m' M(a)[m][m'] t_a^{m'}, degree-preserving.
-
-        ``matrix_for_level(a)`` returns the r x r coefficient matrix used at
-        level a (rows indexed by the old slot).
-        """
-        import numpy as np
-
-        checked = {}
-
-        def mat(a):
-            if a not in checked:
-                m = matrix_for_level(a)
-                # unit columns make the test blind to column scaling, such
-                # as the nu^((a-1)/3) factors of the rescaled variables
-                cols = np.array(m, dtype=complex)
-                norms = np.linalg.norm(cols, axis=0)
-                if not norms.all() or \
-                        abs(np.linalg.det(cols / norms)) < 1e-12:
-                    raise SingularMatrix(f"singular change of basis at level {a}")
-                checked[a] = m
-            return checked[a]
-
-        out = TruncatedSeries(self.caps, mode=self.mode, system=self.system)
-        for mono, lc in self.terms.items():
-            expansion = {(): 1}
-            for (a, m), e in mono:
-                row = mat(a)[m]
-                var_pool = [((a, mp), row[mp]) for mp in range(n_slots)
-                            if row[mp]]
-                power = {}
-                for combo in combinations_with_replacement(range(len(var_pool)), e):
-                    coeff = 1
-                    weight = _multiset_permutations_count(combo)
-                    vars_used = []
-                    for idx in combo:
-                        v, cf = var_pool[idx]
-                        coeff = coeff * cf
-                        vars_used.append(v)
-                    key = mono_from_vars(vars_used)
-                    power[key] = power.get(key, 0) + coeff * weight
-                new_expansion = {}
-                for m1, c1 in expansion.items():
-                    for m2, c2 in power.items():
-                        key = mono_mul(m1, m2)
-                        new_expansion[key] = new_expansion.get(key, 0) + c1 * c2
-                expansion = new_expansion
-            for lam, c in lc.items():
-                for m2, c2 in expansion.items():
-                    out._set(m2, lam, c * c2)
-        return out
-
     def truncated_to_degree(self, degree: int) -> "TruncatedSeries":
         """Drop monomials above `degree`."""
-        out = TruncatedSeries(self.caps, mode=self.mode, system=self.system)
+        out = TruncatedSeries(self.caps, system=self.system)
         for mono, lc in self.terms.items():
             if mono_degree(mono) <= degree:
                 out.terms[mono] = dict(lc)
         return out
 
-    def to_numeric(self) -> "TruncatedSeries":
-        if self.mode == NUMERIC:
-            return self.copy()
-        out = TruncatedSeries(self.caps, mode=NUMERIC, system=self.system)
-        for mono, lc in self.terms.items():
-            out.terms[mono] = {lam: complex(c) for lam, c in lc.items()}
-        return out
-
     # -- serialization ------------------------------------------------------------
 
     def to_json_list(self):
-        from .util import float_str, rat_str
         rows = []
         for mono in sorted(self.terms):
             for lam in sorted(self.terms[mono]):
-                c = self.terms[mono][lam]
-                if self.mode == EXACT:
-                    cval = rat_str(c)
-                else:
-                    cval = [float_str(c.real), float_str(c.imag)]
                 rows.append({
                     "monomial": [[v[0], v[1], e] for v, e in mono],
                     "lambda": lam,
-                    "coeff": cval,
+                    "coeff": rat_str(self.terms[mono][lam]),
                 })
         return rows
 
     def __repr__(self):
-        return (f"TruncatedSeries({len(self.terms)} monomials, caps={self.caps},"
-                f" mode={self.mode})")
+        return (f"TruncatedSeries({len(self.terms)} monomials,"
+                f" caps={self.caps})")
 
-
-def _multiset_permutations_count(combo: tuple) -> int:
-    """Multinomial weight of a sorted index combination."""
-    from math import factorial
-
-    total = factorial(len(combo))
-    run = 1
-    for i in range(1, len(combo)):
-        if combo[i] == combo[i - 1]:
-            run += 1
-        else:
-            total //= factorial(run)
-            run = 1
-    total //= factorial(run)
-    return total
-
-
-def max_abs_difference(s1: TruncatedSeries, s2: TruncatedSeries) -> float:
-    """Largest |coefficient difference| over the union of supports."""
-    keys = s1.support() | s2.support()
-    worst = 0.0
-    for mono, lam in keys:
-        d = abs(complex(s1.coefficient(mono, lam))
-                - complex(s2.coefficient(mono, lam)))
-        worst = max(worst, d)
-    return worst

@@ -21,17 +21,18 @@ genus G fixes every coefficient of degree <= D-1 (n <= 0) or D-2 (n >= 1).
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from typing import Optional
 
-from .algebra import (ClassAlgebra, CanonicalBasis, canonical_basis,
-                      character_table, frobenius_product)
-from .correlators import CANONICAL_RESCALED, CLASS_BASIS, OrbifoldTheory
-from .series import (EXACT, NUMERIC, SeriesCaps, TruncatedSeries,
-                     max_abs_difference, mono_degree, mono_from_vars)
+from .algebra import (ClassAlgebra, canonical_basis, character_table,
+                      frobenius_product)
+from .correlators import (CANONICAL_RESCALED, CLASS_BASIS, OrbifoldTheory,
+                          _class_assignments, _level_blocks, _multiset_aut)
+from .series import SeriesCaps, TruncatedSeries, mono_degree, mono_from_vars
 from .util import Q, double_factorial, float_str, rat_str
 
 
@@ -174,7 +175,7 @@ def apply_virasoro(spec: VirasoroSpec,
     of the series (first-order terms), or two below for n >= 1
     (second-order terms)."""
     _check_operator(spec, series)
-    out = TruncatedSeries(series.caps, mode=series.mode, system=series.system)
+    out = TruncatedSeries(series.caps, system=series.system)
     for var, w in _first_order_terms(spec):
         out.iadd(series.partial_derivative(var), w)
     out.iadd(_dilation_term(spec, series))
@@ -196,8 +197,7 @@ def fform_residual(spec: VirasoroSpec, potential: TruncatedSeries, *,
     ``virasoro_check`` compares those terms with ``_compare``; this sum is
     what the Z-form oracle test checks against L_n exp(F).
     """
-    out = TruncatedSeries(potential.caps, mode=potential.mode,
-                          system=potential.system)
+    out = TruncatedSeries(potential.caps, system=potential.system)
     for series, value, lam_shift in _fform_terms(spec, potential,
                                                  max_degree=max_degree):
         out.iadd(series, value, lam_shift=lam_shift)
@@ -214,7 +214,7 @@ def _fform_terms(spec, potential, *, max_degree=None):
     """
     _check_operator(spec, potential)
     caps = potential.caps
-    kind = dict(mode=potential.mode, system=potential.system)
+    kind = dict(system=potential.system)
     dcap = caps.degree if max_degree is None else max_degree
     d = lru_cache(maxsize=None)(potential.partial_derivative)
     for var, w in _first_order_terms(spec):
@@ -232,26 +232,28 @@ def _fform_terms(spec, potential, *, max_degree=None):
 
 def _dilation_term(spec, series, max_degree=None):
     """sum_{i,m} c(n, i) t_{(i,m)} d/dt_{(i+n, v e_m)} over the terms of
-    degree <= max_degree (the operator keeps the degree): t_{(a, k)} goes
-    to c(n, a-n) (v e_m)_k t_{(a-n, m)}, moves built once per variable."""
-    n = spec.n
+    degree <= max_degree (kept by the operator), via ``_dilation_moves``."""
     dcap = series.caps.degree if max_degree is None else max_degree
-    rows = list(enumerate(spec.times(m) for m in range(len(spec.table.unit))))
-    moves = {}
-    out = TruncatedSeries(series.caps, mode=series.mode, system=series.system)
+    rows = [spec.times(m) for m in range(len(spec.table.unit))]
+    moves = lru_cache(maxsize=None)(partial(_dilation_moves, spec.n, rows))
+    out = TruncatedSeries(series.caps, system=series.system)
     for mono, lc in series.terms.items():
         if mono_degree(mono) > dcap:
             continue
         for var, e in mono:
-            if var not in moves:
-                a, k = var
-                moves[var] = [((a - n, m), _coeff_dilation(n, a - n) * row[k])
-                              for m, row in rows if row[k] and a >= n]
-            for new_var, c in moves[var]:
+            for new_var, c in moves(var):
                 new_mono = _replace_var(mono, var, new_var)
                 for lam, v in lc.items():
                     out._set(new_mono, lam, v * e * c)
     return out
+
+
+def _dilation_moves(n, rows, var):
+    """(new var, c) for each dilation move of var = (a, k): t_{(a, k)} goes
+    to c(n, a-n) (v e_m)_k t_{(a-n, m)}, with rows[m] = v e_m."""
+    a, k = var
+    return [((a - n, m), _coeff_dilation(n, a - n) * row[k])
+            for m, row in enumerate(rows) if row[k] and a >= n]
 
 
 def _replace_var(mono, old, new):
@@ -275,14 +277,15 @@ class ConstraintReport:
 
     ``checked_monomials`` counts the (monomial, lambda) positions of the
     compared region where at least one term of the identity is nonzero
-    before cancellation: the union of the supports of both sides.
+    before cancellation: the union of the supports of both sides; for
+    ``factorization_check`` it counts every key of the compared box.
     ``watermark`` is the highest monomial degree compared.  Every exact
     report is made by ``_compare``.
     """
 
     operator: dict
     checked_monomials: int
-    max_residual: object          # Fraction in exact mode, float otherwise
+    max_residual: object          # Fraction if exact, float if toleranced
     watermark: int                # degree actually compared
     violations: list = field(default_factory=list)
     window: Optional[dict] = None
@@ -325,7 +328,7 @@ def _compare(operator, caps, lhs, rhs, *, max_degree, lam_max,
     support = set()
 
     def summed(terms):
-        total = TruncatedSeries(caps, mode=EXACT)
+        total = TruncatedSeries(caps)
         for series, value, lam_shift in terms:
             total.iadd(series, value, lam_shift=lam_shift)
             for mono, lc in series.terms.items():
@@ -403,7 +406,7 @@ def virasoro_check(theory: OrbifoldTheory, *, degree: int = 6, genus: int = 2,
 def random_test_series(caps: SeriesCaps, table: FrobeniusTable, *,
                        seed: int = 0) -> TruncatedSeries:
     rng = random.Random(seed)
-    s = TruncatedSeries(caps, mode=EXACT, system=table.system)
+    s = TruncatedSeries(caps, system=table.system)
     for _ in range(12):
         deg = rng.randint(0, 3)
         variables = [(rng.randint(0, 3), rng.randint(0, len(table.unit) - 1))
@@ -484,7 +487,7 @@ def kdv_check(theory: OrbifoldTheory, *, degree: int = 4, genus: int = 1,
             factor_memo[key] = got
         return got
 
-    zero = partial(TruncatedSeries, caps, mode=EXACT, system=CLASS_BASIS)
+    zero = partial(TruncatedSeries, caps, system=CLASS_BASIS)
 
     triple = {}   # sum_k z_k <<tau_0(m) tau_0(k) tau_0(k^-1)>>, per class m
     for m in range(r):
@@ -526,51 +529,57 @@ def kdv_check(theory: OrbifoldTheory, *, degree: int = 4, genus: int = 1,
 # -- factorization -------------------------------------------------------------
 
 
-def _transport_matrix(cb: CanonicalBasis, a: int) -> list:
-    """M[m][alpha] = F[alpha][m] nu_alpha^{(a-1)/3}: the level-a change to
-    rescaled canonical variables, t_a^m = sum_alpha M[m][alpha] u~_a^alpha."""
-    r = cb.r
-    scale = [float(cb.nus[alpha]) ** ((a - 1) / 3.0) for alpha in range(r)]
-    return [[cb.vectors[alpha][m] * scale[alpha] for alpha in range(r)]
-            for m in range(r)]
-
-
 def factorization_check(theory: OrbifoldTheory, *, degree: int = 6,
                         genus: int = 2, tol: float = 1e-8,
                         seed: int = 0) -> ConstraintReport:
     """Class-basis potential transported to rescaled canonical variables
-    matches the sum of point potentials, within tolerance.
+    matches the sum of point potentials, within tolerance, key by key.
 
-    The transport substitutes ``_transport_matrix`` (numeric), so the
-    comparison tolerance absorbs the character-table floats and the real
-    cube roots.
-    A failing comparison returns a failing report whose violations name
-    each monomial and lambda above ``tol``.
+    Under t_a^m = sum_alpha f_alpha[m] nu_alpha^{(a-1)/3} u_a^alpha the
+    genus-g coefficient of a key U = prod_i u_{(a_i, alpha_i)} is
+    psi_g(a)/aut(U) prod_i nu_{alpha_i}^{(a_i-1)/3} eps(f_{alpha_1} ...
+    f_{alpha_n} H^g) (Mednykh's formula in Frobenius form).  Every key of
+    the box (each stable level key times each index multiset per level
+    block) is compared with the canonical potential: psi/aut when the
+    indices agree, else 0.  The tolerance absorbs the character-table
+    floats and real cube roots; violations name each key above ``tol``.
     """
     caps = SeriesCaps(degree=degree, genus=genus)
     ct = character_table(theory.group, theory.cd, seed=seed)
     cb = canonical_basis(ct, theory.algebra)
-    r = theory.r
-    phi_t = theory.potential(caps, basis=CLASS_BASIS).to_numeric()
-    transported = phi_t.substitute_linear(partial(_transport_matrix, cb), r)
-    transported.system = CANONICAL_RESCALED
-    target = theory.potential(caps, basis=CANONICAL_RESCALED).to_numeric()
-    keys = sorted(transported.support() | target.support())
-    worst = 0.0
-    violations = []
-    for mono, lam in keys:
-        lhs = complex(transported.coefficient(mono, lam))
-        rhs = complex(target.coefficient(mono, lam))
-        d = abs(lhs - rhs)
-        worst = max(worst, d)
-        if d > tol:
-            violations.append({"monomial": _mono_json(mono), "lambda": lam,
-                               "lhs": float_str(abs(lhs)),
-                               "rhs": float_str(abs(rhs))})
+    table = class_table(theory.algebra)
+    target = theory.potential(caps, basis=CANONICAL_RESCALED)
+    nus = [float(nu) for nu in cb.nus]
+
+    @lru_cache(maxsize=None)
+    def eps(g, alphas):
+        """eps(f_{alpha_1} ... f_{alpha_n} H^g) in the class table."""
+        factors = [cb.vectors[alpha] for alpha in alphas] + [table.handle] * g
+        return complex(table.eps(reduce(table.product, factors, table.unit)))
+
+    checked, worst, violations = 0, 0.0, []
+    for g, levels, psi in theory._stable_level_keys(caps):
+        blocks = _level_blocks(levels)
+        for assignment in _class_assignments(blocks, theory.r):
+            variables = [(level, alpha) for (level, _mult), chosen
+                         in zip(blocks, assignment) for alpha in chosen]
+            aut = math.prod(map(_multiset_aut, assignment))
+            alphas = tuple(sorted(alpha for _a, alpha in variables))
+            scale = math.prod(nus[alpha] ** ((a - 1) / 3)
+                              for a, alpha in variables)
+            lhs = float(psi / aut) * scale * eps(g, alphas)
+            mono = mono_from_vars(variables)
+            rhs = float(target.coefficient(mono, 2 * g - 2))
+            worst = max(worst, abs(lhs - rhs))
+            checked += 1
+            if abs(lhs - rhs) > tol:
+                violations.append((mono, 2 * g - 2, abs(lhs), abs(rhs)))
     return ConstraintReport(
         operator={"check": "factorization", "tol": tol},
-        checked_monomials=len(keys), max_residual=worst,
-        watermark=degree, violations=violations)
+        checked_monomials=checked, max_residual=worst, watermark=degree,
+        violations=[{"monomial": _mono_json(mono), "lambda": lam,
+                     "lhs": float_str(lhs), "rhs": float_str(rhs)}
+                    for mono, lam, lhs, rhs in sorted(violations)])
 
 
 # -- mutation sensitivity --------------------------------------------------------
@@ -619,33 +628,56 @@ def mutation_sensitivity(theory: OrbifoldTheory, *, targets=None) -> dict:
 
 # -- diagonal operator as a rescaled combination (numeric check) -----------------
 
+# Source levels of the dilation term compared, from the lowest it moves.
+COMBINATION_LEVELS = 4
+
+
+def _operator_entries(spec: VirasoroSpec) -> list:
+    """(slots, index, w) for each coefficient w of L_n^{(v)}, read from its
+    builders, a slot being ("d", a) for d/dt_a or ("t", a) for t_a: the
+    first-order vector, the dilation matrix per source level, the
+    second-order matrix per i, the multiplication matrix, the constant."""
+    n, r = spec.n, len(spec.table.unit)
+    rows = [spec.times(m) for m in range(r)]
+    out = [((("d", a),), (k,), w) for (a, k), w in _first_order_terms(spec)]
+    out += [((("t", b), ("d", a)), (m, k), c)
+            for a in range(max(n, 0), max(n, 0) + COMBINATION_LEVELS)
+            for k in range(r)
+            for (b, m), c in _dilation_moves(n, rows, (a, k))]
+    out += [((("d", i), ("d", j)), (k, m), w)
+            for (i, k), (j, m), w in _second_order_terms(spec)]
+    for mono, w in _multiplication_terms(spec):
+        (_a, x), (_b, y) = [var for var, e in mono for _ in range(e)]
+        out += [((("t", 0),) * 2, xy, w / 2) for xy in ((x, y), (y, x))]
+    return out + [((), (), _constant_term(spec))]
+
 
 def diagonal_combination_residual(theory: OrbifoldTheory, m: int, *,
                                   seed: int = 0) -> float:
-    """Residual of L_m = sum_alpha nu_alpha^{-m/3} L_m^{(alpha)} on a random
-    series, transported between variable systems numerically."""
+    """Largest entry of L_m - sum_alpha nu_alpha^{-m/3} L_m^{(alpha)}, term
+    by term (``_operator_entries``), class table against split table.
+
+    With t_a = M_a u_a, M_a[k][alpha] = f_alpha[k] nu_alpha^{(a-1)/3}, so
+    d/du_a^alpha = sum_k M_a[k][alpha] d/dt_a^k: each derivative slot of a
+    split term moves by M_a, each variable slot of a class term by M_a^T.
+    """
     import numpy as np
 
     ct = character_table(theory.group, theory.cd, seed=seed)
     cb = canonical_basis(ct, theory.algebra)
     r = theory.r
-    caps = SeriesCaps(degree=6, genus=4)
-    table = class_table(theory.algebra)
-    s_t = random_test_series(caps, table, seed=seed).to_numeric()
-    forward = partial(_transport_matrix, cb)
-
-    def backward(a):
-        mat = np.array(forward(a), dtype=complex)
-        return np.linalg.inv(mat).tolist()  # rows indexed by alpha
-
-    s_u = s_t.substitute_linear(forward, r)
-    s_u.system = CANONICAL_RESCALED
-    combo = TruncatedSeries(caps, mode=NUMERIC, system=CANONICAL_RESCALED)
-    for alpha in range(r):
-        term = apply_virasoro(VirasoroSpec(m, split_table(r), alpha), s_u)
-        combo.iadd(term, float(cb.nus[alpha]) ** (-m / 3.0))
-    combo_t = combo.substitute_linear(backward, r)
-    combo_t.system = CLASS_BASIS
-
-    diag = apply_virasoro(VirasoroSpec(m, table), s_t)
-    return max_abs_difference(diag, combo_t)
+    nus = np.array(cb.nus, dtype=float)
+    f = np.array(cb.vectors, dtype=complex).T          # f[k][alpha]
+    sides = [(VirasoroSpec(m, class_table(theory.algebra)), 1.0, "t")]
+    sides += [(VirasoroSpec(m, split_table(r), alpha),
+               -nus[alpha] ** (-m / 3), "d") for alpha in range(r)]
+    total = {}
+    for spec, weight, moved in sides:
+        for slots, index, w in _operator_entries(spec):
+            arr = np.asarray(weight * float(w))
+            for (kind, a), i in zip(slots, index):
+                mat = f * nus ** ((a - 1) / 3) if kind == moved else np.eye(r)
+                arr = np.multiply.outer(arr,
+                                        mat[i] if kind == "t" else mat[:, i])
+            total[slots] = total.get(slots, 0) + arr
+    return max(float(np.max(np.abs(arr))) for arr in total.values())

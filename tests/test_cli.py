@@ -165,8 +165,7 @@ def test_check_commands_pass():
                          "--degree", "4", "--genus", "1", "--tol", "1e-8"])
     assert code == 0 and json.loads(out)["passed"]
 
-    # CLI defaults (D6 G2): the level-9 change of basis is scaled far below
-    # a unit determinant but is not singular
+    # CLI defaults (D6 G2)
     code, out = run_cli(["check", "factorization", "--group", S3])
     assert code == 0 and json.loads(out)["passed"]
 
@@ -378,6 +377,53 @@ def test_negative_caps_and_levels_are_input_errors(argv, message):
     err = io.StringIO()
     with redirect_stderr(err):
         code, out = run_cli(argv + ["--group", Z2])
+    assert code == 2 and out == ""
+    assert err.getvalue() == f"input error: {message}\n"
+
+
+def test_factorization_at_cli_defaults_on_q8():
+    code, out = run_cli(["check", "factorization", "--group", '{"name":"Q8"}'])
+    report = json.loads(out)
+    assert code == 0 and report["passed"]
+    assert report["reports"][0]["checked_monomials"] == 133206
+
+
+@pytest.mark.parametrize("argv, tol", [
+    (["check", "factorization", "--degree", "4", "--genus", "1"], "nan"),
+    (["check", "factorization", "--degree", "4", "--genus", "1"], "inf"),
+    (["chartable"], "nan"),
+    (["chartable"], "-0.5"),
+], ids=["factorization-nan", "factorization-inf", "chartable-nan",
+        "chartable-negative"])
+def test_tol_that_cannot_fail_is_input_error(argv, tol):
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli(argv + ["--group", Z2, "--tol", tol])
+    assert code == 2 and out == ""
+    assert err.getvalue() == (f"input error: --tol must be finite and "
+                              f">= 0, got {float(tol)}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["correlator", "--group", Z2, "--key",
+      '{"genus":1.5,"insertions":[[1,0]]}'],
+     "--key genus must be an integer, got 1.5"),
+    (["correlator", "--group", Z2, "--key",
+      '{"genus":"1","insertions":[[1,0]]}'],
+     "--key genus must be an integer, got '1'"),
+    (["correlator", "--group", Z2, "--key",
+      '{"genus":1,"insertions":[[1.9,0]]}'],
+     "--key level must be an integer, got 1.9"),
+    (["group", "--group", '{"name":"S","param":3.7}'],
+     "group param must be an integer, got 3.7"),
+    (["group", "--group", '{"cayley":[[0,1.5],[1,0]]}'],
+     "cayley entry in row 0 must be an integer, got 1.5"),
+], ids=["genus-float", "genus-string", "level-float", "param-float",
+        "cayley-float"])
+def test_json_integer_fields_must_be_integers(argv, message):
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli(argv)
     assert code == 2 and out == ""
     assert err.getvalue() == f"input error: {message}\n"
 

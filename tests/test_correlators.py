@@ -1,6 +1,7 @@
 import math
 from itertools import combinations_with_replacement, product
 
+import numpy as np
 import pytest
 
 from orbigw.algebra import canonical_basis, character_table
@@ -271,31 +272,30 @@ def test_canonical_correlator(s3):
 
 
 def test_canonical_correlator_matches_multilinear_expansion():
-    # float cross-check of nu^{1-g} <tau> against expanding the idempotent
-    # in the class basis, g <= 2
+    # float cross-check of nu^{1-g} <tau> for equal indices, and of 0 for
+    # mixed ones, against expanding every idempotent in the class basis
+    # over all class tuples, g <= 2
     for name, param in (("S", 3), ("Q8", 0)):
         theory = OrbifoldTheory(named_group(name, param))
         ct = character_table(theory.group, theory.cd)
         cb = canonical_basis(ct, theory.algebra)
+        f = np.array(cb.vectors)    # f[alpha][m]
+        r = theory.r
         keys = [(0, (0, 0, 0)), (0, (1, 0, 0, 0)), (1, (1,)), (1, (2, 0)),
                 (2, (4,)), (2, (3, 2))]
-        for alpha in range(theory.r):
-            vec = cb.vectors[alpha]
-            for genus, levels in keys:
-                expected = complex(
-                    theory.canonical_correlator(
-                        genus, cb.nus, tuple((a, alpha) for a in levels)))
-                total = 0j
-                for cls in product(range(theory.r), repeat=len(levels)):
-                    weight = 1
-                    for m in cls:
-                        weight *= vec[m]
-                    if not weight:
-                        continue
-                    cor = theory.orbifold_correlator(
-                        CorrelatorKey(genus, tuple(zip(levels, cls))))
-                    total += weight * complex(cor)
-                assert abs(total - expected) < 1e-9, (name, alpha, genus)
+        for genus, levels in keys:
+            expansion = np.array([
+                complex(theory.orbifold_correlator(
+                    CorrelatorKey(genus, tuple(zip(levels, cls)))))
+                for cls in product(range(r), repeat=len(levels))
+            ]).reshape((r,) * len(levels))
+            for _ in levels:    # class slot m -> idempotent slot alpha
+                expansion = np.tensordot(expansion, f, (0, 1))
+            for alphas in product(range(r), repeat=len(levels)):
+                expected = complex(theory.canonical_correlator(
+                    genus, cb.nus, tuple(zip(levels, alphas))))
+                assert abs(expansion[alphas] - expected) < 1e-9, \
+                    (name, genus, levels, alphas)
 
 
 # -- potential -------------------------------------------------------------------

@@ -2,9 +2,8 @@ import random
 
 import pytest
 
-from orbigw.series import (CapMismatch, ModeMismatch, PreconditionViolated,
-                           SeriesCaps, SingularMatrix, TruncatedSeries,
-                           max_abs_difference, mono_from_vars)
+from orbigw.series import (CapMismatch, PreconditionViolated, SeriesCaps,
+                           TruncatedSeries, mono_from_vars)
 from orbigw.util import Q
 
 CAPS = SeriesCaps(degree=6, genus=2)
@@ -52,14 +51,11 @@ def test_product_of_genus_zero_terms_keeps_lambda_minus_four():
     assert len(prod.terms) == 1
 
 
-def test_mode_and_cap_mismatch():
+def test_cap_mismatch():
     s = poly([(mono(T0), 0, Q(1))])
     other_caps = poly([(mono(T0), 0, Q(1))], SeriesCaps(degree=4, genus=2))
     with pytest.raises(CapMismatch):
         s.add(other_caps)
-    numeric = s.to_numeric()
-    with pytest.raises(ModeMismatch):
-        s.add(numeric)
 
 
 def test_exponential_examples():
@@ -103,41 +99,6 @@ def test_partial_derivatives():
     assert dd.coefficient(mono(T0, T0), 0) == Q(1, 2)
 
 
-def test_substitute_linear_identity_and_permutation():
-    caps = SeriesCaps(degree=4, genus=1)
-    s = poly([(mono((0, 0), (1, 1)), 0, Q(5)), (mono((2, 0)), -2, Q(1, 3))],
-             caps)
-    ident = s.substitute_linear(lambda a: [[Q(1), Q(0)], [Q(0), Q(1)]], 2)
-    assert max_abs_difference(s, ident) == 0
-    swap = s.substitute_linear(lambda a: [[Q(0), Q(1)], [Q(1), Q(0)]], 2)
-    assert swap.coefficient(mono((0, 1), (1, 0)), 0) == 5
-    assert swap.coefficient(mono((2, 1)), -2) == Q(1, 3)
-
-
-def test_substitute_linear_roundtrip():
-    # Z_2-style change of basis applied twice with mutually inverse matrices
-    caps = SeriesCaps(degree=4, genus=1)
-    fwd = [[0.5, 0.5], [0.5, -0.5]]
-    bwd = [[1.0, 1.0], [1.0, -1.0]]
-    s = poly([(mono((0, 0), (0, 1)), 0, Q(3)), (mono((1, 0)), 0, Q(2)),
-              (mono((0, 1), (0, 1), (1, 1)), -2, Q(7))], caps).to_numeric()
-    back = s.substitute_linear(lambda a: fwd, 2) \
-            .substitute_linear(lambda a: bwd, 2)
-    assert max_abs_difference(s, back) < 1e-12
-
-
-def test_substitute_linear_singular():
-    s = poly([(mono((0, 0)), 0, Q(1))], SeriesCaps(degree=2, genus=1))
-    for singular in ([[1, 1], [1, 1]], [[1e-9, 2], [3e-9, 6]],
-                     [[0, 1], [0, 2]]):
-        with pytest.raises(SingularMatrix):
-            s.substitute_linear(lambda a: singular, 2)
-    # column scaling cannot make a matrix singular: det 4e-14 here
-    scaled = [[2e-7, 1e-7], [2e-7, -1e-7]]
-    out = s.to_numeric().substitute_linear(lambda a: scaled, 2)
-    assert out.coefficient(mono((0, 0)), 0) == 2e-7
-
-
 def test_coefficient_queries():
     s = poly([((), 0, Q(1)), (mono(T0), 0, Q(3))])
     assert s.coefficient(mono(T0), 0) == 3
@@ -171,7 +132,7 @@ def test_ring_laws_randomized():
                     == right.coefficient(mono_, lam)
         dist_l = a.multiply(b.add(c))
         dist_r = a.multiply(b).add(a.multiply(c))
-        assert max_abs_difference(dist_l, dist_r) == 0
+        assert dist_l.terms == dist_r.terms
 
 
 def test_exp_is_multiplicative():

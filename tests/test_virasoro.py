@@ -1,10 +1,13 @@
+import dataclasses
+
 import pytest
 
+from orbigw import virasoro
 from orbigw.algebra import ClassAlgebra
 from orbigw.correlators import (CANONICAL_RESCALED, CLASS_BASIS,
                                 MissingCoefficient, OrbifoldTheory)
 from orbigw.groups import named_group
-from orbigw.series import (EXACT, SeriesCaps, TruncatedSeries, mono_degree,
+from orbigw.series import (SeriesCaps, TruncatedSeries, mono_degree,
                            mono_from_vars)
 from orbigw.util import Q
 from orbigw.virasoro import (VariableSystemMismatch, VirasoroSpec,
@@ -181,7 +184,7 @@ def zform_fform_mismatches(theory, spec, monkeypatch, *, degree, genus,
     phi = theory.potential(SeriesCaps(degree=degree, genus=genus),
                            basis=spec.table.system)
     caps = SeriesCaps(degree=degree, genus=genus + 1)
-    f = TruncatedSeries(caps, mode=EXACT, system=phi.system)
+    f = TruncatedSeries(caps, system=phi.system)
     for k, (mono, lam, c) in enumerate(sorted(phi.iter_terms())):
         f.terms.setdefault(mono, {})[lam] = c * Q(k + 2, k + 1)
     z = f.exponential()
@@ -304,6 +307,9 @@ def test_factorization_z2(z2):
     rep = factorization_check(z2, degree=6, genus=2, tol=1e-9)
     assert rep.passed
     assert rep.max_residual < 1e-9
+    # every key of the box is compared, also those whose class-basis
+    # expansion cancels
+    assert rep.checked_monomials == 1606
 
 
 def test_factorization_s3(s3):
@@ -332,6 +338,25 @@ def test_factorization_complex_characters():
         assert rep.passed, n
 
 
+def test_factorization_catches_one_doubled_coefficient():
+    theory = OrbifoldTheory(named_group("S", 3))
+    caps = SeriesCaps(degree=4, genus=1)
+    mono, lam, _c = sorted(
+        theory.potential(caps, basis=CANONICAL_RESCALED).iter_terms())[5]
+    real = theory.potential
+
+    def doubled(caps, *, basis=CLASS_BASIS, mutate=None):
+        phi = real(caps, basis=basis, mutate=mutate)
+        if basis == CANONICAL_RESCALED:
+            phi.terms[mono][lam] *= 2
+        return phi
+
+    theory.potential = doubled
+    rep = factorization_check(theory, degree=4, genus=1)
+    assert [(v["monomial"], v["lambda"]) for v in rep.violations] \
+        == [([[a, m, e] for (a, m), e in mono], lam)]
+
+
 def test_virasoro_complex_characters_and_q8():
     z3 = OrbifoldTheory(named_group("Z", 3))
     assert all(r.passed for r in virasoro_check(z3, degree=4, genus=1))
@@ -341,9 +366,24 @@ def test_virasoro_complex_characters_and_q8():
 
 
 def test_diagonal_is_rescaled_sum(z2, s3):
-    for theory in (z2, s3):
+    # Z3's classes are not self-inverse: its multiplication and
+    # second-order matrices have off-diagonal entries
+    z3 = OrbifoldTheory(named_group("Z", 3))
+    q8 = OrbifoldTheory(named_group("Q8"))
+    for theory in (z2, s3, z3, q8):
         for m in (-1, 0, 1, 2):
             assert diagonal_combination_residual(theory, m, seed=9) < 1e-8
+
+
+def test_diagonal_combination_catches_a_wrong_counit(s3, monkeypatch):
+    # counit 2 doubles the multiplication (m = -1) and constant (m = 0)
+    # terms of the per-index family and leaves the others alone
+    real = virasoro.split_table
+    monkeypatch.setattr(virasoro, "split_table", lambda r: dataclasses.replace(
+        real(r), counit=(Q(2),) * r))
+    assert diagonal_combination_residual(s3, -1) > 0.1
+    assert diagonal_combination_residual(s3, 0) > 0.1
+    assert diagonal_combination_residual(s3, 1) < 1e-8
 
 
 def test_mutation_sensitivity_z2(z2):
