@@ -20,6 +20,7 @@ symmetry factors.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, groupby, product
@@ -28,7 +29,7 @@ from typing import Sequence
 
 from .algebra import ClassAlgebra
 from .groups import GroupTable, conjugacy_data, direct_product
-from .series import SeriesCaps, TruncatedSeries, mono_from_vars, mono_mul
+from .series import SeriesCaps, TruncatedSeries, mono_from_vars
 from .util import Q, double_factorial
 
 DEFAULT_WORK_CAP = 10 ** 9
@@ -46,7 +47,7 @@ class UnstableKey(Exception):
 
 
 class MissingCoefficient(KeyError):
-    """A mutation target names a coefficient the potential does not store."""
+    """A target names a coefficient the potential does not store."""
 
     def __str__(self):
         # KeyError quotes its message; this one is meant to be read
@@ -292,8 +293,8 @@ class OrbifoldTheory:
         """counts[x] = #{(a_1..a_g, b_1..b_g) : prod [a_i, b_i] = x}.
 
         Literal enumeration of |G|^{2g} tuples; the outer (a_1, b_1) loop
-        splits across ``self.jobs`` worker processes.  genus 0 is the empty
-        product.
+        splits across ``self.jobs`` worker processes, at most one per CPU.
+        genus 0 is the empty product.
         """
         if genus in self._distributions:
             return self._distributions[genus]
@@ -305,7 +306,7 @@ class OrbifoldTheory:
             return counts
 
         import time
-        jobs = self.jobs
+        jobs = min(self.jobs, os.cpu_count() or 1)
         started = time.perf_counter()
         mult = [list(row) for row in self.group.mult]
         inv = list(self.group.inv)
@@ -416,16 +417,15 @@ class OrbifoldTheory:
 
     # -- the potential -------------------------------------------------------------
 
-    def potential(self, caps: SeriesCaps, *, basis: str = CLASS_BASIS,
-                  mutate=None) -> TruncatedSeries:
+    def potential(self, caps: SeriesCaps, *,
+                  basis: str = CLASS_BASIS) -> TruncatedSeries:
         """Large phase space potential as a truncated series.
 
         Class basis: variables (a, class index), exact rational, monomial
         coefficient <tau_{a_1}(e_{m_1})...>_g / aut.  Canonical-rescaled
         basis: variables (a, idempotent index), r disjoint copies of the
-        point potential.  ``mutate`` is a debug hook ((monomial, lambda)
-        pair) that doubles one stored coefficient of the returned copy and
-        raises MissingCoefficient when none is stored there.
+        point potential.  Returns a copy of the cached series, free to
+        change in place.
         """
         cache_key = (caps, basis)
         cached = self._potential_cache.get(cache_key)
@@ -437,41 +437,35 @@ class OrbifoldTheory:
             else:
                 raise ValueError(f"unknown basis {basis!r}")
             self._potential_cache[cache_key] = cached
-        series = cached.copy()
-        if mutate is not None:
-            mono, lam = mutate
-            mono = tuple(sorted(mono))
-            lc = series.terms.get(mono)
-            if lc is None or lam not in lc:
-                raise MissingCoefficient(
-                    f"no stored coefficient at {mono} lambda^{lam}")
-            lc[lam] = 2 * lc[lam]
-        return series
+        return cached.copy()
 
-    def check_stored(self, target, caps: SeriesCaps) -> None:
-        """Raise MissingCoefficient, as ``potential(caps, mutate=target)``
-        does, unless the class-basis potential at ``caps`` stores a
-        coefficient at ``target`` ((monomial, lambda) pair).
+    def stored_coefficient(self, target, caps: SeriesCaps) -> Fraction:
+        """The class-basis potential's coefficient at ``target``, a
+        (monomial M, lambda^{2g-2}) pair: <tau(M)>_g / M!.
 
-        It stores one exactly where the correlator of the monomial's
-        insertions is nonzero inside the caps, so this evaluates that one
-        correlator and builds no potential.
+        Raises MissingCoefficient unless the potential at ``caps`` stores
+        one there, which it does exactly where that one correlator is
+        nonzero inside the caps; no potential is built.
         """
         mono, lam = target
         mono = tuple(sorted(mono))
         insertions = tuple(v for v, e in mono for _ in range(e))
         genus, odd = divmod(lam + 2, 2)
         key = CorrelatorKey(genus, insertions)
-        if (odd or not 0 <= genus <= caps.genus
-                or not 0 < len(insertions) <= caps.degree
-                or mono != mono_from_vars(insertions)
-                or any(a < 0 or not 0 <= m < self.r for a, m in insertions)
-                or not key.stable or not self.orbifold_correlator(key)):
+        value = Q(0)
+        if (not odd and 0 <= genus <= caps.genus
+                and 0 < len(insertions) <= caps.degree
+                and mono == mono_from_vars(insertions)
+                and all(a >= 0 and 0 <= m < self.r for a, m in insertions)
+                and key.stable):
+            value = self.orbifold_correlator(key)
+        if not value:
             raise MissingCoefficient(
                 f"no stored coefficient at {mono} lambda^{lam}")
+        return value / math.prod(math.factorial(e) for _v, e in mono)
 
-    def potential_derivative(self, fixed: Sequence, caps: SeriesCaps, *,
-                             mutate=None) -> TruncatedSeries:
+    def potential_derivative(self, fixed: Sequence,
+                             caps: SeriesCaps) -> TruncatedSeries:
         """Class-basis series d/dt_{v_1} ... d/dt_{v_k} F for fixed = (v_1..v_k).
 
         Its coefficient of t^M lambda^{2g-2} is the single correlator
@@ -479,16 +473,10 @@ class OrbifoldTheory:
         from correlators directly, for free monomials M of degree
         <= caps.degree and genus <= caps.genus; the dimension constraint
         bounds their levels.
-        ``mutate`` ((monomial, lambda) pair) doubles every term whose full
-        insertion multiset fixed + M is that monomial at that lambda,
-        matching a potential with that one coefficient doubled.
         """
         fixed = sorted(fixed)
         fixed_levels = tuple(a for a, _ in fixed)
         fixed_classes = tuple(m for _, m in fixed)
-        fixed_mono = mono_from_vars(fixed)
-        if mutate is not None:
-            mutate = (tuple(sorted(mutate[0])), mutate[1])
         out = TruncatedSeries(caps, system=CLASS_BASIS)
         r = self.r
         for genus, levels, psi in self._stable_level_keys(caps, fixed_levels):
@@ -506,12 +494,8 @@ class OrbifoldTheory:
                                            fixed_classes + tuple(classes))
                 if not omega:
                     continue
-                mono = mono_from_vars(variables)
-                value = psi * omega / aut
-                if mutate is not None and lam == mutate[1] and \
-                        mono_mul(fixed_mono, mono) == mutate[0]:
-                    value *= 2
-                out._set(mono, lam, value)
+                out.add_term(mono_from_vars(variables), lam,
+                             psi * omega / aut)
         return out
 
     def _potential_canonical(self, caps):
@@ -521,7 +505,7 @@ class OrbifoldTheory:
             aut = _multiset_aut(levels)
             for alpha in range(self.r):
                 key = mono_from_vars((a, alpha) for a in levels)
-                out._set(key, lam, psi / aut)
+                out.add_term(key, lam, psi / aut)
         return out
 
     def _stable_level_keys(self, caps, fixed_levels=()):

@@ -116,7 +116,8 @@ class TruncatedSeries:
         if self.caps != other.caps:
             raise CapMismatch(f"{self.caps} vs {other.caps}")
 
-    def _set(self, mono, lam, value):
+    def add_term(self, mono, lam, value):
+        """self += value * lambda^lam * mono, in place; mono is sorted."""
         if not value:
             return
         lc = self.terms.get(mono)
@@ -148,11 +149,7 @@ class TruncatedSeries:
     # -- ring operations ------------------------------------------------------
 
     def add(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_compatible(other)
-        out = self.copy()
-        for mono, lam, c in other.iter_terms():
-            out._set(mono, lam, c)
-        return out
+        return self.copy().iadd(other)
 
     def iadd(self, other: "TruncatedSeries", value=1, *,
              lam_shift: int = 0) -> "TruncatedSeries":
@@ -171,23 +168,12 @@ class TruncatedSeries:
         for mono, lc in other.terms.items():
             for lam, c in lc.items():
                 if lam + lam_shift <= ceiling:
-                    self._set(mono, lam + lam_shift, c * value)
+                    self.add_term(mono, lam + lam_shift, c * value)
         return self
 
     def scale(self, value) -> "TruncatedSeries":
         """Multiply by value; lambda shifts go through ``iadd``."""
-        out = TruncatedSeries(self.caps, system=self.system)
-        if not value:
-            return out
-        for mono, lc in self.terms.items():
-            nw = {}
-            for lam, c in lc.items():
-                nc = c * value
-                if nc:
-                    nw[lam] = nc
-            if nw:
-                out.terms[mono] = nw
-        return out
+        return TruncatedSeries(self.caps, system=self.system).iadd(self, value)
 
     def multiply(self, other: "TruncatedSeries", *,
                  max_degree: Optional[int] = None) -> "TruncatedSeries":
@@ -221,29 +207,15 @@ class TruncatedSeries:
                         for l2, c2 in lc2.items():
                             lam = l1 + l2
                             if lam <= ceiling:
-                                out._set(mono, lam, c1 * c2)
+                                out.add_term(mono, lam, c1 * c2)
         return out
 
     def multiply_by_monomial(self, mono, value, *,
                              lam_shift: int = 0) -> "TruncatedSeries":
-        """Single-pass multiply by value * lambda^shift * monomial."""
-        mono = tuple(sorted(mono))
-        deg = mono_degree(mono)
-        out = TruncatedSeries(self.caps, system=self.system)
-        if not value:
-            return out
-        dcap = self.caps.degree
-        ceiling = self.caps.lam_ceiling
-        for m, lc in self.terms.items():
-            if mono_degree(m) + deg > dcap:
-                continue
-            nm = mono_mul(m, mono)
-            for lam, c in lc.items():
-                nl = lam + lam_shift
-                if nl > ceiling:
-                    continue
-                out._set(nm, nl, c * value)
-        return out
+        """Multiply by value * lambda^lam_shift * monomial; a shift above
+        the lambda ceiling gives zero."""
+        return self.multiply(TruncatedSeries.from_monomial(
+            self.caps, mono, value, lam=lam_shift, system=self.system))
 
     # -- calculus -------------------------------------------------------------
 
@@ -256,11 +228,32 @@ class TruncatedSeries:
             reduced = tuple(sorted((v, k - 1) if v == var else (v, k)
                                    for v, k in mono if not (v == var and k == 1)))
             for lam, c in lc.items():
-                out._set(reduced, lam, c * e)
+                out.add_term(reduced, lam, c * e)
         return out
 
     def second_partial(self, v1, v2) -> "TruncatedSeries":
         return self.partial_derivative(v1).partial_derivative(v2)
+
+    def vector_field(self, moves, max_degree: Optional[int] = None
+                     ) -> "TruncatedSeries":
+        """sum c t_y d/dt_x applied to the terms of degree <= max_degree,
+        over the (y, c) in moves(x) for each variable x of a term."""
+        dcap = self.caps.degree if max_degree is None else max_degree
+        out = TruncatedSeries(self.caps, system=self.system)
+        for mono, lc in self.terms.items():
+            if mono_degree(mono) > dcap:
+                continue
+            for var, e in mono:
+                for new_var, c in moves(var):
+                    new_mono = mono
+                    if new_var != var:
+                        acc = dict(mono)
+                        acc[var] -= 1
+                        acc[new_var] = acc.get(new_var, 0) + 1
+                        new_mono = tuple(sorted(p for p in acc.items() if p[1]))
+                    for lam, v in lc.items():
+                        out.add_term(new_mono, lam, v * e * c)
+        return out
 
     def exponential(self) -> "TruncatedSeries":
         """exp of a series with zero constant term, computed degree by

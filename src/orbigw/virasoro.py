@@ -233,19 +233,9 @@ def _fform_terms(spec, potential, *, max_degree=None):
 def _dilation_term(spec, series, max_degree=None):
     """sum_{i,m} c(n, i) t_{(i,m)} d/dt_{(i+n, v e_m)} over the terms of
     degree <= max_degree (kept by the operator), via ``_dilation_moves``."""
-    dcap = series.caps.degree if max_degree is None else max_degree
     rows = [spec.times(m) for m in range(len(spec.table.unit))]
     moves = lru_cache(maxsize=None)(partial(_dilation_moves, spec.n, rows))
-    out = TruncatedSeries(series.caps, system=series.system)
-    for mono, lc in series.terms.items():
-        if mono_degree(mono) > dcap:
-            continue
-        for var, e in mono:
-            for new_var, c in moves(var):
-                new_mono = _replace_var(mono, var, new_var)
-                for lam, v in lc.items():
-                    out._set(new_mono, lam, v * e * c)
-    return out
+    return series.vector_field(moves, max_degree)
 
 
 def _dilation_moves(n, rows, var):
@@ -254,18 +244,6 @@ def _dilation_moves(n, rows, var):
     a, k = var
     return [((a - n, m), _coeff_dilation(n, a - n) * row[k])
             for m, row in enumerate(rows) if row[k] and a >= n]
-
-
-def _replace_var(mono, old, new):
-    if old == new:
-        return mono
-    acc = dict(mono)
-    if acc[old] == 1:
-        del acc[old]
-    else:
-        acc[old] -= 1
-    acc[new] = acc.get(new, 0) + 1
-    return tuple(sorted(acc.items()))
 
 
 # -- constraint reports -------------------------------------------------------
@@ -331,10 +309,10 @@ def _compare(operator, caps, lhs, rhs, *, max_degree, lam_max,
         total = TruncatedSeries(caps)
         for series, value, lam_shift in terms:
             total.iadd(series, value, lam_shift=lam_shift)
-            for mono, lc in series.terms.items():
-                if mono_degree(mono) <= max_degree:
-                    support.update((mono, lam + lam_shift) for lam in lc
-                                   if lam + lam_shift <= lam_max)
+            support.update((mono, lam + lam_shift)
+                           for mono, lam, _c in series.iter_terms()
+                           if lam + lam_shift <= lam_max
+                           and mono_degree(mono) <= max_degree)
         return total
 
     residual = summed(lhs)
@@ -383,21 +361,35 @@ def virasoro_check(theory: OrbifoldTheory, *, degree: int = 6, genus: int = 2,
     checks R_n(F) = e^{-F} L_n e^{F} = 0 (see the module docstring) for
     n = -1, 0, 1, 2 (``VIRASORO_N``: they generate every L_n), per-index
     operators first, exactly, at every coefficient of degree <= D-1
-    (n <= 0) or D-2 (n >= 1) and genus <= G.  ``mutate`` doubles one stored
-    class-basis potential coefficient, for sensitivity tests; it applies
-    to the diagonal family only and raises MissingCoefficient when that
-    potential stores no coefficient there.
+    (n <= 0) or D-2 (n >= 1) and genus <= G.  ``mutate`` names one stored
+    class-basis potential coefficient, for sensitivity tests: the diagonal
+    family checks F + delta (``_mutation``), which has it doubled, and
+    MissingCoefficient is raised when F stores no coefficient there.
     """
     caps = SeriesCaps(degree=degree, genus=genus)
+    delta = _mutation(theory, mutate, caps)
     phi_u = theory.potential(caps, basis=CANONICAL_RESCALED)
     split = split_table(theory.r)
     reports = [_fform_report(VirasoroSpec(n, split, alpha), phi_u,
                              degree=degree)
                for alpha in range(theory.r) for n in VIRASORO_N]
-    phi_t = theory.potential(caps, basis=CLASS_BASIS, mutate=mutate)
+    phi_t = theory.potential(caps, basis=CLASS_BASIS).iadd(delta)
     table = class_table(theory.algebra)
     return reports + [_fform_report(VirasoroSpec(n, table), phi_t,
                                     degree=degree) for n in VIRASORO_N]
+
+
+def _mutation(theory, target, caps) -> TruncatedSeries:
+    """delta = c t^M lambda^l, with c the class-basis potential's stored
+    coefficient at target = (M, l) and ``caps``, so F + delta has it
+    doubled; MissingCoefficient if F stores none there, zero if target is
+    None.  Within the caps delta lands on a term F holds, so adding it
+    keeps the order of F's terms."""
+    if target is None:
+        return TruncatedSeries(caps, system=CLASS_BASIS)
+    return TruncatedSeries.from_monomial(
+        caps, target[0], theory.stored_coefficient(target, caps),
+        lam=target[1], system=CLASS_BASIS)
 
 
 # -- operator algebra ---------------------------------------------------------
@@ -413,7 +405,7 @@ def random_test_series(caps: SeriesCaps, table: FrobeniusTable, *,
                      for _ in range(deg)]
         lam = rng.choice([-2, 0, 2])
         coeff = Q(rng.randint(1, 9), rng.randint(1, 9))
-        s._set(mono_from_vars(variables), lam, coeff)
+        s.add_term(mono_from_vars(variables), lam, coeff)
     return s
 
 
@@ -466,12 +458,13 @@ def kdv_check(theory: OrbifoldTheory, *, degree: int = 4, genus: int = 1,
     carries lam^-2), so the stated box is fully certified.  Both sides
     start at lam^-4: lam^-2 times a genus-0 bracket, or a product of two.
     ``mutate`` doubles one coefficient of the potential truncated at
-    degree + 5, the most any bracket differentiates, and raises
-    MissingCoefficient when that potential stores no coefficient there.
+    degree + 5, the most any bracket differentiates: each bracket gets the
+    matching derivative of delta (``_mutation``), one term at most, kept
+    when its degree is <= ``degree``.  MissingCoefficient is raised when
+    that potential stores no coefficient there.
     """
     g_big = genus + 1
-    if mutate is not None:
-        theory.check_stored(mutate, SeriesCaps(degree=degree + 5, genus=g_big))
+    delta = _mutation(theory, mutate, SeriesCaps(degree=degree + 5, genus=g_big))
     caps = SeriesCaps(degree=degree, genus=g_big)
     r = theory.r
     pairs = class_table(theory.algebra).pairs
@@ -483,7 +476,12 @@ def kdv_check(theory: OrbifoldTheory, *, degree: int = 4, genus: int = 1,
         key = tuple(sorted(variables))
         got = factor_memo.get(key)
         if got is None:
-            got = theory.potential_derivative(key, caps, mutate=mutate)
+            got = theory.potential_derivative(key, caps)
+            if not delta.is_zero():
+                d_delta = reduce(TruncatedSeries.partial_derivative, key, delta)
+                for mono, lam, c in d_delta.iter_terms():
+                    got.iadd(TruncatedSeries.from_monomial(
+                        caps, mono, c, lam=lam, system=CLASS_BASIS))
             factor_memo[key] = got
         return got
 
@@ -597,9 +595,10 @@ def mutation_sensitivity(theory: OrbifoldTheory, *, targets=None) -> dict:
     """Double each stored low-genus coefficient; every mutation must trip
     an n = -1 or n = 0 residual of the diagonal family at D5 G1.
 
-    Each target doubles its coefficient in a copy of the potential, and
-    R_n(F) is compared as in ``virasoro_check``.  Doubling adds delta, and
-    R_-1 changes by -d_{(0,0)} delta + dilation(delta), whose dilation part
+    The potential F is built once; each target adds its delta
+    (``_mutation``) to a copy of F, doubling that coefficient, and
+    R_n(F + delta) is compared as in ``virasoro_check``.  R_-1 changes
+    by -d_{(0,0)} delta + dilation(delta), whose dilation part
     raises one level of delta's monomial per variable with coefficient 1:
     distinct monomials of its degree that cannot cancel and that lie in
     the compared region (degree <= 4, lambda <= 0) when delta has degree
@@ -613,11 +612,12 @@ def mutation_sensitivity(theory: OrbifoldTheory, *, targets=None) -> dict:
         targets = mutation_targets(theory)
     caps = SeriesCaps(degree=5, genus=1)
     table = class_table(theory.algebra)
+    base = theory.potential(caps)
     undetected = []
     for mono, lam in targets:
         if mono_degree(mono) > 4:
             raise ValueError(f"mutation target {mono} has degree > 4")
-        phi = theory.potential(caps, mutate=(mono, lam))
+        phi = base.add(_mutation(theory, (mono, lam), caps))
         if all(_fform_report(VirasoroSpec(n, table), phi,
                              degree=caps.degree).passed
                for n in (-1, 0)):

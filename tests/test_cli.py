@@ -477,6 +477,13 @@ PINNED_REPORTS = [
      "d337cd91ab4361f847c90e94b84495e86df2973d4e0e76ea4e4527bdeb1ab922"),
     ("virasoro", Z3, 4, "[[[0,1,1],[0,2,1],[0,0,1]],-2]",
      "d2a2d824d14dc61257cb43eb6d3f960b3181b47cf91dd2cad6c649137a43c99d"),
+    # the exponent 2 makes the mutated KdV brackets carry M!/M'!
+    ("kdv", S3, 3, "[[[0,1,1],[0,2,2],[1,1,1]],-2]",
+     "db672a779713ef225d4920aa5b6fcc04c7301fee6c3c218622519cedb7ce1654"),
+    ("kdv", Z3, 3, "[[[0,1,1],[1,1,1],[1,2,1],[2,2,1]],0]",
+     "5dfe50a3938803c1c1e1f5e1153b2935f75f19c5669422fc4409bf63f3884e7b"),
+    ("virasoro", S3, 4, "[[[0,1,1],[0,2,2],[1,1,1]],-2]",
+     "99fd5d03d7b785650ac21e3a168a0fddc78afbbc347f337a7ee4ecdb3c2b0222"),
 ]
 
 
@@ -489,6 +496,18 @@ def test_report_bytes_pinned(which, group, degree, mutate, digest):
     code, out = run_cli(argv)
     assert code == (0 if mutate is None else 1)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+@pytest.mark.parametrize("argv", [["omega", "--group", S3, "--genus", "1"],
+                                  ["check", "cohft", "--group", Z2]],
+                         ids=["omega", "cohft"])
+def test_jobs_below_one_is_input_error(argv, jobs):
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli(argv + ["--jobs", jobs])
+    assert code == 2 and out == ""
+    assert err.getvalue() == f"input error: --jobs must be >= 1, got {jobs}\n"
 
 
 def test_jobs_flag_does_not_change_output():

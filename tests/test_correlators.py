@@ -1,9 +1,12 @@
 import math
+import os
 from itertools import combinations_with_replacement, product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import orbigw.correlators
 from orbigw.algebra import canonical_basis, character_table
 from orbigw.correlators import (CANONICAL_RESCALED, CorrelatorKey,
                                 MissingCoefficient, OrbifoldTheory,
@@ -214,6 +217,32 @@ def test_jobs_do_not_change_counts():
             == forked.commutator_distribution(genus)
 
 
+def test_worker_pool_is_capped_at_the_cpu_count(monkeypatch):
+    # the fake context records the pool size and runs each chunk in-process
+    sizes = []
+
+    class Pool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            return [fn(chunk) for chunk in chunks]
+
+    monkeypatch.setattr(orbigw.correlators, "get_context",
+                        lambda method: SimpleNamespace(Pool=Pool))
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    s4 = named_group("S", 4)
+    serial = OrbifoldTheory(s4).commutator_distribution(1)
+    assert OrbifoldTheory(s4, jobs=5000).commutator_distribution(1) == serial
+    assert sizes == [2]
+
+
 # -- correlators ----------------------------------------------------------------
 
 def test_orbifold_correlator_examples(s3, z2):
@@ -338,44 +367,41 @@ def test_potential_canonical_is_disjoint_point_copies(z2):
         assert len({m for (_a, m), _e in mono}) == 1
 
 
-def test_potential_mutation_hook(z2):
+def test_stored_coefficient_example(z2):
     caps = SeriesCaps(degree=3, genus=1)
     mono = (((1, 0), 1),)
-    phi = z2.potential(caps, mutate=(mono, 0))
-    assert phi.coefficient(mono, 0) == Q(1, 6)  # doubled from 1/12
+    assert z2.stored_coefficient((mono, 0), caps) == Q(1, 12)
     with pytest.raises(KeyError):
-        z2.potential(caps, mutate=((((5, 0), 1),), 0))
+        z2.stored_coefficient(((((5, 0), 1),), 0), caps)
 
 
 def test_check_stored_matches_the_potential(z2, s3):
-    # every target of degree <= 4 (one above the cap) over levels <= 4,
-    # classes up to one out of range and lambda in -4..5: check_stored
-    # raises exactly where the potential at the same caps stores nothing,
-    # with the message of potential(mutate=)
+    # stored_coefficient is the potential's coefficient at every stored
+    # position; over every target of degree <= 4 (one above the cap) with
+    # levels <= 4, classes up to one out of range and lambda in -4..5 it
+    # raises MissingCoefficient exactly where the potential stores nothing
     caps = SeriesCaps(degree=3, genus=2)
     malformed = [(((0, 0), 1), ((0, 0), 2)), (((0, 0), 0), ((0, 1), 3)),
                  (((-1, 0), 1), ((0, 0), 3)), (((0, 0), -1),)]
     for theory in (z2, s3):
-        stored = theory.potential(caps).terms
+        phi = theory.potential(caps)
+        for mono, lam, c in phi.iter_terms():
+            assert theory.stored_coefficient((mono, lam), caps) == c
+        stored = phi.support()
         variables = [(a, m) for a in range(5) for m in range(theory.r + 1)]
         monos = [mono_from_vars(combo) for n in range(5)
                  for combo in combinations_with_replacement(variables, n)]
-        missing = []
+        missing = 0
         for mono in monos + malformed:
             for lam in range(-4, 6):
-                if lam in stored.get(mono, {}):
-                    theory.check_stored((mono, lam), caps)
+                if (mono, lam) in stored:
                     continue
-                with pytest.raises(MissingCoefficient):
-                    theory.check_stored((mono, lam), caps)
-                missing.append((mono, lam))
-        assert len(missing) < 10 * (len(monos) + len(malformed))
-        for target in missing[::97] + missing[-40:]:
-            with pytest.raises(MissingCoefficient) as got:
-                theory.check_stored(target, caps)
-            with pytest.raises(MissingCoefficient) as want:
-                theory.potential(caps, mutate=target)
-            assert str(got.value) == str(want.value)
+                with pytest.raises(MissingCoefficient) as got:
+                    theory.stored_coefficient((mono, lam), caps)
+                assert str(got.value) == (f"no stored coefficient at "
+                                          f"{tuple(sorted(mono))} lambda^{lam}")
+                missing += 1
+        assert missing < 10 * (len(monos) + len(malformed))
 
 
 # -- tensor products and axioms ---------------------------------------------------

@@ -19,7 +19,7 @@ def poly(pairs, caps=CAPS, **kw):
     """pairs: [(mono, lam, coeff)]"""
     s = TruncatedSeries(caps, **kw)
     for m, lam, c in pairs:
-        s._set(m, lam, c)
+        s.add_term(m, lam, c)
     return s
 
 
@@ -115,7 +115,7 @@ def random_series(rng, caps, n_terms=6, system=None):
         deg = rng.randint(0, 3)
         vars_ = [(rng.randint(0, 4), 0) for _ in range(deg)]
         lam = rng.choice([-2, 0, 2])
-        s._set(mono_from_vars(vars_), lam, Q(rng.randint(-5, 5), rng.randint(1, 4)))
+        s.add_term(mono_from_vars(vars_), lam, Q(rng.randint(-5, 5), rng.randint(1, 4)))
     return s
 
 

@@ -241,13 +241,14 @@ def test_kdv_trivial_and_z2(z2):
 
 
 def kdv_bracket_requests(theory, monkeypatch, **kw):
-    """(fixed variables, caps, mutate) of every bracket kdv_check generates."""
+    """(fixed variables, bracket) of every bracket kdv_check generates, the
+    bracket as kdv_check used it: mutated in place when it mutates."""
     calls = []
     generate = theory.potential_derivative
 
-    def record(fixed, caps, **kwargs):
-        calls.append((fixed, caps, kwargs.get("mutate")))
-        return generate(fixed, caps, **kwargs)
+    def record(fixed, caps):
+        calls.append((fixed, generate(fixed, caps)))
+        return calls[-1][1]
 
     with monkeypatch.context() as m:
         m.setattr(theory, "potential_derivative", record)
@@ -257,29 +258,31 @@ def kdv_bracket_requests(theory, monkeypatch, **kw):
 
 def test_kdv_brackets_match_differentiated_potential(z2, s3, monkeypatch):
     # oracle: differentiate the potential truncated at degree D + 5 (the
-    # most any bracket differentiates) and drop monomials above degree D
+    # most any bracket differentiates), with the mutated coefficient
+    # doubled, and drop monomials above degree D
     cases = [(th, d, None) for th in (z2, s3) for d in (1, 2, 3)]
-    cases.append((z2, 3, ((((0, 0), 1), ((0, 1), 2)), -2)))
+    cases += [(z2, 3, ((((0, 0), 1), ((0, 1), 2)), -2)),
+              (s3, 3, ((((0, 1), 1), ((0, 2), 2), ((1, 1), 1)), -2))]
     for theory, degree, mutate in cases:
         calls = kdv_bracket_requests(theory, monkeypatch, degree=degree,
                                      genus=1, mutate=mutate)
         caps = SeriesCaps(degree=degree + 5, genus=2)
-        derivs = {(): theory.potential(caps, mutate=mutate)}
+        phi = theory.potential(caps)
+        if mutate is not None:
+            phi.add_term(*mutate, phi.coefficient(*mutate))
+        derivs = {(): phi}
 
         def deriv(fixed):
             if fixed not in derivs:
                 derivs[fixed] = deriv(fixed[:-1]).partial_derivative(fixed[-1])
             return derivs[fixed]
 
-        for fixed, bracket_caps, got_mutate in calls:
-            assert got_mutate == mutate
+        for fixed, got in calls:
             ref = deriv(fixed).truncated_to_degree(degree)
-            got = theory.potential_derivative(fixed, bracket_caps,
-                                              mutate=mutate)
             assert got.terms == ref.terms, (theory.r, degree, fixed)
             # same insertion order too, so ties in the reports break alike
             assert list(got.terms) == list(ref.terms)
-        assert len({fixed for fixed, _c, _m in calls}) > 10
+        assert len({fixed for fixed, _got in calls}) > 10
 
 
 def test_kdv_mutation_builds_no_potential(z2, monkeypatch):
@@ -345,8 +348,8 @@ def test_factorization_catches_one_doubled_coefficient():
         theory.potential(caps, basis=CANONICAL_RESCALED).iter_terms())[5]
     real = theory.potential
 
-    def doubled(caps, *, basis=CLASS_BASIS, mutate=None):
-        phi = real(caps, basis=basis, mutate=mutate)
+    def doubled(caps, *, basis=CLASS_BASIS):
+        phi = real(caps, basis=basis)
         if basis == CANONICAL_RESCALED:
             phi.terms[mono][lam] *= 2
         return phi
@@ -395,7 +398,7 @@ def test_mutation_sensitivity_z2(z2):
 def test_mutation_sensitivity_rejects_degree_above_4(z2):
     # stored in the D5 G1 potential, but outside its compared degree <= 4
     target = ((((0, 0), 3), ((1, 0), 2)), -2)
-    z2.check_stored(target, SeriesCaps(degree=5, genus=1))
+    assert z2.stored_coefficient(target, SeriesCaps(degree=5, genus=1))
     with pytest.raises(ValueError, match="degree > 4"):
         mutation_sensitivity(z2, targets=[target])
 
