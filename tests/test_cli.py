@@ -484,6 +484,12 @@ PINNED_REPORTS = [
      "5dfe50a3938803c1c1e1f5e1153b2935f75f19c5669422fc4409bf63f3884e7b"),
     ("virasoro", S3, 4, "[[[0,1,1],[0,2,2],[1,1,1]],-2]",
      "99fd5d03d7b785650ac21e3a168a0fddc78afbbc347f337a7ee4ecdb3c2b0222"),
+    # delta meets a glued pair: Z3's classes 1 and 2 are mutual inverses,
+    # and the first target reaches the two-handle five-point bracket
+    ("kdv", Z3, 3, "[[[0,0,1],[0,1,2],[0,2,2],[3,0,1]],-2]",
+     "53bc9c7fce88d3eb594fedcd97201641dac4bc4722f72375226ffee8046d829f"),
+    ("kdv", Z3, 3, "[[[0,0,1],[0,1,1],[0,2,1],[1,0,1]],-2]",
+     "bb547cbc399db385a9bd7377888d4406d9241999577e2af58d5422944745a1ae"),
 ]
 
 
