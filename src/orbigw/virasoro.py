@@ -257,8 +257,11 @@ class ConstraintReport:
     compared region where at least one term of the identity is nonzero
     before cancellation: the union of the supports of both sides; for
     ``factorization_check`` it counts every key of the compared box.
-    ``watermark`` is the highest monomial degree compared.  Every exact
-    report is made by ``_compare``.
+    ``max_residual`` is the compared residual of largest absolute value,
+    the negative one when x and -x tie, so it is a function of the
+    residual values alone; for ``factorization_check`` it is the largest
+    |lhs - rhs|.  ``watermark`` is the highest monomial degree compared.
+    Every exact report is made by ``_compare``.
     """
 
     operator: dict
@@ -297,11 +300,11 @@ def _compare(operator, caps, lhs, rhs, *, max_degree, lam_max,
     ``max_degree`` and lambda <= ``lam_max``.
 
     Each side is an iterable of terms (series, value, lam_shift), standing
-    for value * lambda^lam_shift * series; the residual lhs - rhs is summed
-    in the order the terms are given.  ``checked_monomials`` is the union
-    of the term supports inside the region, ``max_residual`` the first
-    largest residual in residual order, and each violation shows the sums
-    of both sides.
+    for value * lambda^lam_shift * series.  ``checked_monomials`` is the
+    union of the term supports inside the region, ``max_residual`` the
+    residual lhs - rhs of largest absolute value there, the negative one
+    when x and -x tie, and each violation shows the sums of both sides.
+    The report depends on the residual values alone, not on term order.
     """
     support = set()
 
@@ -318,13 +321,12 @@ def _compare(operator, caps, lhs, rhs, *, max_degree, lam_max,
     residual = summed(lhs)
     rhs_sum = summed(rhs)
     residual.iadd(rhs_sum, -1)
+    region = [(mono, lam, c) for mono, lam, c in residual.iter_terms()
+              if lam <= lam_max and mono_degree(mono) <= max_degree]
+    worst = max((c for _mono, _lam, c in region),
+                key=lambda c: (abs(c), -c), default=Q(0))
     violations = []
-    worst = Q(0)
-    for mono, lam, c in residual.iter_terms():
-        if lam > lam_max or mono_degree(mono) > max_degree:
-            continue
-        if abs(c) > abs(worst):
-            worst = c
+    for mono, lam, c in region:
         r = rhs_sum.coefficient(mono, lam)
         violations.append({"monomial": _mono_json(mono), "lambda": lam,
                            "lhs": rat_str(c + r), "rhs": rat_str(r)})
@@ -383,8 +385,7 @@ def _mutation(theory, target, caps) -> TruncatedSeries:
     """delta = c t^M lambda^l, with c the class-basis potential's stored
     coefficient at target = (M, l) and ``caps``, so F + delta has it
     doubled; MissingCoefficient if F stores none there, zero if target is
-    None.  Within the caps delta lands on a term F holds, so adding it
-    keeps the order of F's terms."""
+    None."""
     if target is None:
         return TruncatedSeries(caps, system=CLASS_BASIS)
     return TruncatedSeries.from_monomial(

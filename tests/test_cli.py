@@ -472,7 +472,8 @@ PINNED_REPORTS = [
     ("virasoro", Z2, 4, "[[[0,0,3]],-2]",
      "bc6d4dc354cc62a1992803a19751ea7f95c1f2202b087bd225e78aeffd304ae2"),
     # Z3 has classes that are not self-inverse, so these pin the
-    # inverse-class pairing of the diagonal operator and its term order
+    # inverse-class pairing of the diagonal operator; the mutated run's
+    # largest |c| also comes at both signs
     ("virasoro", Z3, 4, None,
      "d337cd91ab4361f847c90e94b84495e86df2973d4e0e76ea4e4527bdeb1ab922"),
     ("virasoro", Z3, 4, "[[[0,1,1],[0,2,1],[0,0,1]],-2]",

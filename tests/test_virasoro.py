@@ -232,6 +232,29 @@ def test_virasoro_mutation_detected(z2):
     assert "monomial" in bad.violations[0]
 
 
+def test_compare_report_is_free_of_term_order():
+    # the residual holds +3 and -3: max_residual is -3 in every order of
+    # the terms and of the terms inside a series
+    caps = SeriesCaps(degree=2, genus=1)
+    x, y = mono_from_vars([(0, 0)]), mono_from_vars([(0, 1)])
+
+    def series(*pairs):
+        s = TruncatedSeries(caps)
+        for mono, c in pairs:
+            s.add_term(mono, 0, Q(c))
+        return s
+
+    one, two = series((x, 3), (y, -3)), series((y, 1), (x, 1))
+    orders = [[one, two], [two, one],
+              [series((y, -3), (x, 3)), series((x, 1), (y, 1))]]
+    reports = [virasoro._compare({}, caps, [(s, 1, 0) for s in terms],
+                                 [(two, 1, 0)], max_degree=2, lam_max=0)
+               for terms in orders]
+    assert reports[0] == reports[1] == reports[2]
+    assert reports[0].max_residual == -3
+    assert reports[0].checked_monomials == 2
+
+
 def test_kdv_trivial_and_z2(z2):
     triv = OrbifoldTheory(named_group("Z", 1))
     for theory in (triv, z2):
