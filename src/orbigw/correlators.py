@@ -464,18 +464,21 @@ class OrbifoldTheory:
                 f"no stored coefficient at {mono} lambda^{lam}")
         return value / math.prod(math.factorial(e) for _v, e in mono)
 
-    def potential_derivative(self, fixed: Sequence,
-                             caps: SeriesCaps) -> TruncatedSeries:
-        """Class-basis series d/dt_{v_1} ... d/dt_{v_k} F for fixed = (v_1..v_k).
+    def potential_derivative(self, fixed: Sequence, caps: SeriesCaps,
+                             handles: int = 0) -> TruncatedSeries:
+        """Class-basis series d/dt_{v_1} ... d/dt_{v_k} F for fixed = (v_1..v_k),
+        times (sum_m z_m d/dt_{(0,m)} d/dt_{(0,m')})^handles.
 
         Its coefficient of t^M lambda^{2g-2} is the single correlator
         <tau(v_1) ... tau(v_k) tau(M)>_g / M!, so the series is generated
         from correlators directly, for free monomials M of degree
         <= caps.degree and genus <= caps.genus; the dimension constraint
-        bounds their levels.
+        bounds their levels.  Each contracted pair glues a handle
+        H = sum_m z_m e_m e_m': psi gets the levels (0, 0) more and
+        ``surface_count`` one genus more.
         """
         fixed = sorted(fixed)
-        fixed_levels = tuple(a for a, _ in fixed)
+        fixed_levels = tuple(a for a, _ in fixed) + (0, 0) * handles
         fixed_classes = tuple(m for _, m in fixed)
         out = TruncatedSeries(caps, system=CLASS_BASIS)
         r = self.r
@@ -490,7 +493,7 @@ class OrbifoldTheory:
                     classes.extend(chosen)
                     variables.extend((level, cls) for cls in chosen)
                     aut *= _multiset_aut(chosen)
-                omega = self.surface_count(genus,
+                omega = self.surface_count(genus + handles,
                                            fixed_classes + tuple(classes))
                 if not omega:
                     continue

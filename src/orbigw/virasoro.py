@@ -257,11 +257,10 @@ class ConstraintReport:
     compared region where at least one term of the identity is nonzero
     before cancellation: the union of the supports of both sides; for
     ``factorization_check`` it counts every key of the compared box.
-    ``max_residual`` is the compared residual of largest absolute value,
-    the negative one when x and -x tie, so it is a function of the
-    residual values alone; for ``factorization_check`` it is the largest
-    |lhs - rhs|.  ``watermark`` is the highest monomial degree compared.
-    Every exact report is made by ``_compare``.
+    ``max_residual`` is the compared residual of largest |value|, the
+    negative one when x and -x tie (for ``factorization_check`` the
+    largest |lhs - rhs|).  ``watermark`` is the highest monomial degree
+    compared.  Every exact report is made by ``_compare``.
     """
 
     operator: dict
@@ -321,12 +320,11 @@ def _compare(operator, caps, lhs, rhs, *, max_degree, lam_max,
     residual = summed(lhs)
     rhs_sum = summed(rhs)
     residual.iadd(rhs_sum, -1)
-    region = [(mono, lam, c) for mono, lam, c in residual.iter_terms()
-              if lam <= lam_max and mono_degree(mono) <= max_degree]
-    worst = max((c for _mono, _lam, c in region),
-                key=lambda c: (abs(c), -c), default=Q(0))
-    violations = []
-    for mono, lam, c in region:
+    violations, worst = [], Q(0)
+    for mono, lam, c in residual.iter_terms():
+        if lam > lam_max or mono_degree(mono) > max_degree:
+            continue
+        worst = max(worst, c, key=lambda x: (abs(x), -x))
         r = rhs_sum.coefficient(mono, lam)
         violations.append({"monomial": _mono_json(mono), "lambda": lam,
                            "lhs": rat_str(c + r), "rhs": rat_str(r)})
@@ -453,73 +451,64 @@ def kdv_check(theory: OrbifoldTheory, *, degree: int = 4, genus: int = 1,
         + 1/4 <<tau_{a-1}(v) tau_0 tau_0 tau_0 tau_0>> . eta eta
 
     where each double bracket is the matching mixed partial of the
-    potential and dots are inverse-metric contractions.  Each bracket is
-    generated from correlators over the compared region only (degree <=
-    ``degree``, and one genus above ``genus`` because the left side
-    carries lam^-2), so the stated box is fully certified.  Both sides
-    start at lam^-4: lam^-2 times a genus-0 bracket, or a product of two.
+    potential and dots are inverse-metric contractions.  A pair contracted
+    inside one bracket is a glued handle (``potential_derivative``), so
+    only the cross terms sum over pairs.  Every bracket is generated from
+    correlators over the compared region only (degree <= ``degree``, and
+    one genus above ``genus`` because the left side carries lam^-2), so
+    the stated box is fully certified.  Both sides start at lam^-4:
+    lam^-2 times a genus-0 bracket, or a product of two.
     ``mutate`` doubles one coefficient of the potential truncated at
     degree + 5, the most any bracket differentiates: each bracket gets the
-    matching derivative of delta (``_mutation``), one term at most, kept
-    when its degree is <= ``degree``.  MissingCoefficient is raised when
-    that potential stores no coefficient there.
+    matching derivative of delta (``_mutation``), its handles contracted
+    pair by pair since delta is not a potential, kept at degree <=
+    ``degree``.  MissingCoefficient is raised when that potential stores
+    no coefficient there.
     """
     g_big = genus + 1
     delta = _mutation(theory, mutate, SeriesCaps(degree=degree + 5, genus=g_big))
     caps = SeriesCaps(degree=degree, genus=g_big)
-    r = theory.r
     pairs = class_table(theory.algebra).pairs
 
-    # Derivatives commute, so memoize on the sorted variable tuple.
+    def bracket(fixed, handles=0):
+        got = theory.potential_derivative(fixed, caps, handles)
+        d_delta = reduce(TruncatedSeries.partial_derivative, fixed, delta)
+        for _ in range(handles):
+            glued = TruncatedSeries(delta.caps, system=CLASS_BASIS)
+            for m, m2, z in pairs:
+                glued.iadd(d_delta.second_partial((0, m), (0, m2)), z)
+            d_delta = glued
+        for mono, lam, c in d_delta.iter_terms():
+            got.iadd(TruncatedSeries.from_monomial(
+                caps, mono, c, lam=lam, system=CLASS_BASIS))
+        return got
+
+    # The cross-term brackets recur across (a, c); derivatives commute, so
+    # memoize them on the sorted variable tuple.
     factor_memo = {}
 
     def factor(*variables):
         key = tuple(sorted(variables))
-        got = factor_memo.get(key)
-        if got is None:
-            got = theory.potential_derivative(key, caps)
-            if not delta.is_zero():
-                d_delta = reduce(TruncatedSeries.partial_derivative, key, delta)
-                for mono, lam, c in d_delta.iter_terms():
-                    got.iadd(TruncatedSeries.from_monomial(
-                        caps, mono, c, lam=lam, system=CLASS_BASIS))
-            factor_memo[key] = got
-        return got
+        if key not in factor_memo:
+            factor_memo[key] = bracket(key)
+        return factor_memo[key]
 
-    zero = partial(TruncatedSeries, caps, system=CLASS_BASIS)
-
-    triple = {}   # sum_k z_k <<tau_0(m) tau_0(k) tau_0(k^-1)>>, per class m
-    for m in range(r):
-        triple[m] = zero()
-        for k, kinv, zk in pairs:
-            triple[m].iadd(factor((0, m), (0, k), (0, kinv)), zk)
-
+    triple = [bracket(((0, m),), 1) for m in range(theory.r)]
     reports = []
     lam_max = 2 * genus - 2
     for a in (1, 2):
-        for c in range(r):
-            lhs = zero()
-            for j, jinv, zj in pairs:
-                lhs.iadd(factor((a, c), (0, j), (0, jinv)), zj)
-
-            rhs = zero()
+        for c in range(theory.r):
+            rhs = bracket(((a - 1, c),), 2).scale(Q(1, 4))
             for j, jinv, zj in pairs:
                 rhs.iadd(factor((a - 1, c), (0, j)).multiply(
                     triple[jinv], max_degree=degree), zj)
-            for j, jinv, zj in pairs:
                 for k, kinv, zk in pairs:
                     rhs.iadd(factor((a - 1, c), (0, j), (0, k)).multiply(
                         factor((0, jinv), (0, kinv)), max_degree=degree),
                         2 * zj * zk)
-                    rhs.iadd(factor((a - 1, c), (0, j), (0, jinv),
-                                    (0, k), (0, kinv)), Q(zj * zk, 4))
-            # no five-point bracket recurs at another (a, c)
-            for key in [key for key in factor_memo if len(key) == 5]:
-                del factor_memo[key]
-
             reports.append(_compare(
                 {"kdv_a": a, "direction_class": c}, caps,
-                [(lhs, Q(2 * a + 1), -2)], [(rhs, 1, 0)],
+                [(bracket(((a, c),), 1), Q(2 * a + 1), -2)], [(rhs, 1, 0)],
                 max_degree=degree, lam_max=lam_max,
                 window={"lambda_min": -4, "lambda_max": lam_max}))
     return reports

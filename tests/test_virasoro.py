@@ -264,14 +264,15 @@ def test_kdv_trivial_and_z2(z2):
 
 
 def kdv_bracket_requests(theory, monkeypatch, **kw):
-    """(fixed variables, bracket) of every bracket kdv_check generates, the
-    bracket as kdv_check used it: mutated in place when it mutates."""
+    """(fixed variables, handles, bracket) of every bracket kdv_check
+    generates, the bracket as kdv_check used it: mutated in place when it
+    mutates."""
     calls = []
     generate = theory.potential_derivative
 
-    def record(fixed, caps):
-        calls.append((fixed, generate(fixed, caps)))
-        return calls[-1][1]
+    def record(fixed, caps, handles=0):
+        calls.append((tuple(fixed), handles, generate(fixed, caps, handles)))
+        return calls[-1][2]
 
     with monkeypatch.context() as m:
         m.setattr(theory, "potential_derivative", record)
@@ -282,7 +283,8 @@ def kdv_bracket_requests(theory, monkeypatch, **kw):
 def test_kdv_brackets_match_differentiated_potential(z2, s3, monkeypatch):
     # oracle: differentiate the potential truncated at degree D + 5 (the
     # most any bracket differentiates), with the mutated coefficient
-    # doubled, and drop monomials above degree D
+    # doubled, contract each handle as an explicit sum over inverse-metric
+    # pairs, and drop monomials above degree D
     cases = [(th, d, None) for th in (z2, s3) for d in (1, 2, 3)]
     cases += [(z2, 3, ((((0, 0), 1), ((0, 1), 2)), -2)),
               (s3, 3, ((((0, 1), 1), ((0, 2), 2), ((1, 1), 1)), -2))]
@@ -293,6 +295,7 @@ def test_kdv_brackets_match_differentiated_potential(z2, s3, monkeypatch):
         phi = theory.potential(caps)
         if mutate is not None:
             phi.add_term(*mutate, phi.coefficient(*mutate))
+        pairs = class_table(theory.algebra).pairs
         derivs = {(): phi}
 
         def deriv(fixed):
@@ -300,12 +303,19 @@ def test_kdv_brackets_match_differentiated_potential(z2, s3, monkeypatch):
                 derivs[fixed] = deriv(fixed[:-1]).partial_derivative(fixed[-1])
             return derivs[fixed]
 
-        for fixed, got in calls:
-            ref = deriv(fixed).truncated_to_degree(degree)
-            assert got.terms == ref.terms, (theory.r, degree, fixed)
-            # same insertion order too, so ties in the reports break alike
-            assert list(got.terms) == list(ref.terms)
-        assert len({fixed for fixed, _got in calls}) > 10
+        def glued(fixed, handles):
+            if not handles:
+                return deriv(tuple(sorted(fixed))).truncated_to_degree(degree)
+            out = TruncatedSeries(caps)
+            for m, m2, z in pairs:
+                out.iadd(glued(fixed + ((0, m), (0, m2)), handles - 1), z)
+            return out
+
+        for fixed, handles, got in calls:
+            ref = glued(fixed, handles)
+            assert got.terms == ref.terms, (theory.r, degree, fixed, handles)
+        assert {handles for _fixed, handles, _got in calls} == {0, 1, 2}
+        assert len({call[:2] for call in calls}) > 10
 
 
 def test_kdv_mutation_builds_no_potential(z2, monkeypatch):
