@@ -77,8 +77,11 @@ def emit(report: dict, args) -> None:
 def load_group(args) -> GroupTable:
     spec = args.group.strip()
     if not spec.startswith("{"):
-        with open(spec, "r", encoding="utf-8") as fh:
-            spec = fh.read()
+        try:
+            with open(spec, "r", encoding="utf-8") as fh:
+                spec = fh.read()
+        except OSError as exc:
+            raise ValueError(str(exc)) from exc
     return group_from_spec(spec)
 
 

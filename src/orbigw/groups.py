@@ -492,17 +492,19 @@ def group_from_spec(spec) -> GroupTable:
     if not isinstance(spec, dict):
         raise ValueError(f"group spec must be an object, got {type(spec)}")
     if "name" in spec:
-        param = spec.get("param", 0)
+        name, param = spec["name"], spec.get("param", 0)
+        if type(name) is not str:
+            raise ValueError(f"group name must be a string, got {name!r}")
         if type(param) is not int:
             raise ValueError(f"group param must be an integer, got {param!r}")
-        return named_group(spec["name"], param)
+        return named_group(name, param)
     if "generators" in spec:
-        perms = [parse_cycles(text) for text in spec["generators"]]
-        return build_from_generators(perms)
+        texts = _spec_list(spec, "generators", str, "cycle strings")
+        return build_from_generators([parse_cycles(text) for text in texts])
     if "cayley" in spec:
-        return build_from_cayley(spec["cayley"])
+        return build_from_cayley(_spec_list(spec, "cayley", list, "rows"))
     if "product" in spec:
-        parts = spec["product"]
+        parts = _spec_list(spec, "product", (dict, str), "group specs")
         if len(parts) < 2:
             raise ValueError("product needs at least two factors")
         acc = group_from_spec(parts[0])
@@ -510,3 +512,12 @@ def group_from_spec(spec) -> GroupTable:
             acc = direct_product(acc, group_from_spec(part))
         return acc
     raise ValueError(f"unrecognized group spec keys: {sorted(spec)}")
+
+
+def _spec_list(spec, key, kinds, what):
+    """spec[key] when it is a JSON list of ``kinds`` items, else ValueError."""
+    value = spec[key]
+    if not isinstance(value, list) or not all(isinstance(x, kinds)
+                                              for x in value):
+        raise ValueError(f"group {key} must be a list of {what}")
+    return value

@@ -310,6 +310,28 @@ def test_exit_codes_for_bad_input():
     assert code == 2 and "associativity" in err.getvalue()
 
 
+@pytest.mark.parametrize("spec, message", [
+    ('{"cayley": 5}', "group cayley must be a list of rows"),
+    ('{"cayley": [0]}', "group cayley must be a list of rows"),
+    ('{"generators": [5]}',
+     "group generators must be a list of cycle strings"),
+    # a string is not read one character at a time as the trivial group
+    ('{"generators": "(0 1)"}',
+     "group generators must be a list of cycle strings"),
+    ('{"product": 5}', "group product must be a list of group specs"),
+    ('{"name": 5}', "group name must be a string, got 5"),
+    (str(Path(__file__).parent), "Is a directory"),
+], ids=["cayley-int", "cayley-row-int", "generator-int", "generators-string",
+        "product-int", "name-int", "directory"])
+def test_malformed_group_spec_is_input_error(spec, message):
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli(["group", "--group", spec])
+    assert code == 2 and out == ""
+    assert err.getvalue().startswith("input error: ")
+    assert message in err.getvalue()
+
+
 def test_input_errors_are_named(monkeypatch):
     # a virasoro --mutate target at genus G+1 is not stored in the
     # genus-G potential
