@@ -473,9 +473,8 @@ class OrbifoldTheory:
         <tau(v_1) ... tau(v_k) tau(M)>_g / M!, so the series is generated
         from correlators directly, for free monomials M of degree
         <= caps.degree and genus <= caps.genus; the dimension constraint
-        bounds their levels.  Each contracted pair glues a handle
-        H = sum_m z_m e_m e_m': psi gets the levels (0, 0) more and
-        ``surface_count`` one genus more.
+        bounds their levels.  Each contracted pair glues a handle H =
+        sum_m z_m e_m e_m': psi gains two levels 0, H^g one more genus.
         """
         fixed = sorted(fixed)
         fixed_levels = tuple(a for a, _ in fixed) + (0, 0) * handles

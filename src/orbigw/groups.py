@@ -517,7 +517,6 @@ def group_from_spec(spec) -> GroupTable:
 def _spec_list(spec, key, kinds, what):
     """spec[key] when it is a JSON list of ``kinds`` items, else ValueError."""
     value = spec[key]
-    if not isinstance(value, list) or not all(isinstance(x, kinds)
-                                              for x in value):
-        raise ValueError(f"group {key} must be a list of {what}")
-    return value
+    if isinstance(value, list) and all(isinstance(x, kinds) for x in value):
+        return value
+    raise ValueError(f"group {key} must be a list of {what}")

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from typing import Optional
@@ -258,9 +258,8 @@ class ConstraintReport:
     before cancellation: the union of the supports of both sides; for
     ``factorization_check`` it counts every key of the compared box.
     ``max_residual`` is the compared residual of largest |value|, the
-    negative one when x and -x tie (for ``factorization_check`` the
-    largest |lhs - rhs|).  ``watermark`` is the highest monomial degree
-    compared.  Every exact report is made by ``_compare``.
+    negative one on a sign tie.  ``watermark`` is the highest monomial
+    degree compared.  Every exact report is made by ``_compare``.
     """
 
     operator: dict
@@ -451,23 +450,20 @@ def kdv_check(theory: OrbifoldTheory, *, degree: int = 4, genus: int = 1,
         + 1/4 <<tau_{a-1}(v) tau_0 tau_0 tau_0 tau_0>> . eta eta
 
     where each double bracket is the matching mixed partial of the
-    potential and dots are inverse-metric contractions.  A pair contracted
-    inside one bracket is a glued handle (``potential_derivative``), so
-    only the cross terms sum over pairs.  Every bracket is generated from
-    correlators over the compared region only (degree <= ``degree``, and
-    one genus above ``genus`` because the left side carries lam^-2), so
-    the stated box is fully certified.  Both sides start at lam^-4:
-    lam^-2 times a genus-0 bracket, or a product of two.
+    potential and dots are inverse-metric contractions; a pair contracted
+    inside one bracket is a glued handle (``potential_derivative``).  Every
+    bracket is generated from correlators over the compared region only
+    (degree <= ``degree``, and one genus above ``genus`` because the left
+    side carries lam^-2), so the stated box is fully certified.  Both sides
+    start at lam^-4: lam^-2 times a genus-0 bracket, or a product of two.
     ``mutate`` doubles one coefficient of the potential truncated at
     degree + 5, the most any bracket differentiates: each bracket gets the
     matching derivative of delta (``_mutation``), its handles contracted
-    pair by pair since delta is not a potential, kept at degree <=
-    ``degree``.  MissingCoefficient is raised when that potential stores
-    no coefficient there.
+    pair by pair, as delta is no potential.  MissingCoefficient is raised
+    when that potential stores no coefficient there.
     """
-    g_big = genus + 1
-    delta = _mutation(theory, mutate, SeriesCaps(degree=degree + 5, genus=g_big))
-    caps = SeriesCaps(degree=degree, genus=g_big)
+    caps = SeriesCaps(degree=degree, genus=genus + 1)
+    delta = _mutation(theory, mutate, replace(caps, degree=degree + 5))
     pairs = class_table(theory.algebra).pairs
 
     def bracket(fixed, handles=0):
@@ -483,35 +479,30 @@ def kdv_check(theory: OrbifoldTheory, *, degree: int = 4, genus: int = 1,
                 caps, mono, c, lam=lam, system=CLASS_BASIS))
         return got
 
-    # The cross-term brackets recur across (a, c); derivatives commute, so
-    # memoize them on the sorted variable tuple.
-    factor_memo = {}
+    # cross-term brackets recur across (a, c), and derivatives commute
+    memo = lru_cache(maxsize=None)(bracket)
 
     def factor(*variables):
-        key = tuple(sorted(variables))
-        if key not in factor_memo:
-            factor_memo[key] = bracket(key)
-        return factor_memo[key]
+        return memo(tuple(sorted(variables)))
 
     triple = [bracket(((0, m),), 1) for m in range(theory.r)]
-    reports = []
     lam_max = 2 * genus - 2
-    for a in (1, 2):
-        for c in range(theory.r):
-            rhs = bracket(((a - 1, c),), 2).scale(Q(1, 4))
-            for j, jinv, zj in pairs:
-                rhs.iadd(factor((a - 1, c), (0, j)).multiply(
-                    triple[jinv], max_degree=degree), zj)
-                for k, kinv, zk in pairs:
-                    rhs.iadd(factor((a - 1, c), (0, j), (0, k)).multiply(
-                        factor((0, jinv), (0, kinv)), max_degree=degree),
-                        2 * zj * zk)
-            reports.append(_compare(
-                {"kdv_a": a, "direction_class": c}, caps,
-                [(bracket(((a, c),), 1), Q(2 * a + 1), -2)], [(rhs, 1, 0)],
-                max_degree=degree, lam_max=lam_max,
-                window={"lambda_min": -4, "lambda_max": lam_max}))
-    return reports
+
+    def report(a, c):
+        rhs = bracket(((a - 1, c),), 2).scale(Q(1, 4))
+        for j, jinv, zj in pairs:
+            rhs.iadd(factor((a - 1, c), (0, j)).multiply(
+                triple[jinv], max_degree=degree), zj)
+            for k, kinv, zk in pairs:
+                rhs.iadd(factor((a - 1, c), (0, j), (0, k)).multiply(
+                    factor((0, jinv), (0, kinv)), max_degree=degree),
+                    2 * zj * zk)
+        return _compare({"kdv_a": a, "direction_class": c}, caps,
+                        [(bracket(((a, c),), 1), Q(2 * a + 1), -2)],
+                        [(rhs, 1, 0)], max_degree=degree, lam_max=lam_max,
+                        window={"lambda_min": -4, "lambda_max": lam_max})
+
+    return [report(a, c) for a in (1, 2) for c in range(theory.r)]
 
 
 # -- factorization -------------------------------------------------------------
