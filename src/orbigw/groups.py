@@ -478,19 +478,31 @@ def joint_centralizer_order(g: GroupTable, elems: Sequence[int]) -> int:
 
 # -- external interface -----------------------------------------------------
 
+# The keys each form of group spec reads; a spec is one form.
+_SPEC_FORMS = {"name": {"name", "param"}, "generators": {"generators"},
+               "cayley": {"cayley"}, "product": {"product"}}
+
+
 def group_from_spec(spec) -> GroupTable:
     """Build a group from the JSON input format.
 
     Accepts {"name": "S", "param": 3}, {"generators": ["(0 1)", "(0 1 2)"]},
     {"cayley": [[...]]}, or {"product": [spec, spec]}; nested products are
-    allowed.  A string argument is parsed as JSON first.  Every builder
-    raises OrderExceedsLimit before it allocates a table that
-    ``check_table_size`` refuses.
+    allowed.  A string argument is parsed as JSON first.  A spec naming
+    more than one of these forms, or carrying a key its form does not
+    read, is a ValueError.  Every builder raises OrderExceedsLimit before
+    it allocates a table that ``check_table_size`` refuses.
     """
     if isinstance(spec, str):
         spec = json.loads(spec)
     if not isinstance(spec, dict):
         raise ValueError(f"group spec must be an object, got {type(spec)}")
+    forms = [form for form in _SPEC_FORMS if form in spec]
+    if len(forms) > 1:
+        raise ValueError(f"group spec names more than one form: {forms}")
+    unread = sorted(set(spec) - _SPEC_FORMS[forms[0]]) if forms else []
+    if unread:
+        raise ValueError(f"group spec {forms[0]!r} does not read {unread}")
     if "name" in spec:
         name, param = spec["name"], spec.get("param", 0)
         if type(name) is not str:

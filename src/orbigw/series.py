@@ -107,9 +107,6 @@ class TruncatedSeries:
             self.caps, system=self.system,
             terms={m: dict(lc) for m, lc in self.terms.items()})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     # -- bookkeeping ----------------------------------------------------------
 
     def _check_compatible(self, other: "TruncatedSeries"):

@@ -208,26 +208,45 @@ def _fform_terms(spec, potential, *, max_degree=None):
     """Yield the terms (series, value, lam_shift) of R_n(F), each standing
     for value * lambda^lam_shift * series, up to ``max_degree``.
 
-    Built from the operator terms of ``apply_virasoro``: the first-order
-    part applied to F, w lambda^2 (d1 d2 F + d1 F d2 F) per second-order
-    term, and the multiplication and constant terms applied to 1.
+    Built from the operator terms of ``apply_virasoro``: R_n(F) - R_n(0),
+    the delta terms of F over the zero potential (``_fform_delta_terms``),
+    then R_n(0), the multiplication and constant terms applied to 1.
     """
-    _check_operator(spec, potential)
     caps = potential.caps
     kind = dict(system=potential.system)
-    dcap = caps.degree if max_degree is None else max_degree
-    d = lru_cache(maxsize=None)(potential.partial_derivative)
-    for var, w in _first_order_terms(spec):
-        yield d(var), w, 0
-    yield _dilation_term(spec, potential, dcap), 1, 0
-    for v1, v2, w in _second_order_terms(spec):
-        yield d(v1).partial_derivative(v2), w, 2
-        yield d(v1).multiply(d(v2), max_degree=dcap), w, 2
+    yield from _fform_delta_terms(spec, None, potential, max_degree=max_degree)
     for mono, w in _multiplication_terms(spec):
         yield TruncatedSeries.from_monomial(caps, mono, w, lam=-2, **kind), 1, 0
     const = _constant_term(spec)
     if const:
         yield TruncatedSeries.constant(caps, const, **kind), 1, 0
+
+
+def _fform_delta_terms(spec, potential, delta, *, max_degree=None):
+    """Yield the terms of R_n(F + delta) - R_n(F) for the potential F (zero
+    if None), as ``_fform_terms`` does, up to ``max_degree``.
+
+    The multiplication and constant terms do not depend on F and drop
+    out.  What is left is the first-order part and the dilation term
+    applied to delta, and w lambda^2 (d1 d2 delta + d1 F d2 delta + d1 delta
+    d2 F + d1 delta d2 delta) per second-order term.  Truncation is linear,
+    so the terms sum to the difference exactly.  F is differentiated for
+    n >= 1 only: for n <= 0 the difference is linear in delta.
+    """
+    _check_operator(spec, delta)
+    dcap = delta.caps.degree if max_degree is None else max_degree
+    d = lru_cache(maxsize=None)(delta.partial_derivative)
+    d_f = None if potential is None else lru_cache(maxsize=None)(
+        potential.partial_derivative)
+    for var, w in _first_order_terms(spec):
+        yield d(var), w, 0
+    yield _dilation_term(spec, delta, dcap), 1, 0
+    for v1, v2, w in _second_order_terms(spec):
+        yield d(v1).partial_derivative(v2), w, 2
+        if d_f is not None:
+            yield d_f(v1).multiply(d(v2), max_degree=dcap), w, 2
+            yield d(v1).multiply(d_f(v2), max_degree=dcap), w, 2
+        yield d(v1).multiply(d(v2), max_degree=dcap), w, 2
 
 
 def _dilation_term(spec, series, max_degree=None):
@@ -576,10 +595,10 @@ def mutation_sensitivity(theory: OrbifoldTheory, *, targets=None) -> dict:
     """Double each stored low-genus coefficient; every mutation must trip
     an n = -1 or n = 0 residual of the diagonal family at D5 G1.
 
-    The potential F is built once; each target adds its delta
-    (``_mutation``) to a copy of F, doubling that coefficient, and
-    R_n(F + delta) is compared as in ``virasoro_check``.  R_-1 changes
-    by -d_{(0,0)} delta + dilation(delta), whose dilation part
+    R_-1(F) and R_0(F) are built once; each target's delta (``_mutation``,
+    doubling that coefficient) adds only its terms R_n(F + delta) - R_n(F)
+    (``_fform_delta_terms``), compared as in ``virasoro_check``.  R_-1
+    changes by -d_{(0,0)} delta + dilation(delta), whose dilation part
     raises one level of delta's monomial per variable with coefficient 1:
     distinct monomials of its degree that cannot cancel and that lie in
     the compared region (degree <= 4, lambda <= 0) when delta has degree
@@ -592,16 +611,23 @@ def mutation_sensitivity(theory: OrbifoldTheory, *, targets=None) -> dict:
     if targets is None:
         targets = mutation_targets(theory)
     caps = SeriesCaps(degree=5, genus=1)
+    watermark = caps.degree - 1
     table = class_table(theory.algebra)
     base = theory.potential(caps)
+    residuals = [(spec, fform_residual(spec, base, max_degree=watermark))
+                 for spec in (VirasoroSpec(n, table) for n in (-1, 0))]
     undetected = []
     for mono, lam in targets:
         if mono_degree(mono) > 4:
             raise ValueError(f"mutation target {mono} has degree > 4")
-        phi = base.add(_mutation(theory, (mono, lam), caps))
-        if all(_fform_report(VirasoroSpec(n, table), phi,
-                             degree=caps.degree).passed
-               for n in (-1, 0)):
+        delta = _mutation(theory, (mono, lam), caps)
+        if all(_compare(spec.label(), caps,
+                        [(residual, 1, 0),
+                         *_fform_delta_terms(spec, base, delta,
+                                             max_degree=watermark)],
+                        (), max_degree=watermark,
+                        lam_max=caps.lam_ceiling).passed
+               for spec, residual in residuals):
             undetected.append({"monomial": _mono_json(mono), "lambda": lam})
     return {"mutated": len(targets), "undetected": undetected,
             "passed": not undetected}

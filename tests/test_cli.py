@@ -321,8 +321,16 @@ def test_exit_codes_for_bad_input():
     ('{"product": 5}', "group product must be a list of group specs"),
     ('{"name": 5}', "group name must be a string, got 5"),
     (str(Path(__file__).parent), "Is a directory"),
+    # a spec is one form, and its form reads every key it carries
+    ('{"cayley": [[0]], "name": "Z"}',
+     "group spec names more than one form: ['name', 'cayley']"),
+    ('{"name": "Z", "param": 2, "cayley": 5}',
+     "group spec names more than one form: ['name', 'cayley']"),
+    ('{"generators": ["(0 1)"], "param": 2}',
+     "group spec 'generators' does not read ['param']"),
 ], ids=["cayley-int", "cayley-row-int", "generator-int", "generators-string",
-        "product-int", "name-int", "directory"])
+        "product-int", "name-int", "directory", "cayley-and-name",
+        "name-and-cayley", "param-without-name"])
 def test_malformed_group_spec_is_input_error(spec, message):
     err = io.StringIO()
     with redirect_stderr(err):

@@ -40,8 +40,8 @@ def test_truncated_product():
 def test_multiply_by_zero():
     z = TruncatedSeries(CAPS)
     s = poly([(mono(T0), 0, Q(2))])
-    assert s.multiply(z).is_zero()
-    assert z.multiply(s).is_zero()
+    assert s.multiply(z).support() == set()
+    assert z.multiply(s).support() == set()
 
 
 def test_product_of_genus_zero_terms_keeps_lambda_minus_four():
@@ -92,7 +92,7 @@ def test_partial_derivatives():
 
     y = (1, 1)
     s = poly([(mono(y, y, y), 0, Q(1))])
-    assert s.partial_derivative((0, 0)).is_zero()
+    assert s.partial_derivative((0, 0)).support() == set()
 
     quartic = poly([(mono(T0, T0, T0, T0), 0, Q(1, 24))])
     dd = quartic.second_partial(T0, T0)

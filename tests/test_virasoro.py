@@ -436,6 +436,125 @@ def test_mutation_sensitivity_rejects_degree_above_4(z2):
         mutation_sensitivity(z2, targets=[target])
 
 
+SWEEP_CAPS = SeriesCaps(degree=5, genus=1)
+
+
+def rebuilt_mutation_sweep(theory, targets):
+    """The sweep without delta updates: each target rebuilds F + delta and
+    compares R_-1 and R_0 of it in full."""
+    table = class_table(theory.algebra)
+    base = theory.potential(SWEEP_CAPS)
+    undetected = []
+    for mono, lam in targets:
+        if mono_degree(mono) > 4:
+            raise ValueError(f"mutation target {mono} has degree > 4")
+        phi = base.add(virasoro._mutation(theory, (mono, lam), SWEEP_CAPS))
+        if all(virasoro._fform_report(VirasoroSpec(n, table), phi,
+                                      degree=SWEEP_CAPS.degree).passed
+               for n in (-1, 0)):
+            undetected.append({"monomial": virasoro._mono_json(mono),
+                               "lambda": lam})
+    return {"mutated": len(targets), "undetected": undetected,
+            "passed": not undetected}
+
+
+def test_fform_delta_terms_sum_to_the_difference(z2, s3):
+    # oracle: R_n(F + delta) - R_n(F), both built in full, at the compared
+    # degree, for degree-3 genus-0 and low-degree genus-1 targets; at
+    # n = 1, 2 the products of F's derivatives with delta's must matter
+    exercised = set()
+    for theory in (z2, s3):
+        base = theory.potential(SWEEP_CAPS)
+        targets = virasoro.mutation_targets(theory)
+        picked = [t for t in targets if t[1] == -2 and mono_degree(t[0]) == 3]
+        picked += sorted((t for t in targets if t[1] == 0),
+                         key=lambda t: mono_degree(t[0]))[:2]
+        assert len(picked) >= 4
+        for n in virasoro.VIRASORO_N:
+            spec = VirasoroSpec(n, class_table(theory.algebra))
+            watermark = SWEEP_CAPS.degree - (2 if n >= 1 else 1)
+            before = fform_residual(spec, base, max_degree=watermark)
+            for target in picked:
+                delta = virasoro._mutation(theory, target, SWEEP_CAPS)
+                want = fform_residual(spec, base.add(delta),
+                                      max_degree=watermark).iadd(before, -1)
+                got, alone = (TruncatedSeries(SWEEP_CAPS) for _ in range(2))
+                for total, phi in ((got, base), (alone, None)):
+                    for series, value, lam_shift in virasoro._fform_delta_terms(
+                            spec, phi, delta, max_degree=watermark):
+                        total.iadd(series, value, lam_shift=lam_shift)
+                assert want.terms and got.terms == want.terms, (n, target)
+                if alone.terms != want.terms:
+                    exercised.add(n)
+    assert exercised == {1, 2}
+
+
+def test_mutation_sweep_matches_the_rebuilt_sweep(s3):
+    for theory in (OrbifoldTheory(named_group("Z", 1)),
+                   OrbifoldTheory(named_group("Z", 2)), s3):
+        targets = virasoro.mutation_targets(theory)
+        assert mutation_sensitivity(theory) == \
+            rebuilt_mutation_sweep(theory, targets)
+
+
+def test_mutation_sweep_misses_the_one_target_a_wrong_potential_lacks(
+        z2, monkeypatch):
+    # F - c t^M has a nonzero residual, which only F - c t^M + delta_M
+    # repairs: the sweep misses exactly M
+    targets = virasoro.mutation_targets(z2)
+    mono, lam = targets[len(targets) // 2]
+    real = z2.potential
+
+    def lacking(caps, **kwargs):
+        phi = real(caps, **kwargs)
+        phi.add_term(mono, lam, -phi.coefficient(mono, lam))
+        return phi
+
+    monkeypatch.setattr(z2, "potential", lacking)
+    assert fform_residual(VirasoroSpec(-1, class_table(z2.algebra)),
+                          z2.potential(SWEEP_CAPS), max_degree=4).terms
+    want = {"mutated": len(targets), "passed": False,
+            "undetected": [{"monomial": virasoro._mono_json(mono),
+                            "lambda": lam}]}
+    assert rebuilt_mutation_sweep(z2, targets) == want
+    assert mutation_sensitivity(z2, targets=targets) == want
+
+
+def test_mutation_sweep_rejects_an_unstored_target(z2):
+    # unstable at genus 0, and above the genus cap
+    for target in (((((0, 0), 1),), -2), ((((4, 0), 1),), 2)):
+        for sweep in (mutation_sensitivity, rebuilt_mutation_sweep):
+            with pytest.raises(MissingCoefficient):
+                sweep(z2, targets=[target])
+
+
+def test_mutation_sweep_builds_two_residuals(s3, monkeypatch):
+    # R_-1(F) and R_0(F) are built once; each target adds only its delta
+    # terms, however many targets there are
+    builds = []
+    full = virasoro._fform_terms
+
+    def counted(*args, **kwargs):
+        builds.append(args[0].n)
+        return full(*args, **kwargs)
+
+    monkeypatch.setattr(virasoro, "_fform_terms", counted)
+    out = mutation_sensitivity(s3)
+    assert out["mutated"] == 161 and out["passed"]
+    assert sorted(builds) == [-1, 0]
+
+
+def test_mutation_sweep_on_larger_groups():
+    total = 0
+    for name, param in (("Z", 3), ("Q8", 0), ("D", 4), ("S", 4)):
+        theory = OrbifoldTheory(named_group(name, param))
+        out = mutation_sensitivity(theory)
+        assert out["passed"], name
+        assert out["mutated"] == len(virasoro.mutation_targets(theory))
+        total += out["mutated"]
+    assert total == 1864
+
+
 def test_reports_serialize(z2):
     reports = virasoro_check(z2, degree=4, genus=1)
     payload = [rep.to_json_dict() for rep in reports]
