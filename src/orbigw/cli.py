@@ -349,6 +349,8 @@ def main(argv=None) -> int:
                 raise ValueError(f"--{flag} must be >= 0, got {value}")
         if getattr(args, "jobs", 1) < 1:
             raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
+        if getattr(args, "work_cap", 0) < 0:
+            raise ValueError(f"--work-cap must be >= 0, got {args.work_cap}")
         tol = getattr(args, "tol", 0.0)
         if not 0 <= tol < math.inf:
             raise ValueError(f"--tol must be finite and >= 0, got {tol}")

@@ -29,7 +29,7 @@ from typing import Sequence
 
 from .algebra import ClassAlgebra
 from .groups import GroupTable, conjugacy_data, direct_product
-from .series import SeriesCaps, TruncatedSeries, mono_from_vars
+from .series import SeriesCaps, TruncatedSeries, mono_factorial, mono_from_vars
 from .util import Q, double_factorial
 
 DEFAULT_WORK_CAP = 10 ** 9
@@ -462,7 +462,7 @@ class OrbifoldTheory:
         if not value:
             raise MissingCoefficient(
                 f"no stored coefficient at {mono} lambda^{lam}")
-        return value / math.prod(math.factorial(e) for _v, e in mono)
+        return value / mono_factorial(mono)
 
     def potential_derivative(self, fixed: Sequence, caps: SeriesCaps,
                              handles: int = 0) -> TruncatedSeries:
@@ -471,51 +471,60 @@ class OrbifoldTheory:
 
         Its coefficient of t^M lambda^{2g-2} is the single correlator
         <tau(v_1) ... tau(v_k) tau(M)>_g / M!, so the series is generated
-        from correlators directly, for free monomials M of degree
-        <= caps.degree and genus <= caps.genus; the dimension constraint
-        bounds their levels.  Each contracted pair glues a handle H =
-        sum_m z_m e_m e_m': psi gains two levels 0, H^g one more genus.
+        from correlators directly: one term per ``class_keys`` key M whose
+        surface count is nonzero, for free monomials of degree
+        <= caps.degree and genus <= caps.genus.  Each contracted pair
+        glues a handle H = sum_m z_m e_m e_m': psi gains two levels 0,
+        H^g one more genus.
         """
         fixed = sorted(fixed)
         fixed_levels = tuple(a for a, _ in fixed) + (0, 0) * handles
         fixed_classes = tuple(m for _, m in fixed)
         out = TruncatedSeries(caps, system=CLASS_BASIS)
-        r = self.r
-        for genus, levels, psi in self._stable_level_keys(caps, fixed_levels):
-            lam = 2 * genus - 2
-            blocks = _level_blocks(levels)
-            for assignment in _class_assignments(blocks, r):
-                classes = []
-                variables = []
-                aut = 1
-                for (level, _mult), chosen in zip(blocks, assignment):
-                    classes.extend(chosen)
-                    variables.extend((level, cls) for cls in chosen)
-                    aut *= _multiset_aut(chosen)
-                omega = self.surface_count(genus + handles,
-                                           fixed_classes + tuple(classes))
-                if not omega:
-                    continue
-                out.add_term(mono_from_vars(variables), lam,
-                             psi * omega / aut)
+        for genus, variables, psi in self.class_keys(caps, fixed_levels):
+            omega = self.surface_count(
+                genus + handles, fixed_classes + tuple(m for _, m in variables))
+            if omega:
+                mono = mono_from_vars(variables)
+                out.add_term(mono, 2 * genus - 2,
+                             psi * omega / mono_factorial(mono))
         return out
 
     def _potential_canonical(self, caps):
         out = TruncatedSeries(caps, system=CANONICAL_RESCALED)
         for genus, levels, psi in self._stable_level_keys(caps):
-            lam = 2 * genus - 2
-            aut = _multiset_aut(levels)
             for alpha in range(self.r):
                 key = mono_from_vars((a, alpha) for a in levels)
-                out.add_term(key, lam, psi / aut)
+                out.add_term(key, 2 * genus - 2, psi / mono_factorial(key))
         return out
 
+    def class_keys(self, caps, fixed_levels=()):
+        """(genus, variables, psi) for every class-basis key of the box.
+
+        ``variables`` is the sorted tuple of free (level, class) pairs: a
+        level key of ``_stable_level_keys`` with one class multiset per
+        block of equal levels, each combination once.  The key's
+        correlator, with fixed insertions of levels ``fixed_levels`` and
+        classes C, is psi * surface_count(genus, C + its classes); its
+        potential coefficient divides that by ``mono_factorial``.  The
+        walk visits keys whose surface count vanishes too.
+        """
+        classes = range(self.r)
+        for genus, levels, psi in self._stable_level_keys(caps, fixed_levels):
+            blocks = [[tuple((level, c) for c in chosen) for chosen
+                       in combinations_with_replacement(classes, mult)]
+                      for level, mult in _level_blocks(levels)]
+            for assignment in product(*blocks):
+                yield genus, sum(assignment, ()), psi
+
     def _stable_level_keys(self, caps, fixed_levels=()):
-        """(genus, free levels, psi value) for every contributing key.
+        """(genus, free levels, psi value) for every level key with psi != 0.
 
         The free levels are a sorted tuple of at most caps.degree levels
-        summing to 3g - 3 + n minus the fixed levels; psi is that of the
-        free levels merged with the levels of the fixed insertions.
+        summing to 3g - 3 + n minus the fixed levels, for genus
+        <= caps.genus and stable (g, n); psi is that of the free levels
+        merged with ``fixed_levels``.  Classes are assigned by
+        ``class_keys``.
         """
         k = len(fixed_levels)
         for genus in range(caps.genus + 1):
@@ -564,26 +573,6 @@ def _partitions(total: int, parts: int):
 def _level_blocks(levels: tuple):
     """Run-length encode a sorted level tuple."""
     return [(level, len(list(run))) for level, run in groupby(levels)]
-
-
-def _class_assignments(blocks, r):
-    """Cartesian product of class multisets, one per equal-level block."""
-    return product(*(combinations_with_replacement(range(r), mult)
-                     for _level, mult in blocks))
-
-
-def _multiset_aut(items) -> int:
-    """prod of factorials of multiplicities."""
-    aut = 1
-    run = 1
-    seq = list(items)
-    for i in range(1, len(seq)):
-        if seq[i] == seq[i - 1]:
-            run += 1
-            aut *= run
-        else:
-            run = 1
-    return aut
 
 
 # -- product groups ------------------------------------------------------------

@@ -19,6 +19,7 @@ terms that lambda^-2 factors would bring back below the ceiling; see
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -65,6 +66,11 @@ def mono_mul(m1: tuple, m2: tuple) -> tuple:
 
 def mono_degree(m: tuple) -> int:
     return sum(e for _, e in m)
+
+
+def mono_factorial(m: tuple) -> int:
+    """M! = prod of the exponents' factorials, the symmetry factor of t^M."""
+    return math.prod(math.factorial(e) for _, e in m)
 
 
 class TruncatedSeries:

@@ -30,9 +30,9 @@ from typing import Optional
 
 from .algebra import (ClassAlgebra, canonical_basis, character_table,
                       frobenius_product)
-from .correlators import (CANONICAL_RESCALED, CLASS_BASIS, OrbifoldTheory,
-                          _class_assignments, _level_blocks, _multiset_aut)
-from .series import SeriesCaps, TruncatedSeries, mono_degree, mono_from_vars
+from .correlators import CANONICAL_RESCALED, CLASS_BASIS, OrbifoldTheory
+from .series import (SeriesCaps, TruncatedSeries, mono_degree, mono_factorial,
+                     mono_from_vars)
 from .util import Q, double_factorial, float_str, rat_str
 
 
@@ -535,12 +535,13 @@ def factorization_check(theory: OrbifoldTheory, *, degree: int = 6,
 
     Under t_a^m = sum_alpha f_alpha[m] nu_alpha^{(a-1)/3} u_a^alpha the
     genus-g coefficient of a key U = prod_i u_{(a_i, alpha_i)} is
-    psi_g(a)/aut(U) prod_i nu_{alpha_i}^{(a_i-1)/3} eps(f_{alpha_1} ...
+    psi_g(a)/U! prod_i nu_{alpha_i}^{(a_i-1)/3} eps(f_{alpha_1} ...
     f_{alpha_n} H^g) (Mednykh's formula in Frobenius form).  Every key of
-    the box (each stable level key times each index multiset per level
-    block) is compared with the canonical potential: psi/aut when the
-    indices agree, else 0.  The tolerance absorbs the character-table
-    floats and real cube roots; violations name each key above ``tol``.
+    ``theory.class_keys``, with idempotent indices in place of classes
+    (both run over r slots), is compared with the canonical potential:
+    psi/U! when the indices agree, else 0.  The tolerance absorbs the
+    character-table floats and real cube roots; violations name each key
+    above ``tol``.
     """
     caps = SeriesCaps(degree=degree, genus=genus)
     ct = character_table(theory.group, theory.cd, seed=seed)
@@ -556,22 +557,17 @@ def factorization_check(theory: OrbifoldTheory, *, degree: int = 6,
         return complex(table.eps(reduce(table.product, factors, table.unit)))
 
     checked, worst, violations = 0, 0.0, []
-    for g, levels, psi in theory._stable_level_keys(caps):
-        blocks = _level_blocks(levels)
-        for assignment in _class_assignments(blocks, theory.r):
-            variables = [(level, alpha) for (level, _mult), chosen
-                         in zip(blocks, assignment) for alpha in chosen]
-            aut = math.prod(map(_multiset_aut, assignment))
-            alphas = tuple(sorted(alpha for _a, alpha in variables))
-            scale = math.prod(nus[alpha] ** ((a - 1) / 3)
-                              for a, alpha in variables)
-            lhs = float(psi / aut) * scale * eps(g, alphas)
-            mono = mono_from_vars(variables)
-            rhs = float(target.coefficient(mono, 2 * g - 2))
-            worst = max(worst, abs(lhs - rhs))
-            checked += 1
-            if abs(lhs - rhs) > tol:
-                violations.append((mono, 2 * g - 2, abs(lhs), abs(rhs)))
+    for g, variables, psi in theory.class_keys(caps):
+        mono = mono_from_vars(variables)
+        alphas = tuple(sorted(alpha for _a, alpha in variables))
+        scale = math.prod(nus[alpha] ** ((a - 1) / 3)
+                          for a, alpha in variables)
+        lhs = float(psi / mono_factorial(mono)) * scale * eps(g, alphas)
+        rhs = float(target.coefficient(mono, 2 * g - 2))
+        worst = max(worst, abs(lhs - rhs))
+        checked += 1
+        if abs(lhs - rhs) > tol:
+            violations.append((mono, 2 * g - 2, abs(lhs), abs(rhs)))
     return ConstraintReport(
         operator={"check": "factorization", "tol": tol},
         checked_monomials=checked, max_residual=worst, watermark=degree,

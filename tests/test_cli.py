@@ -547,6 +547,23 @@ def test_jobs_below_one_is_input_error(argv, jobs):
     assert err.getvalue() == f"input error: --jobs must be >= 1, got {jobs}\n"
 
 
+@pytest.mark.parametrize("argv", [["omega", "--group", S3, "--genus", "1"],
+                                  ["check", "cohft", "--group", Z2]],
+                         ids=["omega", "cohft"])
+def test_negative_work_cap_is_input_error(argv):
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli(argv + ["--work-cap", "-5"])
+    assert code == 2 and out == ""
+    assert err.getvalue() == "input error: --work-cap must be >= 0, got -5\n"
+    # a cap of 0 is a legal cap that any enumeration exceeds
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli(argv + ["--work-cap", "0"])
+    assert code == 3 and out == ""
+    assert err.getvalue().startswith("resource cap: ")
+
+
 def test_jobs_flag_does_not_change_output():
     base = ["omega", "--group", S3, "--genus", "2"]
     _c, one = run_cli(base + ["--jobs", "1"])

@@ -367,6 +367,53 @@ def test_potential_canonical_is_disjoint_point_copies(z2):
         assert len({m for (_a, m), _e in mono}) == 1
 
 
+def brute_class_keys(theory, caps, fixed_levels):
+    """Every multiset of (level, class) variables with degree <= D, genus
+    <= G, stable and meeting sum levels = 3g - 3 + k + n: one entry per key,
+    levels bounded by the largest total the constraint allows."""
+    k, fixed = len(fixed_levels), sum(fixed_levels)
+    top = 3 * caps.genus - 3 + k + caps.degree - fixed
+    variables = [(a, c) for a in range(max(top, 0) + 1)
+                 for c in range(theory.r)]
+    keys = []
+    for genus in range(caps.genus + 1):
+        for n in range(caps.degree + 1):
+            if 2 * genus - 2 + k + n <= 0:
+                continue
+            for combo in combinations_with_replacement(variables, n):
+                if sum(a for a, _c in combo) + fixed == 3 * genus - 3 + k + n:
+                    keys.append((genus, combo))
+    return keys
+
+
+@pytest.mark.parametrize("name,param,degree,genus", [
+    ("Z", 1, 6, 2), ("Z", 2, 5, 2), ("S", 3, 4, 1), ("Z", 3, 4, 1)])
+@pytest.mark.parametrize("fixed_levels", [(), (1,), (0, 0)],
+                         ids=["free", "level-1", "handle"])
+def test_class_keys_match_brute_force(name, param, degree, genus,
+                                      fixed_levels):
+    theory = OrbifoldTheory(named_group(name, param))
+    caps = SeriesCaps(degree=degree, genus=genus)
+    walked = list(theory.class_keys(caps, fixed_levels))
+    keys = [(g, variables) for g, variables, _psi in walked]
+    assert len(set(keys)) == len(keys)
+    assert sorted(keys) == sorted(brute_class_keys(theory, caps,
+                                                   fixed_levels))
+    for g, variables, psi in walked:
+        assert list(variables) == sorted(variables)
+        assert psi == psi_correlator(
+            g, fixed_levels + tuple(a for a, _c in variables))
+
+
+@pytest.mark.parametrize("name,param,degree,genus,count", [
+    ("S", 3, 6, 2, 10349), ("S", 3, 4, 1, 302), ("Z", 3, 4, 1, 302)])
+def test_class_key_counts(name, param, degree, genus, count):
+    # the checked_monomials of factorization_check at these caps
+    theory = OrbifoldTheory(named_group(name, param))
+    caps = SeriesCaps(degree=degree, genus=genus)
+    assert sum(1 for _key in theory.class_keys(caps)) == count
+
+
 def test_stored_coefficient_example(z2):
     caps = SeriesCaps(degree=3, genus=1)
     mono = (((1, 0), 1),)

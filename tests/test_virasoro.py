@@ -1,4 +1,6 @@
 import dataclasses
+from functools import lru_cache, reduce
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -8,7 +10,7 @@ from orbigw.correlators import (CANONICAL_RESCALED, CLASS_BASIS,
                                 MissingCoefficient, OrbifoldTheory)
 from orbigw.groups import named_group
 from orbigw.series import (SeriesCaps, TruncatedSeries, mono_degree,
-                           mono_from_vars)
+                           mono_factorial, mono_from_vars)
 from orbigw.util import Q
 from orbigw.virasoro import (VariableSystemMismatch, VirasoroSpec,
                              apply_virasoro, class_table, commutator_check,
@@ -221,6 +223,132 @@ def test_fform_matches_zform(z2, monkeypatch):
             assert zform_fform_mismatches(theory, spec, monkeypatch,
                                           degree=4, genus=1,
                                           drop_products=True), spec
+
+
+def family_series(spec, potential, watermark):
+    """The six term families of R_n(F), each summed into one series from
+    the operator builders of ``apply_virasoro``, exact at degree <=
+    ``watermark``."""
+    caps, kind = potential.caps, dict(system=potential.system)
+    d = lru_cache(maxsize=None)(potential.partial_derivative)
+    second = virasoro._second_order_terms(spec)
+
+    def total(terms):
+        out = TruncatedSeries(caps, **kind)
+        for series, w, lam_shift in terms:
+            out.iadd(series, w, lam_shift=lam_shift)
+        return out
+
+    return {
+        "first-order": total((d(var), w, 0) for var, w
+                             in virasoro._first_order_terms(spec)),
+        "dilation": virasoro._dilation_term(spec, potential, watermark),
+        "second-order": total((d(v1).partial_derivative(v2), w, 2)
+                              for v1, v2, w in second),
+        "product": total((d(v1).multiply(d(v2), max_degree=watermark), w, 2)
+                         for v1, v2, w in second),
+        "multiplication": total(
+            (TruncatedSeries.from_monomial(caps, mono, w, lam=-2, **kind),
+             1, 0) for mono, w in virasoro._multiplication_terms(spec)),
+        "constant": TruncatedSeries.constant(
+            caps, virasoro._constant_term(spec), **kind),
+    }
+
+
+def point_factorization(theory, caps, *, with_v=True):
+    """{(v, n, family): (compared, mismatches)} for the identity
+
+      M! T^{(e_v)}(F)[M, lam^{2g-2}]
+        = eps(e_v prod_{(a,c) in M} e_c H^g) L! T^pt(F^pt)[L, lam^{2g-2}]
+
+    over every v, every n in VIRASORO_N and each term family T of R_n,
+    with F^pt the point potential and L the level multiset of M.  The
+    positions compared are the class support in the region of degree <=
+    D-1 (n <= 0) or D-2 (n >= 1) plus every class assignment of the point
+    support there, so a missing class coefficient counts as a mismatch.
+    ``with_v=False`` drops e_v from the factor.
+    """
+    table = class_table(theory.algebra)
+    point = OrbifoldTheory(named_group("Z", 1))
+    point_table = class_table(point.algebra)
+    phi, phi_pt = theory.potential(caps), point.potential(caps)
+    r = theory.r
+
+    def e(k):
+        return tuple(int(j == k) for j in range(r))
+
+    @lru_cache(maxsize=None)
+    def factor(v, classes, g):
+        vectors = [e(v)] * with_v + [e(c) for c in classes]
+        vectors += [table.handle] * g
+        return table.eps(reduce(table.product, vectors, table.unit))
+
+    out = {}
+    for n in virasoro.VIRASORO_N:
+        watermark = caps.degree - (2 if n >= 1 else 1)
+        point_families = family_series(VirasoroSpec(n, point_table), phi_pt,
+                                       watermark)
+        for v in range(r):
+            families = family_series(VirasoroSpec(n, table, v), phi,
+                                     watermark)
+            for name, series in families.items():
+                pt = point_families[name]
+                region = {(mono, lam) for mono, lam in series.support()
+                          if mono_degree(mono) <= watermark}
+                for levels, lam in pt.support():
+                    if mono_degree(levels) > watermark:
+                        continue
+                    for chosen in product(*(
+                            combinations_with_replacement(range(r), k)
+                            for _var, k in levels)):
+                        region.add((mono_from_vars(
+                            (a, c) for ((a, _m), _k), cs
+                            in zip(levels, chosen) for c in cs), lam))
+                mismatches = []
+                for mono, lam in region:
+                    variables = [var for var, k in mono for _ in range(k)]
+                    levels = mono_from_vars((a, 0) for a, _c in variables)
+                    classes = tuple(sorted(c for _a, c in variables))
+                    lhs = mono_factorial(mono) * series.coefficient(mono, lam)
+                    rhs = (factor(v, classes, (lam + 2) // 2)
+                           * mono_factorial(levels)
+                           * pt.coefficient(levels, lam))
+                    if lhs != rhs:
+                        mismatches.append((mono, lam))
+                out[v, n, name] = (len(region), mismatches)
+    return out
+
+
+# the families with a position at degree <= D-1 (n <= 0) or D-2 (n >= 1):
+# multiplication at n = -1, the constant at n = 0, lambda^2 terms at n >= 1,
+# and products first at n = 2 (degree <= 2 at n = 1 leaves them no room)
+FAMILIES_PRESENT_AT_D4_G1 = (
+    [(n, family) for n in virasoro.VIRASORO_N
+     for family in ("first-order", "dilation")]
+    + [(-1, "multiplication"), (0, "constant"), (1, "second-order"),
+       (2, "second-order"), (2, "product")])
+
+
+@pytest.mark.parametrize("name,param", [("S", 3), ("Z", 3), ("Q8", 0)])
+def test_class_residuals_factor_through_the_point(name, param):
+    # each term family of R_n^{(e_v)} on the class potential is a
+    # Frobenius number times the same family on the point potential
+    theory = OrbifoldTheory(named_group(name, param))
+    caps = SeriesCaps(degree=4, genus=1)
+    got = point_factorization(theory, caps)
+    assert not {key: m for key, (_c, m) in got.items() if m}
+    present = {(v, n, family) for (v, n, family), (compared, _m)
+               in got.items() if compared}
+    assert present == {(v, n, family) for v in range(theory.r)
+                       for n, family in FAMILIES_PRESENT_AT_D4_G1}
+
+
+def test_point_factor_needs_the_operator_vector(s3):
+    # with e_v dropped from the factor, v = e_1 fails in every family
+    got = point_factorization(s3, SeriesCaps(degree=4, genus=1),
+                              with_v=False)
+    for n, family in FAMILIES_PRESENT_AT_D4_G1:
+        assert got[1, n, family][1], (n, family)
 
 
 def test_virasoro_mutation_detected(z2):
