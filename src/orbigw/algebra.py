@@ -155,6 +155,8 @@ class CharacterTable:
     degrees: tuple            # positive ints, trivial character first
     values: tuple             # r x r complex, values[alpha][class]
     tolerance: float
+    # max over (alpha, beta) of |<chi_alpha, chi_beta> - delta|
+    orthogonality_residual: float = 0.0
 
     def to_json_dict(self):
         return {
@@ -162,6 +164,7 @@ class CharacterTable:
             "degrees": list(self.degrees),
             "values": [[[v.real, v.imag] for v in row] for row in self.values],
             "tolerance": self.tolerance,
+            "orthogonality_residual": self.orthogonality_residual,
         }
 
 
@@ -237,28 +240,33 @@ def character_table(group: GroupTable, cd: Optional[ConjugacyData] = None, *,
 
     degrees = tuple(d for d, _ in rows)
     values = tuple(chi for _, chi in rows)
-    ct = CharacterTable(r=r, degrees=degrees, values=values, tolerance=tol)
-    _validate_character_table(ct, cd, n, tol)
-    return ct
+    return CharacterTable(
+        r=r, degrees=degrees, values=values, tolerance=tol,
+        orthogonality_residual=_validate_character_table(values, cd, n, tol))
 
 
-def _validate_character_table(ct, cd, n, tol):
-    r = ct.r
+def _validate_character_table(values, cd, n, tol) -> float:
+    """Row orthogonality and chi(g^-1) = conj chi(g) within ``tol``;
+    returns the worst row orthogonality residual."""
+    r = cd.r
+    worst = 0.0
     for alpha in range(r):
         for beta in range(r):
-            s = sum(cd.class_size[k] * ct.values[alpha][k]
-                    * ct.values[beta][k].conjugate() for k in range(r)) / n
-            target = 1.0 if alpha == beta else 0.0
-            if abs(s - target) > tol:
+            s = sum(cd.class_size[k] * values[alpha][k]
+                    * values[beta][k].conjugate() for k in range(r)) / n
+            residual = abs(s - (1.0 if alpha == beta else 0.0))
+            if residual > tol:
                 raise DegenerateSpectrum(
-                    f"row orthogonality residual {abs(s - target):.3e} "
+                    f"row orthogonality residual {residual:.3e} "
                     f"at ({alpha},{beta})")
+            worst = max(worst, residual)
         for k in range(r):
-            diff = ct.values[alpha][cd.inverse_class[k]] \
-                - ct.values[alpha][k].conjugate()
+            diff = values[alpha][cd.inverse_class[k]] \
+                - values[alpha][k].conjugate()
             if abs(diff) > tol:
                 raise DegenerateSpectrum(
                     f"inverse-class conjugation residual {abs(diff):.3e}")
+    return worst
 
 
 @dataclass(frozen=True)

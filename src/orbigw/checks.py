@@ -1,7 +1,8 @@
 """Field-theory axiom checks on the surface counts.
 
 Everything here is exact rational arithmetic; a report lists the number
-of identities tested and any mismatches (expected none).
+of identities tested and any mismatches (expected none).  The cutting and
+forgetting identities share one key walk, ``_identity_report``.
 """
 
 from __future__ import annotations
@@ -16,37 +17,47 @@ from .util import Q, rat_str
 INVARIANCE_TRIALS = 25
 
 
+def _identity_report(name: str, r: int, genera, n_max: int, cases) -> dict:
+    """Count the (lhs, rhs, where) cases(genus, classes) yields per genus and
+    class multiset of size <= n_max; list each unequal one with its key."""
+    checked = 0
+    mismatches = []
+    for genus in genera:
+        for n in range(n_max + 1):
+            for classes in combinations_with_replacement(range(r), n):
+                for lhs, rhs, where in cases(genus, classes):
+                    checked += 1
+                    if lhs != rhs:
+                        mismatches.append({
+                            "genus": genus, "classes": list(classes), **where,
+                            "lhs": rat_str(lhs), "rhs": rat_str(rhs)})
+    return {"name": name, "checked": checked,
+            "mismatches": mismatches, "passed": not mismatches}
+
+
 def cutting_trees_check(theory: OrbifoldTheory, *, genus_max: int = 2,
                         n_max: int = 4) -> dict:
     """Omega_g(c) = sum_z |C(z)| Omega_{g1}(c_I, z) Omega_{g2}(z^-1, c_J)
     for every genus split and every multiset splitting."""
     cd = theory.cd
-    checked = 0
-    mismatches = []
-    for genus in range(genus_max + 1):
-        for n in range(n_max + 1):
-            for classes in combinations_with_replacement(range(cd.r), n):
-                total = theory.surface_count(genus, classes)
-                for g1 in range(genus + 1):
-                    g2 = genus - g1
-                    for left, _weight in _submultisets(classes):
-                        right = _multiset_difference(classes, left)
-                        glued = Q(0)
-                        for z in range(cd.r):
-                            glued += cd.centralizer_of_class(z) \
-                                * theory.surface_count(g1, left + (z,)) \
-                                * theory.surface_count(
-                                    g2, (cd.inverse_class[z],) + right)
-                        checked += 1
-                        if glued != total:
-                            mismatches.append({
-                                "genus": genus, "classes": list(classes),
-                                "split": [list(left), list(right)],
-                                "genera": [g1, g2],
-                                "lhs": rat_str(total), "rhs": rat_str(glued),
-                            })
-    return {"name": "cutting_trees", "checked": checked,
-            "mismatches": mismatches, "passed": not mismatches}
+    count = theory.surface_count
+
+    def cases(genus, classes):
+        total = count(genus, classes)
+        for g1 in range(genus + 1):
+            g2 = genus - g1
+            for left, _weight in _submultisets(classes):
+                right = _multiset_difference(classes, left)
+                glued = Q(0)
+                for z in range(cd.r):
+                    glued += cd.centralizer_of_class(z) \
+                        * count(g1, left + (z,)) \
+                        * count(g2, (cd.inverse_class[z],) + right)
+                yield total, glued, {"split": [list(left), list(right)],
+                                     "genera": [g1, g2]}
+
+    return _identity_report("cutting_trees", cd.r, range(genus_max + 1),
+                            n_max, cases)
 
 
 def cutting_loops_check(theory: OrbifoldTheory, *, genus_max: int = 2,
@@ -59,43 +70,30 @@ def cutting_loops_check(theory: OrbifoldTheory, *, genus_max: int = 2,
     therefore tests H; the brute-force oracle tests everything else.
     """
     cd = theory.cd
-    checked = 0
-    mismatches = []
-    for genus in range(1, genus_max + 1):
-        for n in range(n_max + 1):
-            for classes in combinations_with_replacement(range(cd.r), n):
-                total = theory.surface_count(genus, classes)
-                glued = Q(0)
-                for z in range(cd.r):
-                    glued += cd.centralizer_of_class(z) * theory.surface_count(
-                        genus - 1, classes + (z, cd.inverse_class[z]))
-                checked += 1
-                if glued != total:
-                    mismatches.append({
-                        "genus": genus, "classes": list(classes),
-                        "lhs": rat_str(total), "rhs": rat_str(glued)})
-    return {"name": "cutting_loops", "checked": checked,
-            "mismatches": mismatches, "passed": not mismatches}
+    count = theory.surface_count
+
+    def cases(genus, classes):
+        total = count(genus, classes)
+        glued = Q(0)
+        for z in range(cd.r):
+            glued += cd.centralizer_of_class(z) * count(
+                genus - 1, classes + (z, cd.inverse_class[z]))
+        yield total, glued, {}
+
+    return _identity_report("cutting_loops", cd.r, range(1, genus_max + 1),
+                            n_max, cases)
 
 
 def forgetting_tails_check(theory: OrbifoldTheory, *, genus_max: int = 2,
                            n_max: int = 4) -> dict:
     """Adding an identity-class insertion never changes the count."""
-    cd = theory.cd
-    checked = 0
-    mismatches = []
-    for genus in range(genus_max + 1):
-        for n in range(n_max + 1):
-            for classes in combinations_with_replacement(range(cd.r), n):
-                plain = theory.surface_count(genus, classes)
-                tailed = theory.surface_count(genus, (0,) + classes)
-                checked += 1
-                if plain != tailed:
-                    mismatches.append({
-                        "genus": genus, "classes": list(classes),
-                        "lhs": rat_str(plain), "rhs": rat_str(tailed)})
-    return {"name": "forgetting_tails", "checked": checked,
-            "mismatches": mismatches, "passed": not mismatches}
+    count = theory.surface_count
+
+    def cases(genus, classes):
+        yield count(genus, classes), count(genus, (0,) + classes), {}
+
+    return _identity_report("forgetting_tails", theory.r,
+                            range(genus_max + 1), n_max, cases)
 
 
 def invariance_check(theory: OrbifoldTheory, *, genus_max: int = 2,

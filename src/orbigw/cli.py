@@ -68,7 +68,11 @@ def emit(report: dict, args) -> None:
         render("", report)
         text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        try:
+            fh = open(args.out, "w", encoding="utf-8")
+        except OSError as exc:
+            raise ValueError(str(exc)) from exc
+        with fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -124,16 +128,7 @@ def cmd_chartable(args) -> int:
     theory = OrbifoldTheory(load_group(args))
     ct = character_table(theory.group, theory.cd, tol=args.tol, seed=args.seed)
     cb = canonical_basis(ct, theory.algebra)
-    r = ct.r
-    worst = 0.0
-    for a in range(r):
-        for b in range(r):
-            s = sum(theory.cd.class_size[k] * ct.values[a][k]
-                    * ct.values[b][k].conjugate() for k in range(r))
-            s = s / theory.group.order - (1.0 if a == b else 0.0)
-            worst = max(worst, abs(s))
     report = ct.to_json_dict()
-    report["orthogonality_residual"] = worst
     report["nu"] = [rat_str(nu) for nu in cb.nus]
     emit(report, args)
     return EXIT_OK
@@ -356,8 +351,8 @@ def main(argv=None) -> int:
             raise ValueError(f"--tol must be finite and >= 0, got {tol}")
         return args.func(args)
     except (NotAGroup, UnsupportedName, UnstableKey, ValueError,
-            MissingCoefficient, json.JSONDecodeError, FileNotFoundError,
-            DegenerateSpectrum, IdempotencyCheckFailed) as exc:
+            MissingCoefficient, json.JSONDecodeError, DegenerateSpectrum,
+            IdempotencyCheckFailed) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT_ERROR
     except (WorkCapExceeded, OrderExceedsLimit) as exc:

@@ -271,7 +271,6 @@ class OrbifoldTheory:
         self.jobs = jobs
         self._omega_memo: dict = {}
         self._distributions: dict = {}
-        self._potential_cache: dict = {}
         self._enumerated_tuples = 0
         self._enumeration_seconds = 0.0
 
@@ -424,20 +423,13 @@ class OrbifoldTheory:
         Class basis: variables (a, class index), exact rational, monomial
         coefficient <tau_{a_1}(e_{m_1})...>_g / aut.  Canonical-rescaled
         basis: variables (a, idempotent index), r disjoint copies of the
-        point potential.  Returns a copy of the cached series, free to
-        change in place.
+        point potential.  Returns a new series, free to change in place.
         """
-        cache_key = (caps, basis)
-        cached = self._potential_cache.get(cache_key)
-        if cached is None:
-            if basis == CLASS_BASIS:
-                cached = self.potential_derivative((), caps)
-            elif basis == CANONICAL_RESCALED:
-                cached = self._potential_canonical(caps)
-            else:
-                raise ValueError(f"unknown basis {basis!r}")
-            self._potential_cache[cache_key] = cached
-        return cached.copy()
+        if basis == CLASS_BASIS:
+            return self.potential_derivative((), caps)
+        if basis == CANONICAL_RESCALED:
+            return self._potential_canonical(caps)
+        raise ValueError(f"unknown basis {basis!r}")
 
     def stored_coefficient(self, target, caps: SeriesCaps) -> Fraction:
         """The class-basis potential's coefficient at ``target``, a

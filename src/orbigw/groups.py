@@ -204,8 +204,12 @@ def parse_cycles(text: str, degree: Optional[int] = None) -> tuple:
 
     Points are space-separated; disjoint cycles are concatenated; "()" is
     the identity.  The permutation acts on 0..degree-1 (degree inferred
-    from the largest point if not given).
+    from the largest point if not given).  A cycle holds non-negative
+    integer points and whitespace, and only whitespace lies between
+    cycles; any other text is a ValueError.
     """
+    if not re.fullmatch(r"\s*(\([0-9\s]*\)\s*)*", text):
+        raise ValueError(f"malformed cycle string {text!r}")
     cycles = []
     maxpt = -1
     for grp in re.findall(r"\(([^()]*)\)", text):

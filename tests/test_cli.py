@@ -328,9 +328,21 @@ def test_exit_codes_for_bad_input():
      "group spec names more than one form: ['name', 'cayley']"),
     ('{"generators": ["(0 1)"], "param": 2}',
      "group spec 'generators' does not read ['param']"),
+    # a cycle string is complete cycles and whitespace, nothing else
+    ('{"generators": ["(0 1"]}', "malformed cycle string '(0 1'"),
+    ('{"generators": ["0 1)"]}', "malformed cycle string '0 1)'"),
+    ('{"generators": ["hello"]}', "malformed cycle string 'hello'"),
+    ('{"generators": ["(0 1)x"]}', "malformed cycle string '(0 1)x'"),
+    ('{"generators": ["(0 1) (2 3"]}',
+     "malformed cycle string '(0 1) (2 3'"),
+    ('{"generators": ["((0 1))"]}', "malformed cycle string '((0 1))'"),
+    # a point is a non-negative integer; -2 indexed past the permutation
+    ('{"generators": ["(0 -2)"]}', "malformed cycle string '(0 -2)'"),
 ], ids=["cayley-int", "cayley-row-int", "generator-int", "generators-string",
         "product-int", "name-int", "directory", "cayley-and-name",
-        "name-and-cayley", "param-without-name"])
+        "name-and-cayley", "param-without-name", "cycle-unclosed",
+        "cycle-unopened", "cycle-no-parens", "cycle-trailing-text",
+        "cycle-second-unclosed", "cycle-nested", "cycle-negative-point"])
 def test_malformed_group_spec_is_input_error(spec, message):
     err = io.StringIO()
     with redirect_stderr(err):
@@ -579,6 +591,18 @@ def test_text_format_and_out_file(tmp_path):
     assert stdout == ""
     text = out_path.read_text()
     assert "order: 2" in text
+
+
+def test_out_file_that_cannot_be_opened_is_input_error(tmp_path):
+    # a directory, or a file in a missing directory, is named on stderr
+    for out_path in (tmp_path, tmp_path / "missing" / "report.json"):
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, stdout = run_cli(["group", "--group", Z2,
+                                    "--out", str(out_path)])
+        assert code == 2 and stdout == ""
+        assert err.getvalue().startswith("input error: ")
+        assert str(out_path) in err.getvalue()
 
 
 def run_cli_process(argv):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import os
 from itertools import combinations_with_replacement, product
@@ -8,7 +10,8 @@ import pytest
 
 import orbigw.correlators
 from orbigw.algebra import canonical_basis, character_table
-from orbigw.correlators import (CANONICAL_RESCALED, CorrelatorKey,
+from orbigw.correlators import (CANONICAL_RESCALED, CLASS_BASIS,
+                                CorrelatorKey,
                                 MissingCoefficient, OrbifoldTheory,
                                 UnstableKey, WorkCapExceeded,
                                 genus0_closed_form, psi_correlator,
@@ -352,6 +355,19 @@ def test_potential_symmetry_factor(z2):
     assert phi.coefficient(mono, -2) == want
 
 
+def test_potential_calls_return_independent_series(z2):
+    # each call builds its own series: changing one in place leaves the
+    # next call's untouched
+    caps = SeriesCaps(degree=4, genus=1)
+    for basis in (CLASS_BASIS, CANONICAL_RESCALED):
+        first = z2.potential(caps, basis=basis)
+        want = first.to_json_list()
+        for mono, lam, c in list(first.iter_terms()):
+            first.add_term(mono, lam, c)
+        assert first.to_json_list() != want
+        assert z2.potential(caps, basis=basis).to_json_list() == want
+
+
 def test_potential_canonical_is_disjoint_point_copies(z2):
     caps = SeriesCaps(degree=4, genus=1)
     phi = z2.potential(caps, basis=CANONICAL_RESCALED)
@@ -489,3 +505,37 @@ def test_abelian_product_counts():
 def test_cohft_axioms_on_s3(s3):
     report = cohft_check(s3, genus_max=2, n_max=3, seed=11)
     assert report["passed"], report
+
+
+# sha256 of json.dumps(cohft_check(..., genus_max=2, n_max=4), sort_keys=True):
+# the counts, the mismatch lists in order and every lhs/rhs string, both as
+# computed and with Omega_1(e_0) off by one
+COHFT_DIGESTS = {
+    ("S", 3, False):
+        "55279e3a4bc5c643f74563f7a1bd6b6f59f5c6b80e9aa6da317ded24593d9a5b",
+    ("S", 3, True):
+        "3ff21974e2e0b5536e074fa7e9d0bf3835aa1fdc67e9d2cf64b673844aef4396",
+    ("Q8", 0, False):
+        "12dd63141e7e3cbfa818b7f25e1af8feb86ebbdaad254975fbe6a1929f5ec79f",
+    ("Q8", 0, True):
+        "100f921b0f7c9e9ea517a4d9cae7adc07094b987497ffe3b0d0aa45147e3a3cd",
+}
+
+
+@pytest.mark.parametrize("name, param, broken", COHFT_DIGESTS,
+                         ids=["S3", "S3-broken", "Q8", "Q8-broken"])
+def test_cohft_report_bytes_pinned(name, param, broken, monkeypatch):
+    theory = OrbifoldTheory(named_group(name, param))
+    real = theory.surface_count
+
+    def off_by_one(genus, classes):
+        value = real(genus, classes)
+        return value + 1 if (genus, tuple(classes)) == (1, (0,)) else value
+
+    if broken:
+        monkeypatch.setattr(theory, "surface_count", off_by_one)
+    report = cohft_check(theory, genus_max=2, n_max=4)
+    assert report["passed"] is not broken
+    text = json.dumps(report, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        COHFT_DIGESTS[name, param, broken]
