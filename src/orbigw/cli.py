@@ -16,12 +16,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
 from . import checks
-from .algebra import (DegenerateSpectrum, IdempotencyCheckFailed,
-                      canonical_basis, character_table)
+from .algebra import (IdempotencyCheckFailed, canonical_basis,
+                      character_table)
 from .correlators import (CANONICAL_RESCALED, CLASS_BASIS, CorrelatorKey,
                           MissingCoefficient, OrbifoldTheory, UnstableKey,
                           WorkCapExceeded, tensor_omega_check)
@@ -298,7 +299,7 @@ COMMANDS = (
      cmd_potential, ("--genus", "--degree", "--basis")),
 )
 
-# --seed draws nothing in virasoro and kdv; the benchmark passes it to both.
+# --seed draws only in cohft; the benchmark passes it to virasoro and kdv.
 CHECKS = (
     ("cohft", "cutting and forgetting axioms",
      ("--genus", "--seed", "--work-cap", "--jobs")),
@@ -349,9 +350,15 @@ def main(argv=None) -> int:
         tol = getattr(args, "tol", 0.0)
         if not 0 <= tol < math.inf:
             raise ValueError(f"--tol must be finite and >= 0, got {tol}")
+        # emit opens --out only once the report is ready
+        if args.out and os.path.isdir(args.out):
+            raise ValueError(f"--out {args.out} is a directory")
+        if args.out and not os.path.isdir(
+                os.path.dirname(os.path.abspath(args.out))):
+            raise ValueError(f"--out {args.out} lies in a missing directory")
         return args.func(args)
     except (NotAGroup, UnsupportedName, UnstableKey, ValueError,
-            MissingCoefficient, json.JSONDecodeError, DegenerateSpectrum,
+            MissingCoefficient, json.JSONDecodeError,
             IdempotencyCheckFailed) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT_ERROR

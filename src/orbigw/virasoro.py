@@ -26,6 +26,7 @@ import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
+from operator import add
 from typing import Optional
 
 from .algebra import (ClassAlgebra, canonical_basis, character_table,
@@ -540,8 +541,8 @@ def factorization_check(theory: OrbifoldTheory, *, degree: int = 6,
     ``theory.class_keys``, with idempotent indices in place of classes
     (both run over r slots), is compared with the canonical potential:
     psi/U! when the indices agree, else 0.  The tolerance absorbs the
-    character-table floats and real cube roots; violations name each key
-    above ``tol``.
+    complex evaluation of the exact characters and the real cube roots;
+    violations name each key above ``tol``.
     """
     caps = SeriesCaps(degree=degree, genus=genus)
     ct = character_table(theory.group, theory.cd, seed=seed)
@@ -664,23 +665,26 @@ def diagonal_combination_residual(theory: OrbifoldTheory, m: int, *,
     d/du_a^alpha = sum_k M_a[k][alpha] d/dt_a^k: each derivative slot of a
     split term moves by M_a, each variable slot of a class term by M_a^T.
     """
-    import numpy as np
-
     ct = character_table(theory.group, theory.cd, seed=seed)
     cb = canonical_basis(ct, theory.algebra)
-    r = theory.r
-    nus = np.array(cb.nus, dtype=float)
-    f = np.array(cb.vectors, dtype=complex).T          # f[k][alpha]
+    f, r = cb.vectors, theory.r                     # f[alpha][k]
+    nus = [float(nu) for nu in cb.nus]
     sides = [(VirasoroSpec(m, class_table(theory.algebra)), 1.0, "t")]
     sides += [(VirasoroSpec(m, split_table(r), alpha),
                -nus[alpha] ** (-m / 3), "d") for alpha in range(r)]
     total = {}
     for spec, weight, moved in sides:
         for slots, index, w in _operator_entries(spec):
-            arr = np.asarray(weight * float(w))
+            arr = [weight * float(w)]
             for (kind, a), i in zip(slots, index):
-                mat = f * nus ** ((a - 1) / 3) if kind == moved else np.eye(r)
-                arr = np.multiply.outer(arr,
-                                        mat[i] if kind == "t" else mat[:, i])
-            total[slots] = total.get(slots, 0) + arr
-    return max(float(np.max(np.abs(arr))) for arr in total.values())
+                if kind != moved:
+                    vec = [float(k == i) for k in range(r)]
+                elif kind == "t":           # row i of M_a
+                    vec = [f[alpha][i] * nus[alpha] ** ((a - 1) / 3)
+                           for alpha in range(r)]
+                else:                       # column i of M_a
+                    vec = [x * nus[i] ** ((a - 1) / 3) for x in f[i]]
+                arr = [x * y for x in arr for y in vec]
+            old = total.get(slots)
+            total[slots] = arr if old is None else list(map(add, old, arr))
+    return max(abs(x) for arr in total.values() for x in arr)

@@ -1,10 +1,15 @@
+import cmath
+import math
+
 import pytest
 
-from orbigw.algebra import (ClassAlgebra, DimensionMismatch,
-                            canonical_basis, character_table,
+from orbigw.algebra import (ClassAlgebra, DegenerateSpectrum,
+                            DimensionMismatch, canonical_basis,
+                            central_characters, character_table,
+                            power_maps, root_of_unity,
                             to_canonical_coordinates)
 from orbigw.correlators import CorrelatorKey, OrbifoldTheory
-from orbigw.groups import direct_product, named_group
+from orbigw.groups import direct_product, group_from_spec, named_group
 from orbigw.util import Q
 from orbigw.virasoro import class_table
 
@@ -324,3 +329,161 @@ def test_canonical_basis_matches_loop_oracle(label):
             assert new[1] == pytest.approx(old[1], rel=1e-3)
         verdicts.append(new[0])
     assert verdicts[-1] == f"eta(f_{r - 1}, f_{r - 1})"
+
+
+def _structure_constants_by_pairs(alg):
+    """Reference: one O(|G|^2) pass over all pairs (x, y)."""
+    g, cd = alg.group, alg.cd
+    r = cd.r
+    is_rep = [-1] * g.order
+    for k in range(r):
+        is_rep[cd.representative[k]] = k
+    a = [[[0] * r for _ in range(r)] for _ in range(r)]
+    for x in range(g.order):
+        for y in range(g.order):
+            k = is_rep[g.mult[x][y]]
+            if k >= 0:
+                a[cd.class_of[x]][cd.class_of[y]][k] += 1
+    return tuple(tuple(tuple(v) for v in row) for row in a)
+
+
+@pytest.mark.parametrize("group", [
+    named_group("S", 3), named_group("Z", 3), named_group("Q8"),
+    named_group("D", 6), named_group("S", 6),
+    direct_product(named_group("S", 4), named_group("D", 4))],
+    ids=["S3", "Z3", "Q8", "D6", "S6", "S4xD4"])
+def test_structure_constants_match_pair_loop(group):
+    alg = ClassAlgebra(group)
+    assert alg.structure_constants() == _structure_constants_by_pairs(alg)
+
+
+# -- the exact character table -------------------------------------------------
+
+A5 = group_from_spec('{"generators":["(0 1 2 3 4)","(0 1 2)"]}')
+Z7_Z3 = group_from_spec('{"generators":["(0 1 2 3 4 5 6)","(1 2 4)(3 6 5)"]}')
+Z2xZ3 = direct_product(named_group("Z", 2), named_group("Z", 3))
+S4xD4 = direct_product(named_group("S", 4), named_group("D", 4))
+
+PHI, PSI = (1 + math.sqrt(5)) / 2, (1 - math.sqrt(5)) / 2
+W = complex(-1, math.sqrt(3)) / 2
+B = complex(-1, math.sqrt(7)) / 2
+
+# rows in table order, classes in conjugacy_data order
+PINNED_TABLES = {
+    "S3": (named_group("S", 3),
+           [[1, 1, 1], [1, -1, 1], [2, 0, -1]]),
+    "Q8": (named_group("Q8"),
+           [[1, 1, 1, 1, 1], [1, 1, -1, -1, 1], [1, 1, -1, 1, -1],
+            [1, 1, 1, -1, -1], [2, -2, 0, 0, 0]]),
+    "A5": (A5,
+           [[1, 1, 1, 1, 1], [3, PSI, 0, PHI, -1], [3, PHI, 0, PSI, -1],
+            [4, -1, 1, -1, 0], [5, 0, -1, 0, 1]]),
+    "Z7:Z3": (Z7_Z3,
+              [[1, 1, 1, 1, 1], [1, 1, W.conjugate(), W, 1],
+               [1, 1, W, W.conjugate(), 1],
+               [3, B.conjugate(), 0, 0, B], [3, B, 0, 0, B.conjugate()]]),
+}
+
+
+@pytest.mark.parametrize("label", sorted(PINNED_TABLES))
+def test_character_table_pinned_values(label):
+    group, expected = PINNED_TABLES[label]
+    ct = character_table(group)
+    assert ct.degrees == tuple(row[0] for row in expected)
+    for row, want in zip(ct.values, expected):
+        assert max(abs(v - w) for v, w in zip(row, want)) < 1e-12, label
+
+
+@pytest.mark.parametrize("group", [Z2xZ3, S4xD4], ids=["Z2xZ3", "S4xD4"])
+def test_character_table_orthogonality(group):
+    ct = character_table(group)
+    cd = ClassAlgebra(group).cd
+    r, n = ct.r, group.order
+    for alpha in range(r):
+        for beta in range(r):
+            s = sum(cd.class_size[k] * ct.values[alpha][k]
+                    * ct.values[beta][k].conjugate() for k in range(r)) / n
+            assert abs(s - (alpha == beta)) < 1e-12
+    for k in range(r):
+        for m in range(r):
+            s = sum(row[k] * row[m].conjugate() for row in ct.values)
+            want = cd.centralizer_of_class(k) if k == m else 0
+            assert abs(s - want) < 1e-10
+    assert ct.orthogonality_residual < 1e-12
+
+
+@pytest.mark.parametrize("factors", [(("Z", 2), ("Z", 3)), (("S", 4), ("D", 4))],
+                         ids=["Z2xZ3", "S4xD4"])
+def test_character_table_of_product_is_tensor_product(factors):
+    g, h = (named_group(*f) for f in factors)
+    cd_g, cd_h = ClassAlgebra(g).cd, ClassAlgebra(h).cd
+    gh = direct_product(g, h)
+    cd = ClassAlgebra(gh).cd
+    pairs = [divmod(x, h.order) for x in cd.representative]
+
+    def rounded(row):
+        return tuple((round(v.real, 9) + 0.0, round(v.imag, 9) + 0.0)
+                     for v in row)
+
+    tensor = sorted(
+        rounded([chi[cd_g.class_of[x]] * psi[cd_h.class_of[y]]
+                 for x, y in pairs])
+        for chi in character_table(g).values
+        for psi in character_table(h).values)
+    assert sorted(map(rounded, character_table(gh).values)) == tensor
+
+
+@pytest.mark.parametrize("group", [named_group("S", 3), A5, S4xD4],
+                         ids=["S3", "A5", "S4xD4"])
+def test_character_table_draws_nothing(group):
+    tables = [character_table(group, seed=seed) for seed in (0, 1, 7)]
+    assert tables[0] == tables[1] == tables[2]
+
+
+@pytest.mark.parametrize("group", [named_group("Q8"), A5, Z7_Z3, S4xD4,
+                                   named_group("Z", 12)],
+                         ids=["Q8", "A5", "Z7:Z3", "S4xD4", "Z12"])
+def test_character_table_exact_mod_p(group):
+    """Each residue row, as w = chi |C| / d, is a common eigenvector of
+    every class matrix mod p; each lift has multiplicities in [0, d] that
+    sum to d, reduces to the residue mod p and evaluates to the value."""
+    alg = ClassAlgebra(group)
+    cd, a = alg.cd, alg.structure_constants()
+    ct = character_table(group, alg.cd)
+    powers = power_maps(group, cd)
+    e = math.lcm(*map(len, powers))
+    p, n, r = ct.prime, group.order, ct.r
+    assert p % e == 1 and p * p > 4 * n and n % p != 0
+    assert all(p % q for q in range(2, math.isqrt(p) + 1))
+    omega = root_of_unity(p, e)
+    assert all(pow(omega, e // q, p) != 1 for q in range(2, e + 1)
+               if e % q == 0)
+    for d, chi, lifts, values in zip(ct.degrees, ct.residues, ct.lifts,
+                                     ct.values):
+        w = [x * cd.class_size[k] * pow(d, p - 2, p) % p
+             for k, x in enumerate(chi)]
+        assert w[0] == 1
+        for i in range(r):
+            for j in range(r):
+                assert sum(a[i][j][k] * w[k] for k in range(r)) % p \
+                    == w[i] * w[j] % p, (i, j)
+        for k, lift in enumerate(lifts):
+            o = len(powers[k])
+            assert all(0 <= t < o and 0 < m <= d for t, m in lift)
+            assert sum(m for _t, m in lift) == d
+            root = pow(omega, e // o, p)
+            assert sum(m * pow(root, t, p) for t, m in lift) % p == chi[k]
+            exact = sum(m * cmath.exp(2j * math.pi * t / o) for t, m in lift)
+            assert abs(exact - values[k]) < 1e-12
+
+
+def test_central_characters_check_every_class_matrix():
+    # Z5's generator class alone splits F_p^5, so a fault in the last
+    # class matrix is seen only by the check of A_i w = w_i w
+    alg = ClassAlgebra(named_group("Z", 5))
+    a = [[list(row) for row in plane] for plane in alg.structure_constants()]
+    p = 11
+    assert len(central_characters(a, p)) == 5
+    a[4][1] = [c + 1 for c in a[4][1]]
+    with pytest.raises(DegenerateSpectrum, match=r"A_4 w != w_4 w"):
+        central_characters(a, p)

@@ -605,6 +605,49 @@ def test_out_file_that_cannot_be_opened_is_input_error(tmp_path):
         assert str(out_path) in err.getvalue()
 
 
+def test_out_is_checked_before_any_work(tmp_path, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the check ran")
+
+    monkeypatch.setattr(orbigw.cli, "virasoro_check", unreachable)
+    for out_path in (tmp_path, tmp_path / "missing" / "report.json"):
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, stdout = run_cli(["check", "virasoro", "--group", Z2,
+                                    "--out", str(out_path)])
+        assert code == 2 and stdout == ""
+        assert str(out_path) in err.getvalue()
+
+
+def test_existing_out_file_is_kept_until_the_report_is_ready(tmp_path,
+                                                             monkeypatch):
+    out_path = tmp_path / "report.json"
+    out_path.write_text("earlier report\n")
+
+    def interrupted(*args, **kwargs):
+        assert out_path.read_text() == "earlier report\n"
+        raise RuntimeError("the run stops midway")
+
+    monkeypatch.setattr(orbigw.cli, "virasoro_check", interrupted)
+    with pytest.raises(RuntimeError, match="midway"):
+        run_cli(["check", "virasoro", "--group", Z2, "--out", str(out_path)])
+    assert out_path.read_text() == "earlier report\n"
+
+
+def test_degenerate_spectrum_is_not_an_input_error(monkeypatch):
+    # the exact table raises it only on an internal fault
+    from orbigw.algebra import DegenerateSpectrum
+
+    def fault(*args, **kwargs):
+        raise DegenerateSpectrum("internal fault")
+
+    monkeypatch.setattr(orbigw.cli, "character_table", fault)
+    err = io.StringIO()
+    with redirect_stderr(err), pytest.raises(DegenerateSpectrum):
+        run_cli(["chartable", "--group", S3])
+    assert "input error" not in err.getvalue()
+
+
 def run_cli_process(argv):
     """The CLI in a fresh interpreter that imports this same orbigw."""
     src = os.path.dirname(os.path.dirname(orbigw.__file__))

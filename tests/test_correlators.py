@@ -5,7 +5,6 @@ import os
 from itertools import combinations_with_replacement, product
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
 import orbigw.correlators
@@ -311,18 +310,21 @@ def test_canonical_correlator_matches_multilinear_expansion():
         theory = OrbifoldTheory(named_group(name, param))
         ct = character_table(theory.group, theory.cd)
         cb = canonical_basis(ct, theory.algebra)
-        f = np.array(cb.vectors)    # f[alpha][m]
+        f = cb.vectors    # f[alpha][m]
         r = theory.r
         keys = [(0, (0, 0, 0)), (0, (1, 0, 0, 0)), (1, (1,)), (1, (2, 0)),
                 (2, (4,)), (2, (3, 2))]
         for genus, levels in keys:
-            expansion = np.array([
-                complex(theory.orbifold_correlator(
+            expansion = {
+                cls: complex(theory.orbifold_correlator(
                     CorrelatorKey(genus, tuple(zip(levels, cls)))))
-                for cls in product(range(r), repeat=len(levels))
-            ]).reshape((r,) * len(levels))
+                for cls in product(range(r), repeat=len(levels))}
             for _ in levels:    # class slot m -> idempotent slot alpha
-                expansion = np.tensordot(expansion, f, (0, 1))
+                expansion = {
+                    rest + (alpha,): sum(expansion[(m,) + rest] * f[alpha][m]
+                                         for m in range(r))
+                    for rest in product(range(r), repeat=len(levels) - 1)
+                    for alpha in range(r)}
             for alphas in product(range(r), repeat=len(levels)):
                 expected = complex(theory.canonical_correlator(
                     genus, cb.nus, tuple(zip(levels, alphas))))
