@@ -210,7 +210,7 @@ def cmd_potential(args) -> int:
         "basis": args.basis,
         "caps": {"degree": caps.degree, "genus": caps.genus},
         "potential": rows(phi),
-        "partition_function": rows(phi.exponential()),
+        "partition_function": rows(phi.exponential(genus=caps.genus)),
     }
     emit(report, args)
     return EXIT_OK

@@ -472,14 +472,18 @@ class OrbifoldTheory:
         fixed = sorted(fixed)
         fixed_levels = tuple(a for a, _ in fixed) + (0, 0) * handles
         fixed_classes = tuple(m for _, m in fixed)
+        order = self.group.order
         out = TruncatedSeries(caps, system=CLASS_BASIS)
         for genus, variables, psi in self.class_keys(caps, fixed_levels):
             omega = self.surface_count(
                 genus + handles, fixed_classes + tuple(m for _, m in variables))
             if omega:
+                # omega * |G| is an integer (see surface_count)
                 mono = mono_from_vars(variables)
                 out.add_term(mono, 2 * genus - 2,
-                             psi * omega / mono_factorial(mono))
+                             psi.numerator * omega.numerator
+                             * (order // omega.denominator),
+                             psi.denominator * order * mono_factorial(mono))
         return out
 
     def _potential_canonical(self, caps):
@@ -487,7 +491,8 @@ class OrbifoldTheory:
         for genus, levels, psi in self._stable_level_keys(caps):
             for alpha in range(self.r):
                 key = mono_from_vars((a, alpha) for a in levels)
-                out.add_term(key, 2 * genus - 2, psi / mono_factorial(key))
+                out.add_term(key, 2 * genus - 2, psi.numerator,
+                             psi.denominator * mono_factorial(key))
         return out
 
     def class_keys(self, caps, fixed_levels=()):

@@ -331,7 +331,7 @@ def _compare(operator, caps, lhs, rhs, *, max_degree, lam_max,
         for series, value, lam_shift in terms:
             total.iadd(series, value, lam_shift=lam_shift)
             support.update((mono, lam + lam_shift)
-                           for mono, lam, _c in series.iter_terms()
+                           for mono, lam in series.support()
                            if lam + lam_shift <= lam_max
                            and mono_degree(mono) <= max_degree)
         return total

@@ -337,7 +337,7 @@ def test_canonical_correlator_matches_multilinear_expansion():
 def test_potential_trivial_group():
     triv = OrbifoldTheory(named_group("Z", 1))
     phi = triv.potential(SeriesCaps(degree=3, genus=0))
-    assert len(phi.terms) == 1
+    assert len(phi.support()) == 1
     assert phi.coefficient((((0, 0), 3),), -2) == Q(1, 6)
     empty = triv.potential(SeriesCaps(degree=2, genus=0))
     assert empty.support() == set()
