@@ -65,18 +65,29 @@ class ClassAlgebra:
         self.cd = cd if cd is not None else conjugacy_data(group)
         self._structure = None
         self._handle = None
+        self._pairs = None
 
     @property
     def r(self) -> int:
         return self.cd.r
 
+    def pairs(self):
+        """(m, m^-1, |C(m)|) for each class m: the inverse metric pairs e_m
+        with e_{m^-1} at weight |C(m)|.  The metric, the handle element,
+        the pairing checks and the class table all read it here."""
+        if self._pairs is None:
+            cd = self.cd
+            self._pairs = tuple((m, cd.inverse_class[m],
+                                 cd.centralizer_of_class(m))
+                                for m in range(cd.r))
+        return self._pairs
+
     def metric(self):
-        """eta_{jk} = delta_{k, inv(j)} / |C(rep_j)|, exact and symmetric;
-        the inverse metric is the pairs of ``virasoro.class_table``."""
-        cd = self.cd
-        return tuple(tuple(Q(1, cd.centralizer_of_class(j))
-                           if k == cd.inverse_class[j] else Q(0)
-                           for k in range(cd.r)) for j in range(cd.r))
+        """eta_{jk} = delta_{k, inv(j)} / |C(rep_j)|, exact and symmetric:
+        the inverse of the ``pairs``."""
+        return tuple(tuple(Q(1, c) if k == inv else Q(0)
+                           for k in range(self.r))
+                     for _j, inv, c in self.pairs())
 
     def structure_constants(self):
         """a[i][j][k] = #{(x, y) in C_i x C_j : xy = representative[k]}.
@@ -103,15 +114,11 @@ class ClassAlgebra:
         insertions c counts eps(e_{c_1} * ... * e_{c_n} * H^g).
         """
         if self._handle is None:
-            cd, a = self.cd, self.structure_constants()
+            a = self.structure_constants()
             self._handle = tuple(
-                sum(cd.centralizer_of_class(z) * a[z][cd.inverse_class[z]][k]
-                    for z in range(cd.r))
-                for k in range(cd.r))
+                sum(c * a[z][inv][k] for z, inv, c in self.pairs())
+                for k in range(self.r))
         return self._handle
-
-    def class_mult_coefficient(self, i: int, j: int, k: int) -> int:
-        return self.structure_constants()[i][j][k]
 
     def basis_vector(self, k: int):
         return tuple(1 if m == k else 0 for m in range(self.r))
@@ -131,12 +138,10 @@ class ClassAlgebra:
         r = self.r
         if len(u) != r or len(v) != r:
             raise DimensionMismatch(f"expected length {r}")
-        cd = self.cd
         total = 0 * u[0]
-        for j in range(r):
-            k = cd.inverse_class[j]
+        for j, k, c in self.pairs():
             if u[j] and v[k]:
-                total = total + u[j] * v[k] * Q(1, cd.centralizer_of_class(j))
+                total = total + u[j] * v[k] * Q(1, c)
         return total
 
 
@@ -516,9 +521,9 @@ def canonical_basis(ct: CharacterTable,
         for i, j, k, c in nonzero:
             rows[k][j] += f[i] * c
         lifted.append(rows)
-    weighted = [[x / cd.centralizer_of_class(j) for j, x in enumerate(f)]
-                for f in vectors]
-    mirrored = [[f[inv] for inv in cd.inverse_class] for f in vectors]
+    pairs = algebra.pairs()
+    weighted = [[f[m] / c for m, _inv, c in pairs] for f in vectors]
+    mirrored = [[f[inv] for _m, inv, _c in pairs] for f in vectors]
     products = {}
     for alpha in range(r):
         for beta in range(r):

@@ -39,7 +39,7 @@ def cutting_trees_check(theory: OrbifoldTheory, *, genus_max: int = 2,
                         n_max: int = 4) -> dict:
     """Omega_g(c) = sum_z |C(z)| Omega_{g1}(c_I, z) Omega_{g2}(z^-1, c_J)
     for every genus split and every multiset splitting."""
-    cd = theory.cd
+    pairs = theory.algebra.pairs()
     count = theory.surface_count
 
     def cases(genus, classes):
@@ -49,14 +49,13 @@ def cutting_trees_check(theory: OrbifoldTheory, *, genus_max: int = 2,
             for left, _weight in _submultisets(classes):
                 right = _multiset_difference(classes, left)
                 glued = Q(0)
-                for z in range(cd.r):
-                    glued += cd.centralizer_of_class(z) \
-                        * count(g1, left + (z,)) \
-                        * count(g2, (cd.inverse_class[z],) + right)
+                for z, z_inv, c in pairs:
+                    glued += c * count(g1, left + (z,)) \
+                        * count(g2, (z_inv,) + right)
                 yield total, glued, {"split": [list(left), list(right)],
                                      "genera": [g1, g2]}
 
-    return _identity_report("cutting_trees", cd.r, range(genus_max + 1),
+    return _identity_report("cutting_trees", theory.r, range(genus_max + 1),
                             n_max, cases)
 
 
@@ -64,24 +63,25 @@ def cutting_loops_check(theory: OrbifoldTheory, *, genus_max: int = 2,
                         n_max: int = 4) -> dict:
     """Omega_g(c) = sum_z |C(z)| Omega_{g-1}(z, z^-1, c) for g >= 1.
 
-    The left side multiplies by the algebra's cached handle element H;
-    the right side inserts each pair (z, z^-1) as two ordinary classes,
-    rebuilding one factor of H from the structure constants.  The identity
-    therefore tests H; the brute-force oracle tests everything else.
+    Both sides read the algebra's ``pairs`` (z, z^-1, |C(z)|): the left
+    through the cached handle element H, the right by inserting each pair
+    as two ordinary classes, so that the structure constants rebuild one
+    factor of H.  The identity therefore tests how H is summed and cached,
+    not the pairs themselves; a wrong pair shows against the brute-force
+    oracle, which counts without them.
     """
-    cd = theory.cd
+    pairs = theory.algebra.pairs()
     count = theory.surface_count
 
     def cases(genus, classes):
         total = count(genus, classes)
         glued = Q(0)
-        for z in range(cd.r):
-            glued += cd.centralizer_of_class(z) * count(
-                genus - 1, classes + (z, cd.inverse_class[z]))
+        for z, z_inv, c in pairs:
+            glued += c * count(genus - 1, classes + (z, z_inv))
         yield total, glued, {}
 
-    return _identity_report("cutting_loops", cd.r, range(1, genus_max + 1),
-                            n_max, cases)
+    return _identity_report("cutting_loops", theory.r,
+                            range(1, genus_max + 1), n_max, cases)
 
 
 def forgetting_tails_check(theory: OrbifoldTheory, *, genus_max: int = 2,

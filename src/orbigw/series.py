@@ -151,10 +151,6 @@ class TruncatedSeries:
         return s
 
     @classmethod
-    def one(cls, caps, **kw):
-        return cls.constant(caps, 1, **kw)
-
-    @classmethod
     def from_monomial(cls, caps, mono, value, *, lam: int = 0, **kw):
         if lam % 2 != 0:
             raise ValueError("lambda exponents must be even")
@@ -163,12 +159,6 @@ class TruncatedSeries:
         if mono_degree(mono) <= caps.degree and lam <= caps.lam_ceiling:
             s.add_term(mono, lam, value)
         return s
-
-    def copy(self):
-        out = TruncatedSeries(self.caps, system=self.system)
-        out.terms = {m: dict(lc) for m, lc in self.terms.items()}
-        out.den = self.den
-        return out
 
     # -- bookkeeping ----------------------------------------------------------
 
@@ -230,7 +220,7 @@ class TruncatedSeries:
     # -- ring operations ------------------------------------------------------
 
     def add(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return self.copy().iadd(other)
+        return self.scale(1).iadd(other)
 
     def iadd(self, other: "TruncatedSeries", value=1, *,
              lam_shift: int = 0) -> "TruncatedSeries":
@@ -247,7 +237,7 @@ class TruncatedSeries:
         if not num or not other.terms:
             return self
         if other is self:
-            other = other.copy()
+            other = other.scale(1)
         factor = num * self._widen(den * other.den)
         ceiling = self.caps.lam_ceiling
         terms = self.terms

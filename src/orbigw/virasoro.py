@@ -69,13 +69,11 @@ def _basis(r: int, k: int) -> tuple:
 
 def class_table(algebra: ClassAlgebra) -> FrobeniusTable:
     """Class algebra: eps(e_k) = delta_{k0}/|G|, pairs (m, m^-1, |C(m)|)."""
-    cd = algebra.cd
     return FrobeniusTable(
         algebra.structure_constants(),
-        tuple(Q(int(k == 0), algebra.group.order) for k in range(cd.r)),
-        tuple((m, cd.inverse_class[m], cd.centralizer_of_class(m))
-              for m in range(cd.r)),
-        algebra.handle_element(), algebra.unit(), CLASS_BASIS, "diagonal")
+        tuple(Q(int(k == 0), algebra.group.order) for k in range(algebra.r)),
+        algebra.pairs(), algebra.handle_element(), algebra.unit(),
+        CLASS_BASIS, "diagonal")
 
 
 def split_table(r: int) -> FrobeniusTable:
@@ -529,8 +527,8 @@ def kdv_check(theory: OrbifoldTheory, *, degree: int = 4, genus: int = 1,
 
 
 def factorization_check(theory: OrbifoldTheory, *, degree: int = 6,
-                        genus: int = 2, tol: float = 1e-8,
-                        seed: int = 0) -> ConstraintReport:
+                        genus: int = 2,
+                        tol: float = 1e-8) -> ConstraintReport:
     """Class-basis potential transported to rescaled canonical variables
     matches the sum of point potentials, within tolerance, key by key.
 
@@ -545,7 +543,7 @@ def factorization_check(theory: OrbifoldTheory, *, degree: int = 6,
     violations name each key above ``tol``.
     """
     caps = SeriesCaps(degree=degree, genus=genus)
-    ct = character_table(theory.group, theory.cd, seed=seed)
+    ct = character_table(theory.group, theory.cd)
     cb = canonical_basis(ct, theory.algebra)
     table = class_table(theory.algebra)
     target = theory.potential(caps, basis=CANONICAL_RESCALED)
@@ -656,8 +654,7 @@ def _operator_entries(spec: VirasoroSpec) -> list:
     return out + [((), (), _constant_term(spec))]
 
 
-def diagonal_combination_residual(theory: OrbifoldTheory, m: int, *,
-                                  seed: int = 0) -> float:
+def diagonal_combination_residual(theory: OrbifoldTheory, m: int) -> float:
     """Largest entry of L_m - sum_alpha nu_alpha^{-m/3} L_m^{(alpha)}, term
     by term (``_operator_entries``), class table against split table.
 
@@ -665,7 +662,7 @@ def diagonal_combination_residual(theory: OrbifoldTheory, m: int, *,
     d/du_a^alpha = sum_k M_a[k][alpha] d/dt_a^k: each derivative slot of a
     split term moves by M_a, each variable slot of a class term by M_a^T.
     """
-    ct = character_table(theory.group, theory.cd, seed=seed)
+    ct = character_table(theory.group, theory.cd)
     cb = canonical_basis(ct, theory.algebra)
     f, r = cb.vectors, theory.r                     # f[alpha][k]
     nus = [float(nu) for nu in cb.nus]

@@ -66,11 +66,12 @@ def test_structure_constants_s3():
     alg = algebra_of("S", 3)
     sizes = by_size(alg)
     t, c = sizes[3], sizes[2]
-    assert alg.class_mult_coefficient(t, t, 0) == 3
-    assert alg.class_mult_coefficient(t, t, c) == 3
+    a = alg.structure_constants()
+    assert a[t][t][0] == 3
+    assert a[t][t][c] == 3
     for j in range(3):
         for k in range(3):
-            assert alg.class_mult_coefficient(0, j, k) == (1 if j == k else 0)
+            assert a[0][j][k] == (1 if j == k else 0)
 
 
 def test_quantum_product_examples():

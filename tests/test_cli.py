@@ -14,6 +14,7 @@ import pytest
 import orbigw
 import orbigw.cli
 import orbigw.groups
+import orbigw.virasoro
 from orbigw.cli import main
 from orbigw.correlators import CANONICAL_RESCALED, CLASS_BASIS, OrbifoldTheory
 from orbigw.series import SeriesCaps
@@ -83,6 +84,15 @@ def test_correlator_command():
     report = json.loads(out)
     assert report["value"] == "0/1"
     assert report["vanishing_reason"] == "dimension"
+
+    for key, reason in [
+            ('{"genus":0,"insertions":[[0,1],[0,0],[0,0]]}',
+             "surface count vanishes"),
+            ('{"genus":2,"insertions":[]}', "empty correlator")]:
+        code, out = run_cli(["correlator", "--group", Z2, "--key", key])
+        report = json.loads(out)
+        assert code == 0 and report["value"] == "0/1"
+        assert report["vanishing_reason"] == reason
 
     code, _out = run_cli(["correlator", "--group", Z2, "--key",
                           '{"genus":0,"insertions":[[0,0],[0,1]]}'])
@@ -446,6 +456,27 @@ def test_tol_that_cannot_fail_is_input_error(argv, tol):
                               f">= 0, got {float(tol)}\n")
 
 
+def test_idempotent_rounding_is_a_failed_check(monkeypatch):
+    # --tol 0 is a valid tolerance, and S3's float idempotent check then
+    # fails on rounding: a failed check (exit 1), not an input error
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli(["chartable", "--group", S3, "--tol", "0"])
+    assert code == 1 and out == ""
+    assert err.getvalue() == "check failed: f_0 * f_2 residual 2.776e-17\n"
+    # check factorization builds the basis at the table's own tolerance;
+    # a table at tolerance 0 fails there the same way
+    real = orbigw.virasoro.character_table
+    monkeypatch.setattr(orbigw.virasoro, "character_table",
+                        lambda group, cd: real(group, cd, tol=0))
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli(["check", "factorization", "--group", S3,
+                             "--degree", "2", "--genus", "0"])
+    assert code == 1 and out == ""
+    assert err.getvalue() == "check failed: f_0 * f_2 residual 2.776e-17\n"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["correlator", "--group", Z2, "--key",
       '{"genus":1.5,"insertions":[[1,0]]}'],
@@ -534,6 +565,40 @@ PINNED_REPORTS = [
     ("kdv", Z3, 3, "[[[0,0,1],[0,1,1],[0,2,1],[1,0,1]],-2]",
      "bb547cbc399db385a9bd7377888d4406d9241999577e2af58d5422944745a1ae"),
 ]
+
+
+# sha256 of stdout at the defaults: chartable prints the float table and
+# the nus of the idempotent basis, whose pairing check reads the class
+# algebra's pairs; group prints the inverse classes and centralizer orders
+# those pairs are made of
+A5 = '{"generators":["(0 1 2)","(0 1 2 3 4)"]}'
+S4xD4 = '{"product":[{"name":"S","param":4},{"name":"D","param":4}]}'
+PINNED_TABLES = [
+    ("chartable", S3,
+     "058a9057d014d5644cb585f7dc79ad5183a94d99a74de163b375b15d7b4a5422"),
+    ("chartable", '{"name":"Q8"}',
+     "8d3f5cb074c3e3a01af6bac97e863685485f7edd8cb872ea793fc99ac519ade6"),
+    ("chartable", '{"name":"Z","param":4}',
+     "3b3c512b4b250212d0148415e86d614097666b78250102e508485a98e9e33e64"),
+    ("chartable", A5,
+     "bf0c83664eece3b054054ddfce21b0c800acc66d2b1398865533e72576e9fec2"),
+    ("chartable", S4xD4,
+     "33ace3df22d8b0c27b10d10124e71c35bef406c02c96cea749f5af1e113f25b2"),
+    ("group", S3,
+     "8d75a7daa3068f91811097c5c3705410bf6eeb74d1c1c7c44a51360655bc8be0"),
+    ("group", Z3,
+     "9ac6edb91f7fd26661e4dea6a1ed702d0898055f3ff3fe3fd5fe9d54971d3c0e"),
+]
+
+
+@pytest.mark.parametrize("command,group,digest", PINNED_TABLES,
+                         ids=["chartable-S3", "chartable-Q8", "chartable-Z4",
+                              "chartable-A5", "chartable-S4xD4", "group-S3",
+                              "group-Z3"])
+def test_table_bytes_pinned(command, group, digest):
+    code, out = run_cli([command, "--group", group])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("which,group,degree,mutate,digest", PINNED_REPORTS)

@@ -141,6 +141,15 @@ def test_surface_count_brute_vs_recursive(s3):
                         theory.surface_count_brute(genus, cls), (genus, cls)
 
 
+def test_brute_force_recursion_below_the_last_handle(s3):
+    # genus 3 is the least genus whose enumeration recurses once more
+    # before the last handle's plain loop; the benchmark reaches it only
+    # in forked workers, so this runs it in-process (jobs=1)
+    assert s3.jobs == 1
+    for cls in combinations_with_replacement(range(s3.r), 2):
+        assert s3.surface_count_brute(3, cls) == s3.surface_count(3, cls), cls
+
+
 def test_genus_one_empty_count_is_class_number():
     for group in (named_group("S", 4), named_group("D", 5),
                   named_group("Q8")):
@@ -476,6 +485,25 @@ def test_tensor_check_z2_z3():
                                 genus_max=2, n_max=2)
     assert report["passed"]
     assert report["checked"] > 0
+
+
+def test_tensor_check_reports_a_perturbed_product_count(monkeypatch):
+    g1, g2 = named_group("Z", 2), named_group("Z", 3)
+    real = OrbifoldTheory.surface_count
+
+    def perturbed(self, genus, classes):
+        value = real(self, genus, classes)
+        if self.group.order == 6 and genus == 1 and len(classes) == 1:
+            return value + 1
+        return value
+
+    monkeypatch.setattr(OrbifoldTheory, "surface_count", perturbed)
+    report = tensor_omega_check(g1, g2, genus_max=2, n_max=2)
+    assert not report["passed"]
+    assert len(report["mismatches"]) == 6      # one per class of Z2 x Z3
+    assert {m["genus"] for m in report["mismatches"]} == {1}
+    assert all(len(m["pairs"]) == 1 and m["product"] != m["factors"]
+               for m in report["mismatches"])
 
 
 def test_tensor_with_trivial_factor(s3):

@@ -177,7 +177,7 @@ def test_derivative_of_exponential():
 
 def test_serialization_deterministic():
     s = poly([(mono(T0), 0, Q(1, 3)), (mono((1, 0)), -2, Q(2))])
-    assert s.to_json_list() == s.copy().to_json_list()
+    assert s.to_json_list() == s.scale(1).to_json_list()
     row = s.to_json_list()[0]
     assert set(row) == {"monomial", "lambda", "coeff"}
 
@@ -241,7 +241,7 @@ def test_kernel_matches_fraction_reference():
         for (m, lam), c in rb.items():
             if lam + shift <= caps.lam_ceiling:
                 ref_add(want, m, lam + shift, c * value)
-        assert values(a.copy().iadd(b, value, lam_shift=shift)) == want
+        assert values(a.scale(1).iadd(b, value, lam_shift=shift)) == want
         assert values(a.scale(Q(3, 7))) == {k: c * Q(3, 7)
                                            for k, c in ra.items()}
         assert values(a.scale(0)) == {}
@@ -322,7 +322,7 @@ def test_kernel_cancels_and_widens():
     # cancellation to zero removes the position, then the monomial
     s.add_term(mono(T0), 0, -total)
     assert s.support() == {(mono(T0, T0), 2)}
-    s.iadd(s.copy(), Q(-1))
+    s.iadd(s, Q(-1))            # an aliased iadd reads a snapshot of s
     assert s.support() == set() and s == TruncatedSeries(caps)
     # an iadd that cancels one position of a series over another denominator
     a = poly([(mono(T0), 0, Q(1, 7)), (mono((1, 0)), 0, Q(2, 11))], caps)
