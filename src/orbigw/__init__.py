@@ -9,8 +9,7 @@ that pin the theory down, all in exact rational arithmetic.
 """
 
 from .algebra import (CanonicalBasis, CharacterTable, ClassAlgebra,
-                      canonical_basis, character_table,
-                      to_canonical_coordinates)
+                      canonical_basis, character_table)
 from .correlators import (CANONICAL_RESCALED, CLASS_BASIS, CorrelatorKey,
                           OrbifoldTheory, genus0_closed_form, psi_correlator,
                           tensor_omega_check)
@@ -26,9 +25,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CanonicalBasis", "CharacterTable", "ClassAlgebra", "canonical_basis",
-    "character_table", "to_canonical_coordinates", "CANONICAL_RESCALED",
-    "CLASS_BASIS", "CorrelatorKey", "OrbifoldTheory", "genus0_closed_form",
-    "psi_correlator", "tensor_omega_check", "ConjugacyData", "GroupTable",
+    "character_table", "CANONICAL_RESCALED", "CLASS_BASIS", "CorrelatorKey",
+    "OrbifoldTheory", "genus0_closed_form", "psi_correlator",
+    "tensor_omega_check", "ConjugacyData", "GroupTable",
     "build_from_cayley", "build_from_generators", "conjugacy_data",
     "direct_product", "group_from_spec", "joint_centralizer_order",
     "named_group", "SeriesCaps", "TruncatedSeries", "ConstraintReport",

@@ -19,6 +19,11 @@ from typing import Optional, Sequence
 from .groups import ConjugacyData, GroupTable, conjugacy_data
 from .util import Q
 
+# The one bound on the float residuals of the characters' complex
+# evaluation and of everything built from it (the idempotent checks, the
+# factorization check); the residuals measured there stay below 1e-15.
+FLOAT_TOLERANCE = 1e-9
+
 
 class DimensionMismatch(Exception):
     pass
@@ -29,10 +34,6 @@ class DegenerateSpectrum(Exception):
 
 
 class IdempotencyCheckFailed(Exception):
-    pass
-
-
-class ReconstructionFailed(Exception):
     pass
 
 
@@ -404,7 +405,8 @@ def _complex_value(lift, o) -> complex:
 
 
 def character_table(group: GroupTable, cd: Optional[ConjugacyData] = None, *,
-                    tol: float = 1e-9, seed: int = 0) -> CharacterTable:
+                    tol: float = FLOAT_TOLERANCE,
+                    seed: int = 0) -> CharacterTable:
     """Irreducible characters, exactly, by Dixon's modular method.
 
     With e the exponent and p = ``dixon_prime``, the central characters
@@ -480,7 +482,6 @@ class CanonicalBasis:
 
     vectors: tuple   # r tuples of complex, class-basis coefficients
     nus: tuple       # r exact Fractions (deg_alpha / |G|)^2
-    tolerance: float
 
     @property
     def r(self) -> int:
@@ -549,21 +550,4 @@ def canonical_basis(ct: CharacterTable,
     if unit_err > tol:
         raise IdempotencyCheckFailed(f"sum f_alpha != unit, residual {unit_err:.3e}")
 
-    return CanonicalBasis(vectors=tuple(vectors), nus=tuple(nus), tolerance=tol)
-
-
-def to_canonical_coordinates(v: Sequence, cb: CanonicalBasis,
-                             algebra: ClassAlgebra):
-    """Coordinates c with v = sum_alpha c_alpha f_alpha, via eta-orthogonality."""
-    r = cb.r
-    vv = tuple(complex(x) for x in v)
-    coords = tuple(algebra.eta(vv, cb.vectors[alpha]) / complex(cb.nus[alpha])
-                   for alpha in range(r))
-    recon = [complex(0)] * r
-    for alpha in range(r):
-        for k in range(r):
-            recon[k] += coords[alpha] * cb.vectors[alpha][k]
-    err = max(abs(recon[k] - vv[k]) for k in range(r))
-    if err > max(cb.tolerance, 1e-9) * max(1.0, max(abs(x) for x in vv)):
-        raise ReconstructionFailed(f"reconstruction residual {err:.3e}")
-    return coords
+    return CanonicalBasis(vectors=tuple(vectors), nus=tuple(nus))

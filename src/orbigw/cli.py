@@ -8,15 +8,14 @@ JSON with sorted keys (or a plain-text rendering); identical
 configurations produce byte-identical output.
 
 Exit codes: 0 success / all checks pass, 1 check failure (an idempotent
-basis that fails its float check at --tol included), 2 input error (an
-option the command does not take included), 3 resource cap exceeded.
+basis that fails its float check included), 2 input error (an option the
+command does not take included), 3 resource cap exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from fractions import Fraction
@@ -94,10 +93,10 @@ def load_group(args) -> GroupTable:
 def resolve_class_label(theory: OrbifoldTheory, label) -> int:
     """Class labels are indices or representative element names."""
     cd = theory.cd
-    if isinstance(label, int):
+    if type(label) is int:
         idx = label
-    else:
-        text = str(label).strip()
+    elif isinstance(label, str):
+        text = label.strip()
         try:
             idx = int(text)
         except ValueError:
@@ -105,6 +104,9 @@ def resolve_class_label(theory: OrbifoldTheory, label) -> int:
             if text not in names:
                 raise ValueError(f"unknown element name {text!r}")
             return cd.class_of[names.index(text)]
+    else:
+        raise ValueError(f"class label must be an index or an element "
+                         f"name, got {label!r}")
     if not 0 <= idx < cd.r:
         raise ValueError(f"class index {idx} out of range 0..{cd.r - 1}")
     return idx
@@ -128,7 +130,7 @@ def cmd_group(args) -> int:
 
 def cmd_chartable(args) -> int:
     theory = OrbifoldTheory(load_group(args))
-    ct = character_table(theory.group, theory.cd, tol=args.tol)
+    ct = character_table(theory.group, theory.cd)
     cb = canonical_basis(ct, theory.algebra)
     report = ct.to_json_dict()
     report["nu"] = [rat_str(nu) for nu in cb.nus]
@@ -162,11 +164,11 @@ def cmd_omega(args) -> int:
 
 def cmd_correlator(args) -> int:
     theory = OrbifoldTheory(load_group(args))
+    key_spec = json.loads(args.key)
     try:
-        key_spec = json.loads(args.key)
         genus = key_spec["genus"]
         raw = [(a, lab) for a, lab in key_spec["insertions"]]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"--key {args.key!r} is not {{\"genus\": g, "
                          f"\"insertions\": [[level, class], ...]}}") from exc
     for field, value in [("genus", genus), *(("level", a) for a, _ in raw)]:
@@ -252,7 +254,7 @@ def cmd_check(args) -> int:
                                 mutate=parse_mutate(args.mutate))
         else:
             reports = [factorization_check(theory, degree=args.degree,
-                                           genus=args.genus, tol=args.tol)]
+                                           genus=args.genus)]
         report = {
             "check": args.which,
             "reports": [rep.to_json_dict() for rep in reports],
@@ -270,7 +272,6 @@ OPTIONS = {
                      help="second factor for the tensor check"),
     "--genus": dict(type=int, default=2),
     "--degree": dict(type=int, default=6),
-    "--tol": dict(type=float, default=1e-9),
     "--work-cap": dict(type=int, default=10 ** 9),
     "--jobs": dict(type=int, default=1),
     "--seed": dict(type=int, default=0),
@@ -294,7 +295,7 @@ OPTIONS = {
 COMMANDS = (
     ("group", "conjugacy structure report", cmd_group, ()),
     ("chartable", "character table and idempotent data", cmd_chartable,
-     ("--tol", "--seed")),
+     ("--seed",)),
     ("omega", "surface count by both algorithms", cmd_omega,
      ("--genus", "--work-cap", "--jobs", "--classes", "--profile")),
     ("correlator", "one descendant correlator", cmd_correlator, ("--key",)),
@@ -309,7 +310,7 @@ CHECKS = (
      ("--genus", "--degree", "--mutate", "--seed")),
     ("kdv", "KdV identity", ("--genus", "--degree", "--mutate", "--seed")),
     ("factorization", "potential through rescaled idempotent variables",
-     ("--genus", "--degree", "--tol", "--seed")),
+     ("--genus", "--degree", "--seed")),
     ("tensor", "surface counts multiply over a direct product",
      ("--genus", "--group2")),
 )
@@ -349,9 +350,6 @@ def main(argv=None) -> int:
             raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
         if getattr(args, "work_cap", 0) < 0:
             raise ValueError(f"--work-cap must be >= 0, got {args.work_cap}")
-        tol = getattr(args, "tol", 0.0)
-        if not 0 <= tol < math.inf:
-            raise ValueError(f"--tol must be finite and >= 0, got {tol}")
         # emit opens --out only once the report is ready
         if args.out and os.path.isdir(args.out):
             raise ValueError(f"--out {args.out} is a directory")
@@ -364,8 +362,8 @@ def main(argv=None) -> int:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT_ERROR
     except IdempotencyCheckFailed as exc:
-        # the idempotent basis is float: a --tol below its rounding fails
-        # the check, it is not bad input
+        # the idempotent basis is float and checked at FLOAT_TOLERANCE,
+        # far above its rounding: only a fault fails it, not bad input
         sys.stderr.write(f"check failed: {exc}\n")
         return EXIT_CHECK_FAILED
     except (WorkCapExceeded, OrderExceedsLimit) as exc:

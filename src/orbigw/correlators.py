@@ -30,7 +30,7 @@ from typing import Sequence
 from .algebra import ClassAlgebra
 from .groups import GroupTable, conjugacy_data, direct_product
 from .series import SeriesCaps, TruncatedSeries, mono_factorial, mono_from_vars
-from .util import Q, double_factorial
+from .util import Q, double_factorial, rat_str
 
 DEFAULT_WORK_CAP = 10 ** 9
 
@@ -617,8 +617,8 @@ def tensor_omega_check(g1: GroupTable, g2: GroupTable, *, genus_max: int = 2,
                     mismatches.append({
                         "genus": genus,
                         "pairs": [list(p) for p in pairs],
-                        "product": str(lhs),
-                        "factors": str(rhs),
+                        "product": rat_str(lhs),
+                        "factors": rat_str(rhs),
                     })
     return {"checked": checked, "mismatches": mismatches,
             "passed": not mismatches}

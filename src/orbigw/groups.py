@@ -341,6 +341,8 @@ def named_group(name: str, param: int = 0) -> GroupTable:
             raise UnsupportedName(f"D requires param >= 1, got {param}")
         return _dihedral(param)
     if name == "Q8":
+        if param:
+            raise UnsupportedName(f"Q8 takes no param, got {param}")
         return _quaternion8()
     raise UnsupportedName(f"unknown group name {name!r}")
 

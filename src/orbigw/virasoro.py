@@ -29,8 +29,8 @@ from functools import lru_cache, partial, reduce
 from operator import add
 from typing import Optional
 
-from .algebra import (ClassAlgebra, canonical_basis, character_table,
-                      frobenius_product)
+from .algebra import (FLOAT_TOLERANCE, ClassAlgebra, canonical_basis,
+                      character_table, frobenius_product)
 from .correlators import CANONICAL_RESCALED, CLASS_BASIS, OrbifoldTheory
 from .series import (SeriesCaps, TruncatedSeries, mono_degree, mono_factorial,
                      mono_from_vars)
@@ -189,7 +189,7 @@ def apply_virasoro(spec: VirasoroSpec,
 
 
 def fform_residual(spec: VirasoroSpec, potential: TruncatedSeries, *,
-                   max_degree: Optional[int] = None) -> TruncatedSeries:
+                   max_degree: int) -> TruncatedSeries:
     """R_n(F) = e^{-F} L_n e^{F} for the potential F, up to ``max_degree``:
     the sum of the terms of ``_fform_terms``.
 
@@ -203,7 +203,7 @@ def fform_residual(spec: VirasoroSpec, potential: TruncatedSeries, *,
     return out
 
 
-def _fform_terms(spec, potential, *, max_degree=None):
+def _fform_terms(spec, potential, *, max_degree):
     """Yield the terms (series, value, lam_shift) of R_n(F), each standing
     for value * lambda^lam_shift * series, up to ``max_degree``.
 
@@ -221,7 +221,7 @@ def _fform_terms(spec, potential, *, max_degree=None):
         yield TruncatedSeries.constant(caps, const, **kind), 1, 0
 
 
-def _fform_delta_terms(spec, potential, delta, *, max_degree=None):
+def _fform_delta_terms(spec, potential, delta, *, max_degree):
     """Yield the terms of R_n(F + delta) - R_n(F) for the potential F (zero
     if None), as ``_fform_terms`` does, up to ``max_degree``.
 
@@ -233,19 +233,18 @@ def _fform_delta_terms(spec, potential, delta, *, max_degree=None):
     n >= 1 only: for n <= 0 the difference is linear in delta.
     """
     _check_operator(spec, delta)
-    dcap = delta.caps.degree if max_degree is None else max_degree
     d = lru_cache(maxsize=None)(delta.partial_derivative)
     d_f = None if potential is None else lru_cache(maxsize=None)(
         potential.partial_derivative)
     for var, w in _first_order_terms(spec):
         yield d(var), w, 0
-    yield _dilation_term(spec, delta, dcap), 1, 0
+    yield _dilation_term(spec, delta, max_degree), 1, 0
     for v1, v2, w in _second_order_terms(spec):
         yield d(v1).partial_derivative(v2), w, 2
         if d_f is not None:
-            yield d_f(v1).multiply(d(v2), max_degree=dcap), w, 2
-            yield d(v1).multiply(d_f(v2), max_degree=dcap), w, 2
-        yield d(v1).multiply(d(v2), max_degree=dcap), w, 2
+            yield d_f(v1).multiply(d(v2), max_degree=max_degree), w, 2
+            yield d(v1).multiply(d_f(v2), max_degree=max_degree), w, 2
+        yield d(v1).multiply(d(v2), max_degree=max_degree), w, 2
 
 
 def _dilation_term(spec, series, max_degree=None):
@@ -526,9 +525,22 @@ def kdv_check(theory: OrbifoldTheory, *, degree: int = 4, genus: int = 1,
 # -- factorization -------------------------------------------------------------
 
 
+def idempotent_transport(theory: OrbifoldTheory):
+    """(f, rescale) for t_a^k = sum_alpha f[alpha][k] rescale(a, alpha)
+    u_a^alpha: the idempotents f_alpha in the class basis and the float
+    rescaling rescale(a, alpha) = nu_alpha^{(a-1)/3}."""
+    cb = canonical_basis(character_table(theory.group, theory.cd),
+                         theory.algebra)
+    nus = [float(nu) for nu in cb.nus]
+
+    def rescale(a, alpha):
+        return nus[alpha] ** ((a - 1) / 3)
+    return cb.vectors, rescale
+
+
 def factorization_check(theory: OrbifoldTheory, *, degree: int = 6,
                         genus: int = 2,
-                        tol: float = 1e-8) -> ConstraintReport:
+                        tol: float = FLOAT_TOLERANCE) -> ConstraintReport:
     """Class-basis potential transported to rescaled canonical variables
     matches the sum of point potentials, within tolerance, key by key.
 
@@ -543,24 +555,21 @@ def factorization_check(theory: OrbifoldTheory, *, degree: int = 6,
     violations name each key above ``tol``.
     """
     caps = SeriesCaps(degree=degree, genus=genus)
-    ct = character_table(theory.group, theory.cd)
-    cb = canonical_basis(ct, theory.algebra)
+    f, rescale = idempotent_transport(theory)
     table = class_table(theory.algebra)
     target = theory.potential(caps, basis=CANONICAL_RESCALED)
-    nus = [float(nu) for nu in cb.nus]
 
     @lru_cache(maxsize=None)
     def eps(g, alphas):
         """eps(f_{alpha_1} ... f_{alpha_n} H^g) in the class table."""
-        factors = [cb.vectors[alpha] for alpha in alphas] + [table.handle] * g
+        factors = [f[alpha] for alpha in alphas] + [table.handle] * g
         return complex(table.eps(reduce(table.product, factors, table.unit)))
 
     checked, worst, violations = 0, 0.0, []
     for g, variables, psi in theory.class_keys(caps):
         mono = mono_from_vars(variables)
         alphas = tuple(sorted(alpha for _a, alpha in variables))
-        scale = math.prod(nus[alpha] ** ((a - 1) / 3)
-                          for a, alpha in variables)
+        scale = math.prod(rescale(a, alpha) for a, alpha in variables)
         lhs = float(psi / mono_factorial(mono)) * scale * eps(g, alphas)
         rhs = float(target.coefficient(mono, 2 * g - 2))
         worst = max(worst, abs(lhs - rhs))
@@ -658,17 +667,17 @@ def diagonal_combination_residual(theory: OrbifoldTheory, m: int) -> float:
     """Largest entry of L_m - sum_alpha nu_alpha^{-m/3} L_m^{(alpha)}, term
     by term (``_operator_entries``), class table against split table.
 
-    With t_a = M_a u_a, M_a[k][alpha] = f_alpha[k] nu_alpha^{(a-1)/3}, so
-    d/du_a^alpha = sum_k M_a[k][alpha] d/dt_a^k: each derivative slot of a
-    split term moves by M_a, each variable slot of a class term by M_a^T.
+    With t_a = M_a u_a, M_a[k][alpha] = f_alpha[k] nu_alpha^{(a-1)/3}
+    (``idempotent_transport``), so d/du_a^alpha = sum_k M_a[k][alpha]
+    d/dt_a^k: each derivative slot of a split term moves by M_a, each
+    variable slot of a class term by M_a^T.  The weight nu_alpha^{-m/3}
+    is the rescaling at level a = 1 - m.
     """
-    ct = character_table(theory.group, theory.cd)
-    cb = canonical_basis(ct, theory.algebra)
-    f, r = cb.vectors, theory.r                     # f[alpha][k]
-    nus = [float(nu) for nu in cb.nus]
+    f, rescale = idempotent_transport(theory)       # f[alpha][k]
+    r = theory.r
     sides = [(VirasoroSpec(m, class_table(theory.algebra)), 1.0, "t")]
     sides += [(VirasoroSpec(m, split_table(r), alpha),
-               -nus[alpha] ** (-m / 3), "d") for alpha in range(r)]
+               -rescale(1 - m, alpha), "d") for alpha in range(r)]
     total = {}
     for spec, weight, moved in sides:
         for slots, index, w in _operator_entries(spec):
@@ -677,10 +686,10 @@ def diagonal_combination_residual(theory: OrbifoldTheory, m: int) -> float:
                 if kind != moved:
                     vec = [float(k == i) for k in range(r)]
                 elif kind == "t":           # row i of M_a
-                    vec = [f[alpha][i] * nus[alpha] ** ((a - 1) / 3)
+                    vec = [f[alpha][i] * rescale(a, alpha)
                            for alpha in range(r)]
                 else:                       # column i of M_a
-                    vec = [x * nus[i] ** ((a - 1) / 3) for x in f[i]]
+                    vec = [x * rescale(a, i) for x in f[i]]
                 arr = [x * y for x in arr for y in vec]
             old = total.get(slots)
             total[slots] = arr if old is None else list(map(add, old, arr))

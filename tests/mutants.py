@@ -1,0 +1,163 @@
+"""Planted faults that the named tests must catch.
+
+Each entry of ``MUTANTS`` is (name, file, snippet, replacement, tests).
+The script copies the checkout to a temporary directory and runs the
+union of the named tests there once, unchanged: they must pass.  Then,
+for each mutant, it replaces the snippet, which must occur exactly once
+in its file, runs only that mutant's tests from the copy's root (where
+``pyproject.toml`` puts ``src`` on the path) and requires pytest to
+report failing tests (exit code 1), then restores the file.  A snippet
+that no longer matches, a mutant that survives and a run that times out
+each fail the script, so the table moves with the code.
+
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py NAME ...   # only these
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 300
+
+CLI = "src/orbigw/cli.py"
+CORRELATORS = "src/orbigw/correlators.py"
+GROUPS = "src/orbigw/groups.py"
+T_CLI = "tests/test_cli.py::"
+T_CORRELATORS = "tests/test_correlators.py::"
+BAD_JSON = T_CLI + "test_json_integer_fields_must_be_integers"
+PERTURBED = (T_CORRELATORS
+             + "test_tensor_check_reports_a_perturbed_product_count")
+RELABELLED = "tests/test_relabelling.py"
+
+MUTANTS = [
+    # the brute-force oracle recurses on the commutator, not the product
+    ("oracle-recursion", CORRELATORS,
+     "            rec(depth + 1, row[c])",
+     "            rec(depth + 1, c)",
+     [T_CORRELATORS + "test_brute_force_recursion_below_the_last_handle"]),
+    ("empty-correlator-reason", CLI,
+     '        if n == 0:\n'
+     '            report["vanishing_reason"] = "empty correlator"\n'
+     '        elif sum(key.levels)',
+     '        if sum(key.levels)',
+     [T_CLI + "test_correlator_command"]),
+    ("surface-count-reason", CLI,
+     '"surface count vanishes"',
+     '"dimension"',
+     [T_CLI + "test_correlator_command"]),
+    ("tensor-skips-genus-1", CORRELATORS,
+     "                if lhs != rhs:",
+     "                if lhs != rhs and genus != 1:",
+     [PERTURBED]),
+    ("tensor-prints-str", CORRELATORS,
+     '"product": rat_str(lhs),',
+     '"product": str(lhs),',
+     [PERTURBED]),
+    ("idempotency-exit-2", CLI,
+     '        sys.stderr.write(f"check failed: {exc}\\n")\n'
+     '        return EXIT_CHECK_FAILED',
+     '        sys.stderr.write(f"check failed: {exc}\\n")\n'
+     '        return EXIT_INPUT_ERROR',
+     [T_CLI + "test_idempotent_rounding_is_a_failed_check"]),
+    # the inverse metric weighted by class size, not centralizer order
+    ("pairs-by-class-size", "src/orbigw/algebra.py",
+     "cd.centralizer_of_class(m))",
+     "cd.class_size[m])",
+     [T_CLI + "test_table_bytes_pinned"]),
+    ("iadd-alias-guard", "src/orbigw/series.py",
+     "        if other is self:\n"
+     "            other = other.scale(1)\n",
+     "",
+     ["tests/test_series.py::test_kernel_cancels_and_widens"]),
+    ("diagonal-weight-sign", "src/orbigw/virasoro.py",
+     "-rescale(1 - m, alpha)",
+     "-rescale(1 + m, alpha)",
+     ["tests/test_virasoro.py::test_diagonal_is_rescaled_sum"]),
+    ("class-label-bool", CLI,
+     "    if type(label) is int:",
+     "    if isinstance(label, int):",
+     [BAD_JSON]),
+    ("short-insertion", CLI,
+     "    except (KeyError, TypeError, ValueError) as exc:",
+     "    except (KeyError, TypeError) as exc:",
+     [BAD_JSON]),
+    ("q8-param", GROUPS,
+     "        if param:\n"
+     '            raise UnsupportedName(f"Q8 takes no param, got {param}")\n',
+     "",
+     [BAD_JSON]),
+    # element index 0 read as the identity: only a relabelled table,
+    # where the identity sits elsewhere, tells them apart
+    ("identity-class-not-first", GROUPS,
+     "order_seed = [g.identity] + [x for x in range(n) if x != g.identity]",
+     "order_seed = list(range(n))",
+     [RELABELLED]),
+    ("oracle-starts-at-0", CORRELATORS,
+     "rec(0, self.group.identity)",
+     "rec(0, 0)",
+     [RELABELLED]),
+    ("genus-0-distribution-at-0", CORRELATORS,
+     "counts[self.group.identity] = 1",
+     "counts[0] = 1",
+     [RELABELLED]),
+]
+
+
+def pytest(copy, tests):
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"))
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         *tests], cwd=copy, env=env, capture_output=True, text=True,
+        timeout=TIMEOUT_S)
+
+
+def main(names):
+    unknown = set(names) - {m[0] for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {sorted(unknown)}")
+        return 2
+    chosen = [m for m in MUTANTS if not names or m[0] in names]
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp) / "checkout"
+        shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".pytest_cache", ".benchmarks"))
+        tests = sorted({t for m in chosen for t in m[4]})
+        run = pytest(copy, tests)
+        if run.returncode != 0:
+            print(run.stdout[-2000:])
+            print("the named tests fail without a mutant")
+            return 1
+        failed = []
+        for name, rel, snippet, replacement, tests in chosen:
+            path = copy / rel
+            text = path.read_text(encoding="utf-8")
+            if text.count(snippet) != 1:
+                verdict = f"snippet occurs {text.count(snippet)} times"
+            else:
+                path.write_text(text.replace(snippet, replacement),
+                                encoding="utf-8")
+                started = time.perf_counter()
+                try:
+                    code = pytest(copy, tests).returncode
+                    verdict = "killed" if code == 1 else \
+                        f"survived (pytest exit {code})"
+                except subprocess.TimeoutExpired:
+                    verdict = f"timed out after {TIMEOUT_S} s"
+                finally:
+                    path.write_text(text, encoding="utf-8")
+                verdict += f" in {time.perf_counter() - started:.1f} s"
+            print(f"{name}: {verdict}")
+            if not verdict.startswith("killed"):
+                failed.append(name)
+    print(f"{len(chosen) - len(failed)} of {len(chosen)} mutants killed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

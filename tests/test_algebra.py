@@ -6,8 +6,7 @@ import pytest
 from orbigw.algebra import (ClassAlgebra, DegenerateSpectrum,
                             DimensionMismatch, canonical_basis,
                             central_characters, character_table,
-                            power_maps, root_of_unity,
-                            to_canonical_coordinates)
+                            power_maps, root_of_unity)
 from orbigw.correlators import CorrelatorKey, OrbifoldTheory
 from orbigw.groups import direct_product, group_from_spec, named_group
 from orbigw.util import Q
@@ -204,20 +203,6 @@ def test_canonical_basis_z2():
     rows = sorted((round(v[0].real, 9), round(v[1].real, 9))
                   for v in cb.vectors)
     assert rows == [(0.5, -0.5), (0.5, 0.5)]
-
-
-def test_to_canonical_coordinates():
-    group = named_group("Z", 2)
-    alg = ClassAlgebra(group)
-    cb = canonical_basis(character_table(group), alg)
-    ones = to_canonical_coordinates(alg.unit(), cb, alg)
-    assert all(abs(c - 1) < 1e-9 for c in ones)
-    sigma = to_canonical_coordinates(alg.basis_vector(1), cb, alg)
-    assert sorted(round(c.real) for c in sigma) == [-1, 1]
-    for alpha in range(cb.r):
-        coords = to_canonical_coordinates(cb.vectors[alpha], cb, alg)
-        for beta, c in enumerate(coords):
-            assert abs(c - (1 if beta == alpha else 0)) < 1e-9
 
 
 def test_canonical_basis_unit_decomposition():

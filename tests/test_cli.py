@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import orbigw
+import orbigw.algebra
 import orbigw.cli
 import orbigw.groups
 import orbigw.virasoro
@@ -172,7 +173,7 @@ def test_check_commands_pass():
     assert code == 0 and json.loads(out)["passed"]
 
     code, out = run_cli(["check", "factorization", "--group", Z2,
-                         "--degree", "4", "--genus", "1", "--tol", "1e-8"])
+                         "--degree", "4", "--genus", "1"])
     assert code == 0 and json.loads(out)["passed"]
 
     # CLI defaults (D6 G2)
@@ -253,20 +254,20 @@ def test_each_command_takes_only_the_options_it_reads():
     common = {"--group", "--format", "--out"}
     expected = {
         "group": set(),
-        "chartable": {"--tol", "--seed"},
+        "chartable": {"--seed"},
         "omega": {"--genus", "--work-cap", "--jobs", "--classes",
                   "--profile"},
         "correlator": {"--key"},
         "potential": {"--genus", "--degree", "--basis"},
         "check virasoro": {"--genus", "--degree", "--mutate", "--seed"},
         "check kdv": {"--genus", "--degree", "--mutate", "--seed"},
-        "check factorization": {"--genus", "--degree", "--tol", "--seed"},
+        "check factorization": {"--genus", "--degree", "--seed"},
         "check cohft": {"--genus", "--seed", "--work-cap", "--jobs"},
         "check tensor": {"--genus", "--group2"},
     }
     found = parser_options(orbigw.cli.build_parser())
     assert found == {cmd: opts | common for cmd, opts in expected.items()}
-    assert sum(map(len, found.values())) == 59
+    assert sum(map(len, found.values())) == 57
 
 
 @pytest.mark.parametrize("argv", [
@@ -281,9 +282,12 @@ def test_each_command_takes_only_the_options_it_reads():
      "--genus", "1"],
     ["potential", "--degree", "2", "--genus", "0", "--jobs", "2"],
     ["omega", "--genus", "0", "--tol", "1e-3"],
+    ["chartable", "--tol", "1e-9"],
+    ["check", "factorization", "--degree", "2", "--genus", "0",
+     "--tol", "1e-9"],
 ], ids=["factorization-mutate", "cohft-degree", "tensor-seed",
         "virasoro-tol", "group-degree", "group-work-cap", "correlator-genus",
-        "potential-jobs", "omega-tol"])
+        "potential-jobs", "omega-tol", "chartable-tol", "factorization-tol"])
 def test_option_a_command_does_not_read_exits_2(argv):
     err = io.StringIO()
     with redirect_stderr(err), pytest.raises(SystemExit) as exc:
@@ -440,41 +444,25 @@ def test_factorization_at_cli_defaults_on_q8():
     assert report["reports"][0]["checked_monomials"] == 133206
 
 
-@pytest.mark.parametrize("argv, tol", [
-    (["check", "factorization", "--degree", "4", "--genus", "1"], "nan"),
-    (["check", "factorization", "--degree", "4", "--genus", "1"], "inf"),
-    (["chartable"], "nan"),
-    (["chartable"], "-0.5"),
-], ids=["factorization-nan", "factorization-inf", "chartable-nan",
-        "chartable-negative"])
-def test_tol_that_cannot_fail_is_input_error(argv, tol):
-    err = io.StringIO()
-    with redirect_stderr(err):
-        code, out = run_cli(argv + ["--group", Z2, "--tol", tol])
-    assert code == 2 and out == ""
-    assert err.getvalue() == (f"input error: --tol must be finite and "
-                              f">= 0, got {float(tol)}\n")
-
-
 def test_idempotent_rounding_is_a_failed_check(monkeypatch):
-    # --tol 0 is a valid tolerance, and S3's float idempotent check then
-    # fails on rounding: a failed check (exit 1), not an input error
-    err = io.StringIO()
-    with redirect_stderr(err):
-        code, out = run_cli(["chartable", "--group", S3, "--tol", "0"])
-    assert code == 1 and out == ""
-    assert err.getvalue() == "check failed: f_0 * f_2 residual 2.776e-17\n"
-    # check factorization builds the basis at the table's own tolerance;
-    # a table at tolerance 0 fails there the same way
-    real = orbigw.virasoro.character_table
-    monkeypatch.setattr(orbigw.virasoro, "character_table",
-                        lambda group, cd: real(group, cd, tol=0))
-    err = io.StringIO()
-    with redirect_stderr(err):
-        code, out = run_cli(["check", "factorization", "--group", S3,
-                             "--degree", "2", "--genus", "0"])
-    assert code == 1 and out == ""
-    assert err.getvalue() == "check failed: f_0 * f_2 residual 2.776e-17\n"
+    # the float idempotent check runs at FLOAT_TOLERANCE, far above S3's
+    # rounding; a table at tolerance 0 fails it on that rounding, and both
+    # commands report a failed check (exit 1), not an input error
+    real = orbigw.algebra.character_table
+    for module, argv in ((orbigw.cli, ["chartable"]),
+                         (orbigw.virasoro, ["check", "factorization",
+                                            "--degree", "2", "--genus", "0"])):
+        monkeypatch.setattr(module, "character_table",
+                            lambda group, cd: real(group, cd, tol=0))
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_cli(argv + ["--group", S3])
+        assert code == 1 and out == ""
+        assert err.getvalue() == \
+            "check failed: f_0 * f_2 residual 2.776e-17\n"
+
+
+SHORT_KEY = '{"genus":0,"insertions":[[0]]}'
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -491,8 +479,20 @@ def test_idempotent_rounding_is_a_failed_check(monkeypatch):
      "group param must be an integer, got 3.7"),
     (["group", "--group", '{"cayley":[[0,1.5],[1,0]]}'],
      "cayley entry in row 0 must be an integer, got 1.5"),
+    (["correlator", "--group", Z2, "--key",
+      '{"genus":0,"insertions":[[0,true],[0,0],[0,0]]}'],
+     "class label must be an index or an element name, got True"),
+    (["correlator", "--group", Z2, "--key",
+      '{"genus":0,"insertions":[[0,[1]],[0,0],[0,0]]}'],
+     "class label must be an index or an element name, got [1]"),
+    (["correlator", "--group", Z2, "--key", SHORT_KEY],
+     f'--key {SHORT_KEY!r} is not {{"genus": g, "insertions": '
+     f'[[level, class], ...]}}'),
+    (["group", "--group", '{"name":"Q8","param":3}'],
+     "Q8 takes no param, got 3"),
 ], ids=["genus-float", "genus-string", "level-float", "param-float",
-        "cayley-float"])
+        "cayley-float", "class-bool", "class-list", "insertion-short",
+        "q8-param"])
 def test_json_integer_fields_must_be_integers(argv, message):
     err = io.StringIO()
     with redirect_stderr(err):

@@ -504,6 +504,9 @@ def test_tensor_check_reports_a_perturbed_product_count(monkeypatch):
     assert {m["genus"] for m in report["mismatches"]} == {1}
     assert all(len(m["pairs"]) == 1 and m["product"] != m["factors"]
                for m in report["mismatches"])
+    # both sides print as "p/q", integers included
+    assert [(m["product"], m["factors"]) for m in report["mismatches"]] == \
+        [("7/1", "6/1")] + [("1/1", "0/1")] * 5
 
 
 def test_tensor_with_trivial_factor(s3):
