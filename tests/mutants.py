@@ -34,6 +34,7 @@ BAD_JSON = T_CLI + "test_json_integer_fields_must_be_integers"
 PERTURBED = (T_CORRELATORS
              + "test_tensor_check_reports_a_perturbed_product_count")
 RELABELLED = "tests/test_relabelling.py"
+BRUTE_VS_RECURSIVE = T_CORRELATORS + "test_surface_count_brute_vs_recursive"
 
 MUTANTS = [
     # the brute-force oracle recurses on the commutator, not the product
@@ -41,6 +42,22 @@ MUTANTS = [
      "            rec(depth + 1, row[c])",
      "            rec(depth + 1, c)",
      [T_CORRELATORS + "test_brute_force_recursion_below_the_last_handle"]),
+    # each leaf is the commutator list translated by its prefix's row
+    ("oracle-leaf-row", CORRELATORS,
+     "flat_b.translate(rows_b[prefix])",
+     "flat_b.translate(rows_b[prefix - 1])",
+     [BRUTE_VS_RECURSIVE]),
+    # the leaves after the last full batch are never counted
+    ("oracle-last-batch", CORRELATORS,
+     '    _tally(b"".join(leaves), bands, counts)\n'
+     "    return counts\n",
+     "    return counts\n",
+     [BRUTE_VS_RECURSIVE]),
+    # neighbouring bands share a value, which is counted twice
+    ("oracle-band-bound", CORRELATORS,
+     "range(lo, min(lo + width, n))",
+     "range(lo, min(lo + width + 1, n))",
+     [BRUTE_VS_RECURSIVE]),
     ("empty-correlator-reason", CLI,
      '        if n == 0:\n'
      '            report["vanishing_reason"] = "empty correlator"\n'

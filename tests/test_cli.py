@@ -6,6 +6,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -407,6 +408,19 @@ def test_table_size_cap_exits_3(monkeypatch):
         code, out = run_cli(["group", "--group", '{"name":"S","param":4}'])
     assert code == 3 and out == ""
     assert err.getvalue().startswith("resource cap")
+
+
+def test_oracle_refuses_orders_above_256_at_genus_2():
+    # the genus >= 2 oracle holds elements as bytes; Z257 needs 257^4
+    # tuples, within this raised cap, and is refused before any of them
+    err = io.StringIO()
+    started = time.perf_counter()
+    with redirect_stderr(err):
+        code, out = run_cli(["omega", "--group", '{"name":"Z","param":257}',
+                             "--genus", "2", "--work-cap", str(10 ** 10)])
+    assert time.perf_counter() - started < 1.0
+    assert code == 3 and out == ""
+    assert err.getvalue().startswith("resource cap: order 257 exceeds 256")
 
 
 def test_omega_negative_genus_is_input_error():

@@ -143,11 +143,38 @@ def test_surface_count_brute_vs_recursive(s3):
 
 def test_brute_force_recursion_below_the_last_handle(s3):
     # genus 3 is the least genus whose enumeration recurses once more
-    # before the last handle's plain loop; the benchmark reaches it only
-    # in forked workers, so this runs it in-process (jobs=1)
-    assert s3.jobs == 1
+    # before the last handle's leaves
     for cls in combinations_with_replacement(range(s3.r), 2):
         assert s3.surface_count_brute(3, cls) == s3.surface_count(3, cls), cls
+
+
+def test_brute_force_matches_recursion_on_d6_at_genus_3():
+    # 12^6 tuples, the benchmark's deepest oracle run
+    theory = OrbifoldTheory(named_group("D", 6))
+    for n in range(3):
+        for cls in combinations_with_replacement(range(theory.r), n):
+            assert theory.surface_count_brute(3, cls) \
+                == theory.surface_count(3, cls), cls
+    assert theory.profile()["enumerated_tuples"] == 12 ** 6
+
+
+def test_enumerated_tuples_is_the_counted_total(monkeypatch):
+    s4 = named_group("S", 4)
+    theory = OrbifoldTheory(s4)
+    theory.commutator_distribution(2)
+    theory.commutator_distribution(1)
+    assert theory.profile()["enumerated_tuples"] == 24 ** 4 + 24 ** 2
+    # a dropped batch is an internal fault, not an input error
+    chunk = orbigw.correlators._distribution_chunk
+
+    def dropped(args):
+        counts = chunk(args)
+        counts[0] -= 1
+        return counts
+
+    monkeypatch.setattr(orbigw.correlators, "_distribution_chunk", dropped)
+    with pytest.raises(AssertionError, match="counted 331775 of 331776"):
+        OrbifoldTheory(s4).commutator_distribution(2)
 
 
 def test_genus_one_empty_count_is_class_number():
@@ -220,7 +247,10 @@ def test_work_cap(s3):
         small.surface_count_brute(2, (1, 1))
 
 
-def test_jobs_do_not_change_counts():
+def test_jobs_do_not_change_counts(monkeypatch):
+    # a real forked pool, which these orders reach only with the tuple
+    # threshold lowered
+    monkeypatch.setattr(orbigw.correlators, "POOL_MIN_TUPLES", 0)
     base = OrbifoldTheory(named_group("S", 3), jobs=1)
     forked = OrbifoldTheory(named_group("S", 3), jobs=3)
     for genus in (1, 2):
@@ -228,10 +258,9 @@ def test_jobs_do_not_change_counts():
             == forked.commutator_distribution(genus)
 
 
-def test_worker_pool_is_capped_at_the_cpu_count(monkeypatch):
-    # the fake context records the pool size and runs each chunk in-process
-    sizes = []
-
+def in_process_pool(monkeypatch, sizes):
+    """Replace the fork context by one whose pool records its size and
+    runs each chunk in-process."""
     class Pool:
         def __init__(self, processes):
             sizes.append(processes)
@@ -247,10 +276,35 @@ def test_worker_pool_is_capped_at_the_cpu_count(monkeypatch):
 
     monkeypatch.setattr(orbigw.correlators, "get_context",
                         lambda method: SimpleNamespace(Pool=Pool))
+
+
+def test_worker_pool_is_capped_at_the_cpu_count(monkeypatch):
+    sizes = []
+    in_process_pool(monkeypatch, sizes)
+    monkeypatch.setattr(orbigw.correlators, "POOL_MIN_TUPLES", 0)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     s4 = named_group("S", 4)
     serial = OrbifoldTheory(s4).commutator_distribution(1)
     assert OrbifoldTheory(s4, jobs=5000).commutator_distribution(1) == serial
+    assert sizes == [2]
+
+
+def test_no_pool_below_the_tuple_threshold(monkeypatch):
+    sizes = []
+    in_process_pool(monkeypatch, sizes)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    d6 = named_group("D", 6)
+    # the default threshold keeps D6 at genus 3 in one process
+    assert 12 ** 6 < orbigw.correlators.POOL_MIN_TUPLES
+    serial = OrbifoldTheory(d6, jobs=2).commutator_distribution(3)
+    assert sizes == []
+    # one tuple below the threshold stays; at the threshold the pool starts
+    monkeypatch.setattr(orbigw.correlators, "POOL_MIN_TUPLES", 12 ** 4 + 1)
+    assert OrbifoldTheory(d6, jobs=2).commutator_distribution(2) \
+        == OrbifoldTheory(d6).commutator_distribution(2)
+    assert sizes == []
+    monkeypatch.setattr(orbigw.correlators, "POOL_MIN_TUPLES", 12 ** 6)
+    assert OrbifoldTheory(d6, jobs=2).commutator_distribution(3) == serial
     assert sizes == [2]
 
 
