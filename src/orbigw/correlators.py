@@ -23,7 +23,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, groupby, product
+from itertools import combinations_with_replacement, groupby
 from multiprocessing import get_context
 from typing import Sequence
 
@@ -491,7 +491,7 @@ class OrbifoldTheory:
         point potential.  Returns a new series, free to change in place.
         """
         if basis == CLASS_BASIS:
-            return self.potential_derivative((), caps)
+            return self.bracket_family((), caps)[()]
         if basis == CANONICAL_RESCALED:
             return self._potential_canonical(caps)
         raise ValueError(f"unknown basis {basis!r}")
@@ -521,35 +521,70 @@ class OrbifoldTheory:
                 f"no stored coefficient at {mono} lambda^{lam}")
         return value / mono_factorial(mono)
 
-    def potential_derivative(self, fixed: Sequence, caps: SeriesCaps,
-                             handles: int = 0) -> TruncatedSeries:
-        """Class-basis series d/dt_{v_1} ... d/dt_{v_k} F for fixed = (v_1..v_k),
-        times (sum_m z_m d/dt_{(0,m)} d/dt_{(0,m')})^handles.
+    def bracket_family(self, fixed_levels: Sequence[int], caps: SeriesCaps,
+                       handles: int = 0) -> dict:
+        """{fixed: bracket} for every class multiset on ``fixed_levels``.
 
-        Its coefficient of t^M lambda^{2g-2} is the single correlator
-        <tau(v_1) ... tau(v_k) tau(M)>_g / M!, so the series is generated
-        from correlators directly: one term per ``class_keys`` key M whose
-        surface count is nonzero, for free monomials of degree
+        ``fixed`` = (v_1..v_k) is a sorted tuple of (level, class) variables
+        with the sorted levels ``fixed_levels``, and its bracket is the
+        class-basis series d/dt_{v_1} ... d/dt_{v_k} F times
+        (sum_m z_m d/dt_{(0,m)} d/dt_{(0,m')})^handles.  Its coefficient
+        of t^M lambda^{2g-2} is the single correlator
+        <tau(v_1) ... tau(v_k) tau(M)>_g / M!, so each bracket is
+        generated from correlators directly: one term per ``class_keys``
+        key M whose surface count is nonzero, for free monomials of degree
         <= caps.degree and genus <= caps.genus.  Each contracted pair
         glues a handle H = sum_m z_m e_m e_m': psi gains two levels 0,
         H^g one more genus.
+
+        The family shares one walk: each key's monomial, psi and M! are
+        computed once and its coefficient written into every bracket.
+        Every bracket is over |G| times the lcm, across the level keys, of
+        psi's denominator times prod mult!, mult the multiplicities of the
+        key's levels; M! divides prod mult!, so this denominator is known
+        before the walk.  The potential is the one bracket of the empty
+        family.
         """
-        fixed = sorted(fixed)
-        fixed_levels = tuple(a for a, _ in fixed) + (0, 0) * handles
-        fixed_classes = tuple(m for _, m in fixed)
+        fixed_levels = tuple(sorted(fixed_levels))
+        glued = fixed_levels + (0, 0) * handles
         order = self.group.order
-        out = TruncatedSeries(caps, system=CLASS_BASIS)
-        for genus, variables, psi in self.class_keys(caps, fixed_levels):
-            omega = self.surface_count(
-                genus + handles, fixed_classes + tuple(m for _, m in variables))
-            if omega:
-                # omega * |G| is an integer (see surface_count)
-                mono = mono_from_vars(variables)
-                out.add_term(mono, 2 * genus - 2,
-                             psi.numerator * omega.numerator
-                             * (order // omega.denominator),
-                             psi.denominator * order * mono_factorial(mono))
-        return out
+        level_keys = list(self._stable_level_keys(caps, glued))
+        scale = math.lcm(*(
+            psi.denominator * math.prod(math.factorial(mult)
+                                        for _a, mult in _level_blocks(levels))
+            for _genus, levels, psi in level_keys))
+        members = [(fixed, classes, {}) for fixed, classes, _mono, _factorial
+                   in _class_multisets(fixed_levels, self.r)]
+        # (genus, a key's sorted classes) -> [(terms, omega * |G|)] over the
+        # brackets whose surface count omega is nonzero there, shared by
+        # the keys that differ in levels only; omega * |G| is an integer
+        # (see surface_count)
+        rows = {}
+        for genus, levels, psi in level_keys:
+            lam = 2 * genus - 2
+            for _variables, classes, mono, factorial in _class_multisets(
+                    levels, self.r):
+                share, rest = divmod(scale, psi.denominator * factorial)
+                if rest:
+                    raise AssertionError(
+                        f"denominator {scale} misses the key {mono}")
+                num = psi.numerator * share
+                classes = tuple(sorted(classes))
+                row = rows.get((genus, classes))
+                if row is None:
+                    row = rows[genus, classes] = []
+                    for _fixed, fixed_classes, terms in members:
+                        omega = self.surface_count(genus + handles,
+                                                   fixed_classes + classes)
+                        if omega:
+                            row.append((terms, omega.numerator
+                                        * (order // omega.denominator)))
+                # one lambda per monomial: its degree and levels fix genus
+                for terms, weight in row:
+                    terms[mono] = {lam: num * weight}
+        return {fixed: TruncatedSeries.from_numerators(
+                    caps, terms, order * scale, system=CLASS_BASIS)
+                for fixed, _classes, terms in members}
 
     def _potential_canonical(self, caps):
         out = TruncatedSeries(caps, system=CANONICAL_RESCALED)
@@ -571,13 +606,10 @@ class OrbifoldTheory:
         potential coefficient divides that by ``mono_factorial``.  The
         walk visits keys whose surface count vanishes too.
         """
-        classes = range(self.r)
         for genus, levels, psi in self._stable_level_keys(caps, fixed_levels):
-            blocks = [[tuple((level, c) for c in chosen) for chosen
-                       in combinations_with_replacement(classes, mult)]
-                      for level, mult in _level_blocks(levels)]
-            for assignment in product(*blocks):
-                yield genus, sum(assignment, ()), psi
+            for variables, _classes, _mono, _factorial in _class_multisets(
+                    levels, self.r):
+                yield genus, variables, psi
 
     def _stable_level_keys(self, caps, fixed_levels=()):
         """(genus, free levels, psi value) for every level key with psi != 0.
@@ -635,6 +667,24 @@ def _partitions(total: int, parts: int):
 def _level_blocks(levels: tuple):
     """Run-length encode a sorted level tuple."""
     return [(level, len(list(run))) for level, run in groupby(levels)]
+
+
+def _class_multisets(levels: tuple, r: int) -> list:
+    """(variables, classes, monomial, M!) for each choice of one multiset
+    of the r classes per block of equal ``levels``, each combination once:
+    ``variables`` the sorted (level, class) pairs and ``classes`` their
+    classes in that order, pieced together block by block."""
+    keys = [((), (), (), 1)]
+    for level, mult in _level_blocks(levels):
+        block = []
+        for chosen in combinations_with_replacement(range(r), mult):
+            mono = tuple(((level, c), len(list(run)))
+                         for c, run in groupby(chosen))
+            block.append((tuple((level, c) for c in chosen), chosen, mono,
+                          math.prod(math.factorial(e) for _v, e in mono)))
+        keys = [(v + bv, c + bc, m + bm, f * bf) for v, c, m, f in keys
+                for bv, bc, bm, bf in block]
+    return keys
 
 
 # -- product groups ------------------------------------------------------------

@@ -468,11 +468,15 @@ def kdv_check(theory: OrbifoldTheory, *, degree: int = 4, genus: int = 1,
 
     where each double bracket is the matching mixed partial of the
     potential and dots are inverse-metric contractions; a pair contracted
-    inside one bracket is a glued handle (``potential_derivative``).  Every
-    bracket is generated from correlators over the compared region only
-    (degree <= ``degree``, and one genus above ``genus`` because the left
-    side carries lam^-2), so the stated box is fully certified.  Both sides
-    start at lam^-4: lam^-2 times a genus-0 bracket, or a product of two.
+    inside one bracket is a glued handle.  Every bracket is generated from
+    correlators over the compared region only (degree <= ``degree``, and
+    one genus above ``genus`` because the left side carries lam^-2), so
+    the stated box is fully certified.  Both sides start at lam^-4:
+    lam^-2 times a genus-0 bracket, or a product of two.  Brackets come in
+    families of one fixed-level signature (``bracket_family``), each
+    generated when one of its brackets is first needed and each bracket
+    handed out once; a product is formed only at lambda <= lam_max, and
+    the symmetric double sum takes each pair j < k once, twice weighted.
     ``mutate`` doubles one coefficient of the potential truncated at
     degree + 5, the most any bracket differentiates: each bracket gets the
     matching derivative of delta (``_mutation``), its handles contracted
@@ -482,9 +486,18 @@ def kdv_check(theory: OrbifoldTheory, *, degree: int = 4, genus: int = 1,
     caps = SeriesCaps(degree=degree, genus=genus + 1)
     delta = _mutation(theory, mutate, replace(caps, degree=degree + 5))
     pairs = class_table(theory.algebra).pairs
+    families = {}
 
     def bracket(fixed, handles=0):
-        got = theory.potential_derivative(fixed, caps, handles)
+        signature = (tuple(a for a, _ in fixed), handles)
+        family = families.get(signature)
+        if family is None:
+            family = families[signature] = theory.bracket_family(
+                signature[0], caps, handles)
+        got = family.pop(fixed, None)
+        if got is None:
+            raise AssertionError(
+                f"bracket {fixed} with {handles} handles asked for twice")
         d_delta = reduce(TruncatedSeries.partial_derivative, fixed, delta)
         for _ in range(handles):
             glued = TruncatedSeries(delta.caps, system=CLASS_BASIS)
@@ -505,15 +518,18 @@ def kdv_check(theory: OrbifoldTheory, *, degree: int = 4, genus: int = 1,
     triple = [bracket(((0, m),), 1) for m in range(theory.r)]
     lam_max = 2 * genus - 2
 
+    def cross(x, y):
+        return x.multiply(y, max_degree=degree, max_lam=lam_max)
+
     def report(a, c):
         rhs = bracket(((a - 1, c),), 2).scale(Q(1, 4))
         for j, jinv, zj in pairs:
-            rhs.iadd(factor((a - 1, c), (0, j)).multiply(
-                triple[jinv], max_degree=degree), zj)
-            for k, kinv, zk in pairs:
-                rhs.iadd(factor((a - 1, c), (0, j), (0, k)).multiply(
-                    factor((0, jinv), (0, kinv)), max_degree=degree),
-                    2 * zj * zk)
+            rhs.iadd(cross(factor((a - 1, c), (0, j)), triple[jinv]), zj)
+            # the summand is symmetric in j and k
+            for k, kinv, zk in pairs[j:]:
+                rhs.iadd(cross(factor((a - 1, c), (0, j), (0, k)),
+                               factor((0, jinv), (0, kinv))),
+                         2 * zj * zk * (1 if k == j else 2))
         return _compare({"kdv_a": a, "direction_class": c}, caps,
                         [(bracket(((a, c),), 1), Q(2 * a + 1), -2)],
                         [(rhs, 1, 0)], max_degree=degree, lam_max=lam_max,

@@ -35,6 +35,10 @@ PERTURBED = (T_CORRELATORS
              + "test_tensor_check_reports_a_perturbed_product_count")
 RELABELLED = "tests/test_relabelling.py"
 BRUTE_VS_RECURSIVE = T_CORRELATORS + "test_surface_count_brute_vs_recursive"
+VIRASORO = "src/orbigw/virasoro.py"
+T_VIRASORO = "tests/test_virasoro.py::"
+KDV_ORACLE = T_VIRASORO + "test_kdv_brackets_match_differentiated_potential"
+KDV_PINNED = T_CLI + "test_report_bytes_pinned"
 
 MUTANTS = [
     # the brute-force oracle recurses on the commutator, not the product
@@ -123,6 +127,26 @@ MUTANTS = [
      "counts[self.group.identity] = 1",
      "counts[0] = 1",
      [RELABELLED]),
+    # every bracket of a family written with the first multiset's classes
+    ("family-first-classes", CORRELATORS,
+     "fixed_classes + classes)",
+     "members[0][1] + classes)",
+     [KDV_ORACLE, T_CORRELATORS + "test_bracket_family_shape"]),
+    # the family's common denominator without the multiplicity factorials
+    ("family-denominator-factorial", CORRELATORS,
+     "math.prod(math.factorial(mult)",
+     "math.prod((mult)",
+     [KDV_ORACLE, T_CORRELATORS + "test_bracket_family_shape"]),
+    # the symmetric KdV double sum counts each pair j < k once
+    ("kdv-pair-weight", VIRASORO,
+     "2 * zj * zk * (1 if k == j else 2)",
+     "2 * zj * zk * 1",
+     [KDV_PINNED, T_VIRASORO + "test_kdv_trivial_and_z2"]),
+    # KdV's products stop one lambda step below the compared region
+    ("kdv-product-lam-bound", VIRASORO,
+     "max_lam=lam_max)",
+     "max_lam=lam_max - 2)",
+     [KDV_PINNED, T_VIRASORO + "test_kdv_trivial_and_z2"]),
 ]
 
 

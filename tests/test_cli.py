@@ -15,6 +15,7 @@ import pytest
 import orbigw
 import orbigw.algebra
 import orbigw.cli
+import orbigw.correlators
 import orbigw.groups
 import orbigw.virasoro
 from orbigw.cli import main
@@ -578,6 +579,12 @@ PINNED_REPORTS = [
      "53bc9c7fce88d3eb594fedcd97201641dac4bc4722f72375226ffee8046d829f"),
     ("kdv", Z3, 3, "[[[0,0,1],[0,1,1],[0,2,1],[1,0,1]],-2]",
      "bb547cbc399db385a9bd7377888d4406d9241999577e2af58d5422944745a1ae"),
+    # Z3 pins the inverse-class pairing of KdV's cross terms: pairing j
+    # with j, in either product, changes these bytes; Q8 has r = 5
+    ("kdv", Z3, 4, None,
+     "1b5831b8271b38df7f282015d6cebff317f73d94f5c5a16bc537edd6a1393887"),
+    ("kdv", '{"name":"Q8"}', 3, None,
+     "2b5972c519d43c5b1a1240e05a410d0f2ac781f2289853a2152c84d2b622e6c6"),
 ]
 
 
@@ -655,7 +662,10 @@ def test_negative_work_cap_is_input_error(argv):
     assert err.getvalue().startswith("resource cap: ")
 
 
-def test_jobs_flag_does_not_change_output():
+def test_jobs_flag_does_not_change_output(monkeypatch):
+    # S3 at genus 2 is far below the tuple threshold: lowered to 0, --jobs 4
+    # forks a real pool
+    monkeypatch.setattr(orbigw.correlators, "POOL_MIN_TUPLES", 0)
     base = ["omega", "--group", S3, "--genus", "2"]
     _c, one = run_cli(base + ["--jobs", "1"])
     _c, four = run_cli(base + ["--jobs", "4"])

@@ -17,7 +17,8 @@ from orbigw.correlators import (CANONICAL_RESCALED, CLASS_BASIS,
                                 tensor_omega_check)
 from orbigw.checks import cohft_check, cutting_loops_check
 from orbigw.groups import named_group
-from orbigw.series import SeriesCaps, mono_from_vars
+from orbigw.series import (SeriesCaps, TruncatedSeries, mono_factorial,
+                           mono_from_vars)
 from orbigw.util import Q
 
 
@@ -493,6 +494,41 @@ def test_class_key_counts(name, param, degree, genus, count):
     theory = OrbifoldTheory(named_group(name, param))
     caps = SeriesCaps(degree=degree, genus=genus)
     assert sum(1 for _key in theory.class_keys(caps)) == count
+
+
+def test_bracket_family_shape(s3):
+    # one bracket per class multiset on the fixed levels, prod C(r+k-1, k)
+    # over the blocks of k equal levels, and each bracket's coefficient at
+    # t^M lambda^{2g-2} is its own correlator over M!
+    caps = SeriesCaps(degree=2, genus=1)
+    family = s3.bracket_family((1, 0, 1, 0, 1), caps)
+    assert len(family) == math.comb(3 + 1, 2) * math.comb(3 + 2, 3) == 60
+    for fixed, bracket in family.items():
+        assert list(fixed) == sorted(fixed)
+        assert tuple(a for a, _c in fixed) == (0, 0, 1, 1, 1)
+        want = TruncatedSeries(caps)
+        for genus, variables, _psi in s3.class_keys(caps, (0, 0, 1, 1, 1)):
+            mono = mono_from_vars(variables)
+            key = CorrelatorKey(genus, fixed + variables)
+            want.add_term(mono, 2 * genus - 2, s3.orbifold_correlator(key)
+                          / mono_factorial(mono))
+        assert bracket == want
+    assert any(family.values())
+
+
+def test_potential_is_the_empty_family(s3):
+    # the potential is the one bracket on no fixed levels, a term per
+    # class key with the key's correlator over M!
+    caps = SeriesCaps(degree=4, genus=2)
+    family = s3.bracket_family((), caps)
+    phi = s3.potential(caps)
+    assert list(family) == [()] and family[()] == phi
+    want = TruncatedSeries(caps)
+    for genus, variables, _psi in s3.class_keys(caps):
+        mono = mono_from_vars(variables)
+        want.add_term(mono, 2 * genus - 2, s3.orbifold_correlator(
+            CorrelatorKey(genus, variables)) / mono_factorial(mono))
+    assert phi == want and len(phi.support()) > 100
 
 
 def test_stored_coefficient_example(z2):

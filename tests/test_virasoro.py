@@ -391,21 +391,24 @@ def test_kdv_trivial_and_z2(z2):
         assert all(rep.checked_monomials > 0 for rep in reports)
 
 
-def kdv_bracket_requests(theory, monkeypatch, **kw):
-    """(fixed variables, handles, bracket) of every bracket kdv_check
-    generates, the bracket as kdv_check used it: mutated in place when it
-    mutates."""
-    calls = []
-    generate = theory.potential_derivative
+def kdv_brackets(theory, monkeypatch, **kw):
+    """(fixed variables, handles, bracket) of every bracket the family
+    generator produces for kdv_check, the bracket as kdv_check used it:
+    mutated in place when it mutates.  No family is generated twice."""
+    made, signatures = [], []
+    generate = theory.bracket_family
 
-    def record(fixed, caps, handles=0):
-        calls.append((tuple(fixed), handles, generate(fixed, caps, handles)))
-        return calls[-1][2]
+    def record(fixed_levels, caps, handles=0):
+        family = generate(fixed_levels, caps, handles)
+        signatures.append((tuple(fixed_levels), handles))
+        made.extend((fixed, handles, got) for fixed, got in family.items())
+        return family
 
     with monkeypatch.context() as m:
-        m.setattr(theory, "potential_derivative", record)
+        m.setattr(theory, "bracket_family", record)
         kdv_check(theory, **kw)
-    return calls
+    assert len(set(signatures)) == len(signatures)
+    return made
 
 
 def test_kdv_brackets_match_differentiated_potential(z2, s3, monkeypatch):
@@ -417,8 +420,8 @@ def test_kdv_brackets_match_differentiated_potential(z2, s3, monkeypatch):
     cases += [(z2, 3, ((((0, 0), 1), ((0, 1), 2)), -2)),
               (s3, 3, ((((0, 1), 1), ((0, 2), 2), ((1, 1), 1)), -2))]
     for theory, degree, mutate in cases:
-        calls = kdv_bracket_requests(theory, monkeypatch, degree=degree,
-                                     genus=1, mutate=mutate)
+        calls = kdv_brackets(theory, monkeypatch, degree=degree, genus=1,
+                             mutate=mutate)
         caps = SeriesCaps(degree=degree + 5, genus=2)
         phi = theory.potential(caps)
         if mutate is not None:
@@ -460,6 +463,26 @@ def test_kdv_mutation_builds_no_potential(z2, monkeypatch):
     assert any(not rep.passed for rep in reports)
     with pytest.raises(MissingCoefficient):
         kdv_check(z2, degree=4, genus=1, mutate=((((0, 0), 9),), -2))
+
+
+def test_kdv_check_leaves_no_state_behind():
+    # brackets are handed out once and delta is added to them in place:
+    # plain, mutated and plain again on one theory report what fresh
+    # theories report.  The target reaches the two-handle bracket through
+    # Z3's mutually inverse classes 1 and 2.
+    target = ((((0, 0), 1), ((0, 1), 2), ((0, 2), 2), ((3, 0), 1)), -2)
+
+    def fresh(**kw):
+        return kdv_check(OrbifoldTheory(named_group("Z", 3)), degree=3,
+                         genus=1, **kw)
+
+    theory = OrbifoldTheory(named_group("Z", 3))
+    runs = [kdv_check(theory, degree=3, genus=1, mutate=mutate)
+            for mutate in (None, target, None)]
+    plain, mutated = fresh(), fresh(mutate=target)
+    assert runs == [plain, mutated, plain]
+    assert all(rep.passed for rep in plain)
+    assert not all(rep.passed for rep in mutated)
 
 
 def test_kdv_vanishing_slice(z2):
