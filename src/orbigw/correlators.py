@@ -522,20 +522,22 @@ class OrbifoldTheory:
         return value / mono_factorial(mono)
 
     def bracket_family(self, fixed_levels: Sequence[int], caps: SeriesCaps,
-                       handles: int = 0) -> dict:
+                       handles: Sequence[tuple] = ()) -> dict:
         """{fixed: bracket} for every class multiset on ``fixed_levels``.
 
         ``fixed`` = (v_1..v_k) is a sorted tuple of (level, class) variables
         with the sorted levels ``fixed_levels``, and its bracket is the
-        class-basis series d/dt_{v_1} ... d/dt_{v_k} F times
-        (sum_m z_m d/dt_{(0,m)} d/dt_{(0,m')})^handles.  Its coefficient
+        class-basis series d/dt_{v_1} ... d/dt_{v_k} F with, for each
+        handle level pair (i, j) in ``handles``, the contraction
+        sum_m z_m d/dt_{(i,m)} d/dt_{(j,m')} applied.  Its coefficient
         of t^M lambda^{2g-2} is the single correlator
         <tau(v_1) ... tau(v_k) tau(M)>_g / M!, so each bracket is
         generated from correlators directly: one term per ``class_keys``
         key M whose surface count is nonzero, for free monomials of degree
         <= caps.degree and genus <= caps.genus.  Each contracted pair
-        glues a handle H = sum_m z_m e_m e_m': psi gains two levels 0,
-        H^g one more genus.
+        glues a handle H = sum_m z_m e_m e_m', since
+        sum_m z_m Omega_g(m, m', C) = Omega_{g+1}(C): psi gains the levels
+        i and j, H^g one more genus.
 
         The family shares one walk: each key's monomial, psi and M! are
         computed once and its coefficient written into every bracket.
@@ -546,7 +548,7 @@ class OrbifoldTheory:
         family.
         """
         fixed_levels = tuple(sorted(fixed_levels))
-        glued = fixed_levels + (0, 0) * handles
+        glued = fixed_levels + tuple(a for pair in handles for a in pair)
         order = self.group.order
         level_keys = list(self._stable_level_keys(caps, glued))
         scale = math.lcm(*(
@@ -574,7 +576,7 @@ class OrbifoldTheory:
                 if row is None:
                     row = rows[genus, classes] = []
                     for _fixed, fixed_classes, terms in members:
-                        omega = self.surface_count(genus + handles,
+                        omega = self.surface_count(genus + len(handles),
                                                    fixed_classes + classes)
                         if omega:
                             row.append((terms, omega.numerator
@@ -596,20 +598,21 @@ class OrbifoldTheory:
         return out
 
     def class_keys(self, caps, fixed_levels=()):
-        """(genus, variables, psi) for every class-basis key of the box.
+        """(genus, variables, psi, monomial, M!) for every class-basis key
+        of the box.
 
         ``variables`` is the sorted tuple of free (level, class) pairs: a
         level key of ``_stable_level_keys`` with one class multiset per
-        block of equal levels, each combination once.  The key's
-        correlator, with fixed insertions of levels ``fixed_levels`` and
-        classes C, is psi * surface_count(genus, C + its classes); its
-        potential coefficient divides that by ``mono_factorial``.  The
-        walk visits keys whose surface count vanishes too.
+        block of equal levels, each combination once; ``monomial`` is
+        their monomial M.  The key's correlator, with fixed insertions of
+        levels ``fixed_levels`` and classes C, is psi * surface_count(genus,
+        C + its classes); its potential coefficient divides that by M!.
+        The walk visits keys whose surface count vanishes too.
         """
         for genus, levels, psi in self._stable_level_keys(caps, fixed_levels):
-            for variables, _classes, _mono, _factorial in _class_multisets(
+            for variables, _classes, mono, factorial in _class_multisets(
                     levels, self.r):
-                yield genus, variables, psi
+                yield genus, variables, psi, mono, factorial
 
     def _stable_level_keys(self, caps, fixed_levels=()):
         """(genus, free levels, psi value) for every level key with psi != 0.

@@ -17,6 +17,11 @@ The check runs on the potential F, not on Z = exp(F): L_n Z = 0 is
 equivalent to R_n(F) = e^{-F} L_n e^{F} = 0 (see ``fform_residual``).  Its
 genus-<=G part needs F only up to genus G, so F truncated at degree D and
 genus G fixes every coefficient of degree <= D-1 (n <= 0) or D-2 (n >= 1).
+The per-index reports and the diagonal n <= 0 reports differentiate that
+F.  The diagonal n >= 1 reports, like the KdV identity, generate each
+bracket (a partial of F) from correlators over the compared region only
+(``OrbifoldTheory.bracket_family``), and glue each pair contracted by
+the inverse metric as a handle.
 """
 
 from __future__ import annotations
@@ -32,8 +37,7 @@ from typing import Optional
 from .algebra import (FLOAT_TOLERANCE, ClassAlgebra, canonical_basis,
                       character_table, frobenius_product)
 from .correlators import CANONICAL_RESCALED, CLASS_BASIS, OrbifoldTheory
-from .series import (SeriesCaps, TruncatedSeries, mono_degree, mono_factorial,
-                     mono_from_vars)
+from .series import SeriesCaps, TruncatedSeries, mono_degree, mono_from_vars
 from .util import Q, double_factorial, float_str, rat_str
 
 
@@ -363,6 +367,31 @@ def _fform_report(spec, potential, *, degree):
         window={"lambda_min": -2, "lambda_max": lam_max})
 
 
+def _generated_report(spec, bracket, caps):
+    """R_n(F) for n >= 1 on the diagonal family (v the unit) against zero
+    at every coefficient of degree <= D-2 and genus <= G, from brackets
+    generated at ``caps`` = (D-2, G) by ``bracket`` (``_bracket_source``).
+
+    The terms are those of ``_fform_terms``: the first-order bracket, the
+    dilation term on F truncated at D-2 (the empty bracket), per i one
+    bracket with a handle glued at levels (i, n-1-i) in place of the r
+    second partials sum_m z_m d_{(i,m)} d_{(n-1-i,m')} F, and the products
+    d_{(i,m)}F d_{(n-1-i,m')}F, formed only at lambda <= 2G-4.  A glued
+    handle has the support of its pair sum: correlators are >= 0 and
+    z_m > 0, so the sum cancels nowhere its summands are nonzero.
+    """
+    n, lam_max = spec.n, caps.lam_ceiling
+    terms = [(bracket((var,)), w, 0) for var, w in _first_order_terms(spec)]
+    terms.append((_dilation_term(spec, bracket(())), 1, 0))
+    terms += [(bracket((), (tuple(sorted((i, n - 1 - i))),)),
+               _coeff_second(n, i) / 2, 2) for i in range(n)]
+    terms += [(bracket((v1,)).multiply(bracket((v2,)), max_lam=lam_max - 2),
+               w, 2) for v1, v2, w in _second_order_terms(spec)]
+    return _compare(spec.label(), caps, terms, (), max_degree=caps.degree,
+                    lam_max=lam_max,
+                    window={"lambda_min": -2, "lambda_max": lam_max})
+
+
 # The operators checked.  [L_m, L_n] = (m - n) L_{m+n}, which
 # ``commutator_check`` verifies, builds every L_n (n >= -1) from L_{-1} and
 # L_2, so whatever these annihilate every L_n annihilates.
@@ -373,13 +402,17 @@ def virasoro_check(theory: OrbifoldTheory, *, degree: int = 6, genus: int = 2,
                    mutate=None) -> list:
     """Annihilation of the partition function by both operator families.
 
-    Builds the potential F at degree ``degree`` and genus ``genus`` and
-    checks R_n(F) = e^{-F} L_n e^{F} = 0 (see the module docstring) for
+    Checks R_n(F) = e^{-F} L_n e^{F} = 0 (see the module docstring) for
     n = -1, 0, 1, 2 (``VIRASORO_N``: they generate every L_n), per-index
     operators first, exactly, at every coefficient of degree <= D-1
-    (n <= 0) or D-2 (n >= 1) and genus <= G.  ``mutate`` names one stored
-    class-basis potential coefficient, for sensitivity tests: the diagonal
-    family checks F + delta (``_mutation``), which has it doubled, and
+    (n <= 0) or D-2 (n >= 1) and genus <= G, for D = ``degree`` and G =
+    ``genus``.  The per-index reports and the diagonal n <= 0 reports
+    differentiate the potential F built at degree D; the diagonal n >= 1
+    reports (``_generated_report``) generate each bracket from
+    correlators over the compared region only, their families shared
+    between n = 1 and n = 2.  ``mutate`` names one stored class-basis
+    potential coefficient, for sensitivity tests: the diagonal family
+    checks F + delta (``_mutation``), which has it doubled, and
     MissingCoefficient is raised when F stores no coefficient there.
     """
     caps = SeriesCaps(degree=degree, genus=genus)
@@ -391,8 +424,14 @@ def virasoro_check(theory: OrbifoldTheory, *, degree: int = 6, genus: int = 2,
                for alpha in range(theory.r) for n in VIRASORO_N]
     phi_t = theory.potential(caps, basis=CLASS_BASIS).iadd(delta)
     table = class_table(theory.algebra)
-    return reports + [_fform_report(VirasoroSpec(n, table), phi_t,
-                                    degree=degree) for n in VIRASORO_N]
+    generated = replace(caps, degree=degree - 2)
+    # brackets recur across n and i, and _generated_report only reads them
+    bracket = lru_cache(maxsize=None)(
+        _bracket_source(theory, generated, delta))
+    return reports + [
+        _fform_report(spec, phi_t, degree=degree) if spec.n <= 0
+        else _generated_report(spec, bracket, generated)
+        for spec in (VirasoroSpec(n, table) for n in VIRASORO_N)]
 
 
 def _mutation(theory, target, caps) -> TruncatedSeries:
@@ -405,6 +444,45 @@ def _mutation(theory, target, caps) -> TruncatedSeries:
     return TruncatedSeries.from_monomial(
         caps, target[0], theory.stored_coefficient(target, caps),
         lam=target[1], system=CLASS_BASIS)
+
+
+def _bracket_source(theory, caps, delta):
+    """bracket(fixed, handles): the class-basis bracket of F + delta on the
+    sorted (level, class) variables ``fixed`` with a handle glued at each
+    level pair of ``handles`` (``OrbifoldTheory.bracket_family``), over
+    ``caps``.
+
+    A family is generated when one of its brackets is first asked for,
+    and each bracket is handed out once: a second ask raises
+    AssertionError.  Each bracket gets the matching derivative of delta,
+    its handles contracted pair by pair (sum_m z_m d_{(i,m)} d_{(j,m')}),
+    as delta is no potential.
+    """
+    pairs = class_table(theory.algebra).pairs
+    families = {}
+
+    def bracket(fixed, handles=()):
+        signature = (tuple(a for a, _ in fixed), handles)
+        family = families.get(signature)
+        if family is None:
+            family = families[signature] = theory.bracket_family(
+                signature[0], caps, handles)
+        got = family.pop(fixed, None)
+        if got is None:
+            raise AssertionError(
+                f"bracket {fixed} with handles {handles} asked for twice")
+        d_delta = reduce(TruncatedSeries.partial_derivative, fixed, delta)
+        for i, j in handles:
+            glued = TruncatedSeries(delta.caps, system=CLASS_BASIS)
+            for m, m2, z in pairs:
+                glued.iadd(d_delta.second_partial((i, m), (j, m2)), z)
+            d_delta = glued
+        for mono, lam, c in d_delta.iter_terms():
+            got.iadd(TruncatedSeries.from_monomial(
+                caps, mono, c, lam=lam, system=CLASS_BASIS))
+        return got
+
+    return bracket
 
 
 # -- operator algebra ---------------------------------------------------------
@@ -472,42 +550,20 @@ def kdv_check(theory: OrbifoldTheory, *, degree: int = 4, genus: int = 1,
     correlators over the compared region only (degree <= ``degree``, and
     one genus above ``genus`` because the left side carries lam^-2), so
     the stated box is fully certified.  Both sides start at lam^-4:
-    lam^-2 times a genus-0 bracket, or a product of two.  Brackets come in
-    families of one fixed-level signature (``bracket_family``), each
-    generated when one of its brackets is first needed and each bracket
-    handed out once; a product is formed only at lambda <= lam_max, and
-    the symmetric double sum takes each pair j < k once, twice weighted.
-    ``mutate`` doubles one coefficient of the potential truncated at
-    degree + 5, the most any bracket differentiates: each bracket gets the
-    matching derivative of delta (``_mutation``), its handles contracted
-    pair by pair, as delta is no potential.  MissingCoefficient is raised
-    when that potential stores no coefficient there.
+    lam^-2 times a genus-0 bracket, or a product of two.  Brackets come
+    from ``_bracket_source``, with handles at levels (0, 0); a product is
+    formed only at lambda <= lam_max, and the symmetric double sum takes
+    each pair j < k once, twice weighted.  ``mutate`` doubles one
+    coefficient of the potential truncated at degree + 5, the most any
+    bracket differentiates, and each bracket gets the matching derivative
+    of delta (``_mutation``).  MissingCoefficient is raised when that
+    potential stores no coefficient there.
     """
     caps = SeriesCaps(degree=degree, genus=genus + 1)
     delta = _mutation(theory, mutate, replace(caps, degree=degree + 5))
     pairs = class_table(theory.algebra).pairs
-    families = {}
-
-    def bracket(fixed, handles=0):
-        signature = (tuple(a for a, _ in fixed), handles)
-        family = families.get(signature)
-        if family is None:
-            family = families[signature] = theory.bracket_family(
-                signature[0], caps, handles)
-        got = family.pop(fixed, None)
-        if got is None:
-            raise AssertionError(
-                f"bracket {fixed} with {handles} handles asked for twice")
-        d_delta = reduce(TruncatedSeries.partial_derivative, fixed, delta)
-        for _ in range(handles):
-            glued = TruncatedSeries(delta.caps, system=CLASS_BASIS)
-            for m, m2, z in pairs:
-                glued.iadd(d_delta.second_partial((0, m), (0, m2)), z)
-            d_delta = glued
-        for mono, lam, c in d_delta.iter_terms():
-            got.iadd(TruncatedSeries.from_monomial(
-                caps, mono, c, lam=lam, system=CLASS_BASIS))
-        return got
+    bracket = _bracket_source(theory, caps, delta)
+    handle = ((0, 0),)
 
     # cross-term brackets recur across (a, c), and derivatives commute
     memo = lru_cache(maxsize=None)(bracket)
@@ -515,14 +571,14 @@ def kdv_check(theory: OrbifoldTheory, *, degree: int = 4, genus: int = 1,
     def factor(*variables):
         return memo(tuple(sorted(variables)))
 
-    triple = [bracket(((0, m),), 1) for m in range(theory.r)]
+    triple = [bracket(((0, m),), handle) for m in range(theory.r)]
     lam_max = 2 * genus - 2
 
     def cross(x, y):
         return x.multiply(y, max_degree=degree, max_lam=lam_max)
 
     def report(a, c):
-        rhs = bracket(((a - 1, c),), 2).scale(Q(1, 4))
+        rhs = bracket(((a - 1, c),), handle * 2).scale(Q(1, 4))
         for j, jinv, zj in pairs:
             rhs.iadd(cross(factor((a - 1, c), (0, j)), triple[jinv]), zj)
             # the summand is symmetric in j and k
@@ -531,7 +587,7 @@ def kdv_check(theory: OrbifoldTheory, *, degree: int = 4, genus: int = 1,
                                factor((0, jinv), (0, kinv))),
                          2 * zj * zk * (1 if k == j else 2))
         return _compare({"kdv_a": a, "direction_class": c}, caps,
-                        [(bracket(((a, c),), 1), Q(2 * a + 1), -2)],
+                        [(bracket(((a, c),), handle), Q(2 * a + 1), -2)],
                         [(rhs, 1, 0)], max_degree=degree, lam_max=lam_max,
                         window={"lambda_min": -4, "lambda_max": lam_max})
 
@@ -582,11 +638,10 @@ def factorization_check(theory: OrbifoldTheory, *, degree: int = 6,
         return complex(table.eps(reduce(table.product, factors, table.unit)))
 
     checked, worst, violations = 0, 0.0, []
-    for g, variables, psi in theory.class_keys(caps):
-        mono = mono_from_vars(variables)
+    for g, variables, psi, mono, factorial in theory.class_keys(caps):
         alphas = tuple(sorted(alpha for _a, alpha in variables))
         scale = math.prod(rescale(a, alpha) for a, alpha in variables)
-        lhs = float(psi / mono_factorial(mono)) * scale * eps(g, alphas)
+        lhs = float(psi / factorial) * scale * eps(g, alphas)
         rhs = float(target.coefficient(mono, 2 * g - 2))
         worst = max(worst, abs(lhs - rhs))
         checked += 1

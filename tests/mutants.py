@@ -39,6 +39,9 @@ VIRASORO = "src/orbigw/virasoro.py"
 T_VIRASORO = "tests/test_virasoro.py::"
 KDV_ORACLE = T_VIRASORO + "test_kdv_brackets_match_differentiated_potential"
 KDV_PINNED = T_CLI + "test_report_bytes_pinned"
+VIRASORO_ORACLE = (T_VIRASORO
+                   + "test_virasoro_brackets_match_differentiated_potential")
+GENUS_2_PINNED = T_CLI + "test_genus_2_report_bytes_pinned"
 
 MUTANTS = [
     # the brute-force oracle recurses on the commutator, not the product
@@ -147,6 +150,38 @@ MUTANTS = [
      "max_lam=lam_max)",
      "max_lam=lam_max - 2)",
      [KDV_PINNED, T_VIRASORO + "test_kdv_trivial_and_z2"]),
+    # Virasoro n = 2 glues its second-order pairs at levels (0, 0), not
+    # (i, n-1-i)
+    ("virasoro-handle-levels", VIRASORO,
+     "(tuple(sorted((i, n - 1 - i))),)",
+     "((0, 0),)",
+     [VIRASORO_ORACLE, GENUS_2_PINNED]),
+    # a glued handle leaves the surface count at the correlator's genus
+    ("handle-adds-no-genus", CORRELATORS,
+     "self.surface_count(genus + len(handles),",
+     "self.surface_count(genus,",
+     [T_CORRELATORS + "test_bracket_family_with_a_handle_at_levels_0_1",
+      VIRASORO_ORACLE, KDV_ORACLE]),
+    # the second product factor at class m, not its inverse m'
+    ("virasoro-product-pairs-m-with-m", VIRASORO,
+     "(n - 1 - i, m2), b * z * w)",
+     "(n - 1 - i, m), b * z * w)",
+     [GENUS_2_PINNED]),
+    # the first-order bracket at level n, not n + 1
+    ("first-order-level-n", VIRASORO,
+     "[((spec.n + 1, k), -_coeff_first(spec.n) * w)",
+     "[((spec.n, k), -_coeff_first(spec.n) * w)",
+     [VIRASORO_ORACLE, GENUS_2_PINNED]),
+    # Virasoro's products stop one lambda step below the compared region
+    ("virasoro-product-lam-bound", VIRASORO,
+     "max_lam=lam_max - 2)",
+     "max_lam=lam_max - 4)",
+     [GENUS_2_PINNED]),
+    # a mutated glued bracket gets delta contracted at levels (0, 0)
+    ("delta-handle-levels", VIRASORO,
+     "d_delta.second_partial((i, m), (j, m2))",
+     "d_delta.second_partial((0, m), (0, m2))",
+     [VIRASORO_ORACLE]),
 ]
 
 

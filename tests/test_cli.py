@@ -633,6 +633,27 @@ def test_report_bytes_pinned(which, group, degree, mutate, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# check virasoro at genus 2, the benchmark's caps: the n = 2 reports
+# compare a handle glued at levels (0, 1) and products of brackets.  Z3's
+# classes 1 and 2 are mutual inverses: pairing m with m, not m', in those
+# products changes its bytes (at D4 G1 it does not)
+PINNED_GENUS_2 = [
+    (S3, "69e93cad4458393beaf76159f28f551f73e6cd73fc4fd9e0badc2b81108df671"),
+    ('{"name":"Q8"}',
+     "d95b11ac6aa215287f0e55c7199309f731a929ba5dc55fd49e93bdfb93e0ce42"),
+    (Z3, "33c90675554d2cf77a5708a98412b06b1cdff128aa8efdb4de40f892303e5374"),
+]
+
+
+@pytest.mark.parametrize("group,digest", PINNED_GENUS_2,
+                         ids=["S3", "Q8", "Z3"])
+def test_genus_2_report_bytes_pinned(group, digest):
+    code, out = run_cli(["check", "virasoro", "--group", group, "--degree",
+                         "5", "--genus", "2"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 @pytest.mark.parametrize("argv", [["omega", "--group", S3, "--genus", "1"],
                                   ["check", "cohft", "--group", Z2]],

@@ -477,14 +477,16 @@ def test_class_keys_match_brute_force(name, param, degree, genus,
     theory = OrbifoldTheory(named_group(name, param))
     caps = SeriesCaps(degree=degree, genus=genus)
     walked = list(theory.class_keys(caps, fixed_levels))
-    keys = [(g, variables) for g, variables, _psi in walked]
+    keys = [(g, variables) for g, variables, *_rest in walked]
     assert len(set(keys)) == len(keys)
     assert sorted(keys) == sorted(brute_class_keys(theory, caps,
                                                    fixed_levels))
-    for g, variables, psi in walked:
+    for g, variables, psi, mono, factorial in walked:
         assert list(variables) == sorted(variables)
         assert psi == psi_correlator(
             g, fixed_levels + tuple(a for a, _c in variables))
+        assert mono == mono_from_vars(variables)
+        assert factorial == mono_factorial(mono)
 
 
 @pytest.mark.parametrize("name,param,degree,genus,count", [
@@ -507,13 +509,35 @@ def test_bracket_family_shape(s3):
         assert list(fixed) == sorted(fixed)
         assert tuple(a for a, _c in fixed) == (0, 0, 1, 1, 1)
         want = TruncatedSeries(caps)
-        for genus, variables, _psi in s3.class_keys(caps, (0, 0, 1, 1, 1)):
-            mono = mono_from_vars(variables)
+        for genus, variables, _psi, mono, _f in s3.class_keys(
+                caps, (0, 0, 1, 1, 1)):
             key = CorrelatorKey(genus, fixed + variables)
             want.add_term(mono, 2 * genus - 2, s3.orbifold_correlator(key)
                           / mono_factorial(mono))
         assert bracket == want
     assert any(family.values())
+
+
+def test_bracket_family_with_a_handle_at_levels_0_1(s3):
+    # a handle glued at levels (0, 1) is the pair sum over the inverse
+    # metric: each coefficient at t^M lambda^{2g-2} is sum_m z_m
+    # <tau_0(e_m) tau_1(e_m') tau(v) tau(M)>_g / M!
+    caps = SeriesCaps(degree=3, genus=1)
+    pairs = s3.algebra.pairs()
+    family = s3.bracket_family((1,), caps, ((0, 1),))
+    assert sorted(family) == [((1, c),) for c in range(3)]
+    for fixed, bracket in family.items():
+        want = TruncatedSeries(caps)
+        for genus, variables, _psi, mono, _f in s3.class_keys(
+                caps, (0, 1, 1)):
+            value = sum(z * s3.orbifold_correlator(CorrelatorKey(
+                genus, ((0, m), (1, m2)) + fixed + variables))
+                for m, m2, z in pairs)
+            want.add_term(mono, 2 * genus - 2, value / mono_factorial(mono))
+        assert bracket == want
+        assert len(bracket.support()) > 5
+    # the two levels of the pair are not interchangeable with (0, 0)
+    assert s3.bracket_family((1,), caps, ((0, 0),)) != family
 
 
 def test_potential_is_the_empty_family(s3):
@@ -524,8 +548,7 @@ def test_potential_is_the_empty_family(s3):
     phi = s3.potential(caps)
     assert list(family) == [()] and family[()] == phi
     want = TruncatedSeries(caps)
-    for genus, variables, _psi in s3.class_keys(caps):
-        mono = mono_from_vars(variables)
+    for genus, variables, _psi, mono, _f in s3.class_keys(caps):
         want.add_term(mono, 2 * genus - 2, s3.orbifold_correlator(
             CorrelatorKey(genus, variables)) / mono_factorial(mono))
     assert phi == want and len(phi.support()) > 100

@@ -391,24 +391,72 @@ def test_kdv_trivial_and_z2(z2):
         assert all(rep.checked_monomials > 0 for rep in reports)
 
 
-def kdv_brackets(theory, monkeypatch, **kw):
-    """(fixed variables, handles, bracket) of every bracket the family
-    generator produces for kdv_check, the bracket as kdv_check used it:
-    mutated in place when it mutates.  No family is generated twice."""
-    made, signatures = [], []
+def handed_brackets(theory, check, monkeypatch, **kw):
+    """(signatures, brackets) of one ``check`` run on ``theory``: the
+    (fixed levels, caps, handles) of every family the generator produced,
+    and (fixed variables, handles, bracket) for every bracket the check
+    was handed, as the check used it: mutated in place when it mutates.
+    No family is generated twice."""
+    families, signatures = [], []
     generate = theory.bracket_family
 
-    def record(fixed_levels, caps, handles=0):
+    def record(fixed_levels, caps, handles=()):
         family = generate(fixed_levels, caps, handles)
-        signatures.append((tuple(fixed_levels), handles))
-        made.extend((fixed, handles, got) for fixed, got in family.items())
+        signatures.append((tuple(fixed_levels), caps, handles))
+        families.append((handles, family, list(family.items())))
         return family
 
     with monkeypatch.context() as m:
         m.setattr(theory, "bracket_family", record)
-        kdv_check(theory, **kw)
+        check(theory, **kw)
     assert len(set(signatures)) == len(signatures)
-    return made
+    # a bracket handed out has left its family
+    return signatures, [(fixed, handles, got)
+                        for handles, family, made in families
+                        for fixed, got in made if fixed not in family]
+
+
+def differentiated_brackets(theory, caps, mutate):
+    """glued(fixed, handles, degree): the potential at ``caps``, with the
+    mutated coefficient doubled, differentiated by the variables
+    ``fixed``, with each handle (i, j) contracted as an explicit sum over
+    the inverse-metric pairs of d_{(i,m)} d_{(j,m')}, and monomials above
+    ``degree`` dropped."""
+    phi = theory.potential(caps)
+    if mutate is not None:
+        phi.add_term(*mutate, phi.coefficient(*mutate))
+    pairs = class_table(theory.algebra).pairs
+    derivs = {(): phi}
+
+    def deriv(fixed):
+        if fixed not in derivs:
+            derivs[fixed] = deriv(fixed[:-1]).partial_derivative(fixed[-1])
+        return derivs[fixed]
+
+    def glued(fixed, handles, degree):
+        if not handles:
+            return deriv(tuple(sorted(fixed))).truncated_to_degree(degree)
+        (i, j), rest = handles[0], handles[1:]
+        out = TruncatedSeries(caps)
+        for m, m2, z in pairs:
+            out.iadd(glued(fixed + ((i, m), (j, m2)), rest, degree), z)
+        return out
+
+    return glued
+
+
+def bracket_reference(glued, fixed, handles, caps):
+    """glued(fixed, handles, caps.degree) in ``caps``."""
+    ref = TruncatedSeries(caps)
+    for mono, lam, c in glued(fixed, handles, caps.degree).iter_terms():
+        ref.add_term(mono, lam, c)
+    return ref
+
+
+def assert_brackets_match(brackets, glued):
+    for fixed, handles, got in brackets:
+        assert got == bracket_reference(glued, fixed, handles, got.caps), (
+            fixed, handles)
 
 
 def test_kdv_brackets_match_differentiated_potential(z2, s3, monkeypatch):
@@ -420,35 +468,61 @@ def test_kdv_brackets_match_differentiated_potential(z2, s3, monkeypatch):
     cases += [(z2, 3, ((((0, 0), 1), ((0, 1), 2)), -2)),
               (s3, 3, ((((0, 1), 1), ((0, 2), 2), ((1, 1), 1)), -2))]
     for theory, degree, mutate in cases:
-        calls = kdv_brackets(theory, monkeypatch, degree=degree, genus=1,
-                             mutate=mutate)
-        caps = SeriesCaps(degree=degree + 5, genus=2)
-        phi = theory.potential(caps)
-        if mutate is not None:
-            phi.add_term(*mutate, phi.coefficient(*mutate))
-        pairs = class_table(theory.algebra).pairs
-        derivs = {(): phi}
-
-        def deriv(fixed):
-            if fixed not in derivs:
-                derivs[fixed] = deriv(fixed[:-1]).partial_derivative(fixed[-1])
-            return derivs[fixed]
-
-        def glued(fixed, handles):
-            if not handles:
-                return deriv(tuple(sorted(fixed))).truncated_to_degree(degree)
-            out = TruncatedSeries(caps)
-            for m, m2, z in pairs:
-                out.iadd(glued(fixed + ((0, m), (0, m2)), handles - 1), z)
-            return out
-
-        for fixed, handles, got in calls:
-            ref = TruncatedSeries(got.caps)     # same values, the bracket's caps
-            for mono, lam, c in glued(fixed, handles).iter_terms():
-                ref.add_term(mono, lam, c)
-            assert got == ref, (theory.r, degree, fixed, handles)
-        assert {handles for _fixed, handles, _got in calls} == {0, 1, 2}
+        _signatures, calls = handed_brackets(
+            theory, kdv_check, monkeypatch, degree=degree, genus=1,
+            mutate=mutate)
+        glued = differentiated_brackets(
+            theory, SeriesCaps(degree=degree + 5, genus=2), mutate)
+        assert_brackets_match(calls, glued)
+        assert {handles for _fixed, handles, _got in calls} == {
+            (), ((0, 0),), ((0, 0), (0, 0))}
         assert len({call[:2] for call in calls}) > 10
+
+
+# (fixed levels, handles) of the families R_1 and R_2 generate: first
+# order at level n + 1, the dilation term on the empty family, the glued
+# handles at (i, n-1-i), and the product factors at levels i and n-1-i
+VIRASORO_FAMILIES = {((2,), ()), ((3,), ()), ((), ()), ((), ((0, 0),)),
+                     ((), ((0, 1),)), ((0,), ()), ((1,), ())}
+
+
+@pytest.mark.parametrize("name,param,target", [
+    ("Z", 2, ((((0, 0), 1), ((0, 1), 2)), -2)),
+    # classes 1 and 2 are mutual inverses
+    ("Z", 3, ((((0, 0), 1), ((0, 1), 1), ((0, 2), 1)), -2)),
+    ("S", 3, ((((0, 1), 2), ((0, 2), 1)), -2))])
+def test_virasoro_brackets_match_differentiated_potential(
+        name, param, target, monkeypatch):
+    # oracle: each bracket the n >= 1 reports generate (first order,
+    # dilation, glued handles, product factors) is the potential at
+    # degree D, with the mutated coefficient doubled, differentiated, its
+    # handles contracted as pair sums at their levels and truncated at D-2
+    theory = OrbifoldTheory(named_group(name, param))
+    for degree, genus in ((4, 1), (5, 2)):
+        for mutate in (None, target):
+            caps = SeriesCaps(degree=degree, genus=genus)
+            signatures, calls = handed_brackets(
+                theory, virasoro_check, monkeypatch, degree=degree,
+                genus=genus, mutate=mutate)
+            generated = {(levels, handles)
+                         for levels, c, handles in signatures if c != caps}
+            assert generated == VIRASORO_FAMILIES
+            assert {c for _l, c, _h in signatures} == {
+                caps, SeriesCaps(degree=degree - 2, genus=genus)}
+            calls = [call for call in calls
+                     if call[2].caps.degree == degree - 2]
+            handed = {(fixed, handles) for fixed, handles, _got in calls}
+            assert handed == {
+                (((2, 0),), ()), (((3, 0),), ()), ((), ()),
+                ((), ((0, 0),)), ((), ((0, 1),)),
+                *{(((a, m),), ()) for a in (0, 1) for m in range(theory.r)}}
+            assert_brackets_match(
+                calls, differentiated_brackets(theory, caps, mutate))
+            if mutate is not None:      # the target reaches a bracket
+                plain = differentiated_brackets(theory, caps, None)
+                assert any(got != bracket_reference(plain, fixed, handles,
+                                                    got.caps)
+                           for fixed, handles, got in calls)
 
 
 def test_kdv_mutation_builds_no_potential(z2, monkeypatch):
