@@ -527,17 +527,19 @@ class OrbifoldTheory:
 
         ``fixed`` = (v_1..v_k) is a sorted tuple of (level, class) variables
         with the sorted levels ``fixed_levels``, and its bracket is the
-        class-basis series d/dt_{v_1} ... d/dt_{v_k} F with, for each
-        handle level pair (i, j) in ``handles``, the contraction
-        sum_m z_m d/dt_{(i,m)} d/dt_{(j,m')} applied.  Its coefficient
-        of t^M lambda^{2g-2} is the single correlator
-        <tau(v_1) ... tau(v_k) tau(M)>_g / M!, so each bracket is
-        generated from correlators directly: one term per ``class_keys``
-        key M whose surface count is nonzero, for free monomials of degree
-        <= caps.degree and genus <= caps.genus.  Each contracted pair
-        glues a handle H = sum_m z_m e_m e_m', since
-        sum_m z_m Omega_g(m, m', C) = Omega_{g+1}(C): psi gains the levels
-        i and j, H^g one more genus.
+        class-basis series d/dt_{v_1} ... d/dt_{v_k} F with each entry of
+        ``handles`` glued: a level pair (i, j) applies sum_m z_m
+        d/dt_{(i,m)} d/dt_{(j,m')}, a single level (a,) d/dt_{(a,0)}.  Its
+        coefficient of t^M lambda^{2g-2} is one correlator over M!, so each
+        bracket is generated from correlators directly: one term per
+        ``class_keys`` key M whose surface count is nonzero, for free
+        monomials of degree <= caps.degree and genus <= caps.genus.  Each
+        glued level joins psi's levels.  A pair glues a handle H = sum_m
+        z_m e_m e_m', one more genus in H^g: sum_m z_m Omega_g(m, m', C) =
+        Omega_{g+1}(C) (cutting loops).  The unit e_0 adds no genus and no
+        class: Omega_g(e_0, C) = Omega_g(C) (forgetting tails).  ``check
+        cohft`` checks both identities, and the bracket oracle tests
+        differentiate F.
 
         The family shares one walk: each key's monomial, psi and M! are
         computed once and its coefficient written into every bracket.
@@ -548,7 +550,8 @@ class OrbifoldTheory:
         family.
         """
         fixed_levels = tuple(sorted(fixed_levels))
-        glued = fixed_levels + tuple(a for pair in handles for a in pair)
+        glued = fixed_levels + tuple(a for entry in handles for a in entry)
+        pairs = sum(len(entry) == 2 for entry in handles)
         order = self.group.order
         level_keys = list(self._stable_level_keys(caps, glued))
         scale = math.lcm(*(
@@ -576,7 +579,7 @@ class OrbifoldTheory:
                 if row is None:
                     row = rows[genus, classes] = []
                     for _fixed, fixed_classes, terms in members:
-                        omega = self.surface_count(genus + len(handles),
+                        omega = self.surface_count(genus + pairs,
                                                    fixed_classes + classes)
                         if omega:
                             row.append((terms, omega.numerator

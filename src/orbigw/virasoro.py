@@ -17,11 +17,11 @@ The check runs on the potential F, not on Z = exp(F): L_n Z = 0 is
 equivalent to R_n(F) = e^{-F} L_n e^{F} = 0 (see ``fform_residual``).  Its
 genus-<=G part needs F only up to genus G, so F truncated at degree D and
 genus G fixes every coefficient of degree <= D-1 (n <= 0) or D-2 (n >= 1).
-The per-index reports and the diagonal n <= 0 reports differentiate that
-F.  The diagonal n >= 1 reports, like the KdV identity, generate each
-bracket (a partial of F) from correlators over the compared region only
-(``OrbifoldTheory.bracket_family``), and glue each pair contracted by
-the inverse metric as a handle.
+The per-index reports differentiate that F.  The diagonal reports, like
+the KdV identity, generate each bracket (a partial of F) from correlators
+over the compared region only (``OrbifoldTheory.bracket_family``),
+gluing each pair contracted by the inverse metric as a handle and the
+first-order unit as a level with no class.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
+from itertools import groupby
 from operator import add
 from typing import Optional
 
@@ -165,6 +166,22 @@ def _constant_term(spec: VirasoroSpec) -> Fraction:
     return t.eps(t.product(spec.times(), t.handle)) / 16 if spec.n == 0 else 0
 
 
+def _zero_terms(spec, caps, system) -> list:
+    """R_n(0) as terms at ``caps``: the multiplication and constant terms."""
+    kind = dict(system=system)
+    out = [(TruncatedSeries.from_monomial(caps, mono, w, lam=-2, **kind), 1, 0)
+           for mono, w in _multiplication_terms(spec)]
+    const = _constant_term(spec)
+    if const:
+        out.append((TruncatedSeries.constant(caps, const, **kind), 1, 0))
+    return out
+
+
+def _order(n: int) -> int:
+    """L_n's order in d/dt: R_n(F) is exact to degree D - order, F at D."""
+    return 2 if n >= 1 else 1
+
+
 def _check_operator(spec, series):
     if series.system is not None and series.system != spec.table.system:
         raise VariableSystemMismatch(
@@ -209,20 +226,11 @@ def fform_residual(spec: VirasoroSpec, potential: TruncatedSeries, *,
 
 def _fform_terms(spec, potential, *, max_degree):
     """Yield the terms (series, value, lam_shift) of R_n(F), each standing
-    for value * lambda^lam_shift * series, up to ``max_degree``.
-
-    Built from the operator terms of ``apply_virasoro``: R_n(F) - R_n(0),
-    the delta terms of F over the zero potential (``_fform_delta_terms``),
-    then R_n(0), the multiplication and constant terms applied to 1.
-    """
-    caps = potential.caps
-    kind = dict(system=potential.system)
+    for value * lambda^lam_shift * series, up to ``max_degree``: R_n(F) -
+    R_n(0), the delta terms of F over the zero potential
+    (``_fform_delta_terms``), then R_n(0) (``_zero_terms``)."""
     yield from _fform_delta_terms(spec, None, potential, max_degree=max_degree)
-    for mono, w in _multiplication_terms(spec):
-        yield TruncatedSeries.from_monomial(caps, mono, w, lam=-2, **kind), 1, 0
-    const = _constant_term(spec)
-    if const:
-        yield TruncatedSeries.constant(caps, const, **kind), 1, 0
+    yield from _zero_terms(spec, potential.caps, potential.system)
 
 
 def _fform_delta_terms(spec, potential, delta, *, max_degree):
@@ -357,8 +365,8 @@ def _compare(operator, caps, lhs, rhs, *, max_degree, lam_max,
 
 def _fform_report(spec, potential, *, degree):
     """R_n(F) against zero at every degree <= D-1 (n <= 0) or D-2 (n >= 1),
-    over genus 0 to G."""
-    watermark = degree - (2 if spec.n >= 1 else 1)
+    over genus 0 to G, for the potential F truncated at degree D."""
+    watermark = degree - _order(spec.n)
     lam_max = potential.caps.lam_ceiling
     return _compare(
         spec.label(), potential.caps,
@@ -368,25 +376,25 @@ def _fform_report(spec, potential, *, degree):
 
 
 def _generated_report(spec, bracket, caps):
-    """R_n(F) for n >= 1 on the diagonal family (v the unit) against zero
-    at every coefficient of degree <= D-2 and genus <= G, from brackets
-    generated at ``caps`` = (D-2, G) by ``bracket`` (``_bracket_source``).
-
-    The terms are those of ``_fform_terms``: the first-order bracket, the
-    dilation term on F truncated at D-2 (the empty bracket), per i one
-    bracket with a handle glued at levels (i, n-1-i) in place of the r
-    second partials sum_m z_m d_{(i,m)} d_{(n-1-i,m')} F, and the products
-    d_{(i,m)}F d_{(n-1-i,m')}F, formed only at lambda <= 2G-4.  A glued
-    handle has the support of its pair sum: correlators are >= 0 and
-    z_m > 0, so the sum cancels nowhere its summands are nonzero.
-    """
+    """R_n(F) on the diagonal family (v the unit) against zero on ``caps``
+    = (D - order, G), from brackets ``bracket`` (``_bracket_source``)
+    generates there: those of ``_fform_terms``, with the unit glued at
+    level n+1 (forgetting tails) for the first-order bracket; the dilation
+    term on the empty bracket; per i a handle glued at levels (i, n-1-i)
+    (cutting loops) for the r second partials sum_m z_m d_{(i,m)}
+    d_{(n-1-i,m')} F, with their support (correlators >= 0, z_m > 0); the
+    products d_{(i,m)}F d_{(n-1-i,m')}F, formed only at lambda <= 2G-4;
+    and R_n(0)."""
     n, lam_max = spec.n, caps.lam_ceiling
-    terms = [(bracket((var,)), w, 0) for var, w in _first_order_terms(spec)]
-    terms.append((_dilation_term(spec, bracket(())), 1, 0))
+    [((a, k), w)] = _first_order_terms(spec)
+    assert k == 0, "v is the unit e_0, so d/dt_{(n+1,0)} alone"
+    terms = [(bracket((), ((a,),)), w, 0),
+             (_dilation_term(spec, bracket(())), 1, 0)]
     terms += [(bracket((), (tuple(sorted((i, n - 1 - i))),)),
                _coeff_second(n, i) / 2, 2) for i in range(n)]
     terms += [(bracket((v1,)).multiply(bracket((v2,)), max_lam=lam_max - 2),
                w, 2) for v1, v2, w in _second_order_terms(spec)]
+    terms += _zero_terms(spec, caps, CLASS_BASIS)
     return _compare(spec.label(), caps, terms, (), max_degree=caps.degree,
                     lam_max=lam_max,
                     window={"lambda_min": -2, "lambda_max": lam_max})
@@ -404,16 +412,14 @@ def virasoro_check(theory: OrbifoldTheory, *, degree: int = 6, genus: int = 2,
 
     Checks R_n(F) = e^{-F} L_n e^{F} = 0 (see the module docstring) for
     n = -1, 0, 1, 2 (``VIRASORO_N``: they generate every L_n), per-index
-    operators first, exactly, at every coefficient of degree <= D-1
-    (n <= 0) or D-2 (n >= 1) and genus <= G, for D = ``degree`` and G =
-    ``genus``.  The per-index reports and the diagonal n <= 0 reports
-    differentiate the potential F built at degree D; the diagonal n >= 1
-    reports (``_generated_report``) generate each bracket from
-    correlators over the compared region only, their families shared
-    between n = 1 and n = 2.  ``mutate`` names one stored class-basis
-    potential coefficient, for sensitivity tests: the diagonal family
-    checks F + delta (``_mutation``), which has it doubled, and
-    MissingCoefficient is raised when F stores no coefficient there.
+    operators first, exactly, at every coefficient of degree <= D - order
+    (``_order``) and genus <= G, for D = ``degree`` and G = ``genus``.  The
+    per-index reports differentiate the canonical potential at degree D;
+    the diagonal reports (``_generated_report``) build no class-basis
+    potential, their brackets generated at the compared caps.  ``mutate``
+    names one stored class-basis coefficient, for sensitivity tests: the
+    diagonal brackets are those of F + delta (``_mutation``), which has it
+    doubled; MissingCoefficient is raised when F stores none there.
     """
     caps = SeriesCaps(degree=degree, genus=genus)
     delta = _mutation(theory, mutate, caps)
@@ -422,16 +428,15 @@ def virasoro_check(theory: OrbifoldTheory, *, degree: int = 6, genus: int = 2,
     reports = [_fform_report(VirasoroSpec(n, split, alpha), phi_u,
                              degree=degree)
                for alpha in range(theory.r) for n in VIRASORO_N]
-    phi_t = theory.potential(caps, basis=CLASS_BASIS).iadd(delta)
     table = class_table(theory.algebra)
-    generated = replace(caps, degree=degree - 2)
-    # brackets recur across n and i, and _generated_report only reads them
-    bracket = lru_cache(maxsize=None)(
-        _bracket_source(theory, generated, delta))
-    return reports + [
-        _fform_report(spec, phi_t, degree=degree) if spec.n <= 0
-        else _generated_report(spec, bracket, generated)
-        for spec in (VirasoroSpec(n, table) for n in VIRASORO_N)]
+    for order, ns in groupby(VIRASORO_N, key=_order):
+        generated = replace(caps, degree=degree - order)
+        # brackets recur across n and i; the last source is freed first
+        bracket = lru_cache(maxsize=None)(
+            _bracket_source(theory, generated, delta))
+        reports += [_generated_report(VirasoroSpec(n, table), bracket,
+                                      generated) for n in ns]
+    return reports
 
 
 def _mutation(theory, target, caps) -> TruncatedSeries:
@@ -449,14 +454,14 @@ def _mutation(theory, target, caps) -> TruncatedSeries:
 def _bracket_source(theory, caps, delta):
     """bracket(fixed, handles): the class-basis bracket of F + delta on the
     sorted (level, class) variables ``fixed`` with a handle glued at each
-    level pair of ``handles`` (``OrbifoldTheory.bracket_family``), over
-    ``caps``.
+    level pair of ``handles`` and the unit at each single level there
+    (``OrbifoldTheory.bracket_family``), over ``caps``.
 
     A family is generated when one of its brackets is first asked for,
     and each bracket is handed out once: a second ask raises
     AssertionError.  Each bracket gets the matching derivative of delta,
-    its handles contracted pair by pair (sum_m z_m d_{(i,m)} d_{(j,m')}),
-    as delta is no potential.
+    as delta is no potential: d_{(a,0)} for a unit at level a, and each
+    handle contracted pair by pair (sum_m z_m d_{(i,m)} d_{(j,m')}).
     """
     pairs = class_table(theory.algebra).pairs
     families = {}
@@ -472,7 +477,11 @@ def _bracket_source(theory, caps, delta):
             raise AssertionError(
                 f"bracket {fixed} with handles {handles} asked for twice")
         d_delta = reduce(TruncatedSeries.partial_derivative, fixed, delta)
-        for i, j in handles:
+        for entry in handles:
+            if len(entry) == 1:             # the unit e_0 at that level
+                d_delta = d_delta.partial_derivative((entry[0], 0))
+                continue
+            i, j = entry
             glued = TruncatedSeries(delta.caps, system=CLASS_BASIS)
             for m, m2, z in pairs:
                 glued.iadd(d_delta.second_partial((i, m), (j, m2)), z)

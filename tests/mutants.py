@@ -38,10 +38,11 @@ BRUTE_VS_RECURSIVE = T_CORRELATORS + "test_surface_count_brute_vs_recursive"
 VIRASORO = "src/orbigw/virasoro.py"
 T_VIRASORO = "tests/test_virasoro.py::"
 KDV_ORACLE = T_VIRASORO + "test_kdv_brackets_match_differentiated_potential"
-KDV_PINNED = T_CLI + "test_report_bytes_pinned"
+REPORTS_PINNED = T_CLI + "test_report_bytes_pinned"
 VIRASORO_ORACLE = (T_VIRASORO
                    + "test_virasoro_brackets_match_differentiated_potential")
 GENUS_2_PINNED = T_CLI + "test_genus_2_report_bytes_pinned"
+DEEPER_PINNED = T_CLI + "test_deeper_report_bytes_pinned"
 
 MUTANTS = [
     # the brute-force oracle recurses on the commutator, not the product
@@ -144,12 +145,12 @@ MUTANTS = [
     ("kdv-pair-weight", VIRASORO,
      "2 * zj * zk * (1 if k == j else 2)",
      "2 * zj * zk * 1",
-     [KDV_PINNED, T_VIRASORO + "test_kdv_trivial_and_z2"]),
+     [REPORTS_PINNED, T_VIRASORO + "test_kdv_trivial_and_z2"]),
     # KdV's products stop one lambda step below the compared region
     ("kdv-product-lam-bound", VIRASORO,
      "max_lam=lam_max)",
      "max_lam=lam_max - 2)",
-     [KDV_PINNED, T_VIRASORO + "test_kdv_trivial_and_z2"]),
+     [REPORTS_PINNED, T_VIRASORO + "test_kdv_trivial_and_z2"]),
     # Virasoro n = 2 glues its second-order pairs at levels (0, 0), not
     # (i, n-1-i)
     ("virasoro-handle-levels", VIRASORO,
@@ -158,7 +159,7 @@ MUTANTS = [
      [VIRASORO_ORACLE, GENUS_2_PINNED]),
     # a glued handle leaves the surface count at the correlator's genus
     ("handle-adds-no-genus", CORRELATORS,
-     "self.surface_count(genus + len(handles),",
+     "self.surface_count(genus + pairs,",
      "self.surface_count(genus,",
      [T_CORRELATORS + "test_bracket_family_with_a_handle_at_levels_0_1",
       VIRASORO_ORACLE, KDV_ORACLE]),
@@ -182,6 +183,42 @@ MUTANTS = [
      "d_delta.second_partial((i, m), (j, m2))",
      "d_delta.second_partial((0, m), (0, m2))",
      [VIRASORO_ORACLE]),
+    # a glued unit counted as a handle: one genus too many
+    ("unit-adds-a-genus", CORRELATORS,
+     "pairs = sum(len(entry) == 2 for entry in handles)",
+     "pairs = len(handles)",
+     [DEEPER_PINNED, VIRASORO_ORACLE,
+      T_CORRELATORS + "test_bracket_family_with_the_unit_glued"]),
+    # a mutated first-order bracket gets delta's derivative at class 1,
+    # not at the unit's class 0
+    ("delta-unit-class-1", VIRASORO,
+     "d_delta.partial_derivative((entry[0], 0))",
+     "d_delta.partial_derivative((entry[0], 1))",
+     [DEEPER_PINNED, VIRASORO_ORACLE]),
+    # R_0(0) loses its constant eps(v H)/16
+    ("zero-terms-no-constant", VIRASORO,
+     "        out.append((TruncatedSeries.constant(caps, const, **kind), "
+     "1, 0))",
+     "        pass",
+     [REPORTS_PINNED, GENUS_2_PINNED]),
+    # the first-order reports generated, and compared, at D-2 like the
+    # second-order ones
+    ("first-order-at-d-minus-2", VIRASORO,
+     "replace(caps, degree=degree - order)",
+     "replace(caps, degree=degree - 2)",
+     [REPORTS_PINNED, VIRASORO_ORACLE]),
+    # S with param 1 refused
+    ("s1-refused", GROUPS,
+     "        if param < 1:\n"
+     '            raise UnsupportedName(f"S requires',
+     "        if param <= 1:\n"
+     '            raise UnsupportedName(f"S requires',
+     ["tests/test_groups.py::test_named_groups"]),
+    # dihedral rotations named as reflections and back
+    ("dihedral-names-swapped", GROUPS,
+     "core if b == 0 else",
+     "core if b != 0 else",
+     [T_CLI + "test_table_bytes_pinned"]),
 ]
 
 

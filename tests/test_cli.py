@@ -609,13 +609,16 @@ PINNED_TABLES = [
      "8d75a7daa3068f91811097c5c3705410bf6eeb74d1c1c7c44a51360655bc8be0"),
     ("group", Z3,
      "9ac6edb91f7fd26661e4dea6a1ed702d0898055f3ff3fe3fd5fe9d54971d3c0e"),
+    # D4's representatives 1, r, r^2, s, sr pin the dihedral element names
+    ("group", '{"name":"D","param":4}',
+     "8bf9ed7930af90fa87bf1856e3025d087c4140f0a664bc3dc4f4da0fe651e1ab"),
 ]
 
 
 @pytest.mark.parametrize("command,group,digest", PINNED_TABLES,
                          ids=["chartable-S3", "chartable-Q8", "chartable-Z4",
                               "chartable-A5", "chartable-S4xD4", "group-S3",
-                              "group-Z3"])
+                              "group-Z3", "group-D4"])
 def test_table_bytes_pinned(command, group, digest):
     code, out = run_cli([command, "--group", group])
     assert code == 0
@@ -652,6 +655,34 @@ def test_genus_2_report_bytes_pinned(group, digest):
                          "5", "--genus", "2"])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# check virasoro beyond D4 G1: genus 3, and a --mutate run at genus 2
+# whose delta reaches the unit at levels 0 and 1, so all four diagonal
+# reports fail
+PINNED_DEEPER = [
+    (Z2, 6, 3, None,
+     "49c902b4be59bf1f7c6ba090518bbe69ac2bbad86e4b60ac680f1e5f1a01e1e5"),
+    (S3, 5, 2, "[[[0,0,1],[1,0,1],[2,2,1]],0]",
+     "7e60a8198c9aba8e3ece0181b551963b59d53d36b1279803461f7346ca802b54"),
+]
+
+
+@pytest.mark.parametrize("group,degree,genus,mutate,digest", PINNED_DEEPER,
+                         ids=["Z2-D6-G3", "S3-D5-G2-mutated"])
+def test_deeper_report_bytes_pinned(group, degree, genus, mutate, digest):
+    argv = ["check", "virasoro", "--group", group, "--degree", str(degree),
+            "--genus", str(genus)]
+    if mutate is not None:
+        argv += ["--mutate", mutate]
+    code, out = run_cli(argv)
+    assert code == (0 if mutate is None else 1)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    if mutate is not None:
+        diagonal = [rep for rep in json.loads(out)["reports"]
+                    if rep["operator"]["flavor"] == "diagonal"]
+        assert len(diagonal) == 4 and all(rep["violations"]
+                                          for rep in diagonal)
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

@@ -540,6 +540,34 @@ def test_bracket_family_with_a_handle_at_levels_0_1(s3):
     assert s3.bracket_family((1,), caps, ((0, 0),)) != family
 
 
+def test_bracket_family_with_the_unit_glued(s3):
+    # the unit glued at level a adds psi's level and no genus: each
+    # coefficient at t^M lambda^{2g-2} is <tau_a(e_0) tau(M)>_g / M!, as
+    # in the class-0 member of the level-a family
+    caps = SeriesCaps(degree=3, genus=2)
+    for a in range(4):
+        family = s3.bracket_family((), caps, ((a,),))
+        assert list(family) == [()]
+        want = TruncatedSeries(caps)
+        for genus, variables, _psi, mono, _f in s3.class_keys(caps, (a,)):
+            key = CorrelatorKey(genus, ((a, 0),) + variables)
+            want.add_term(mono, 2 * genus - 2, s3.orbifold_correlator(key)
+                          / mono_factorial(mono))
+        assert family[()] == want == s3.bracket_family((a,), caps)[((a, 0),)]
+        assert len(want.support()) > 5
+    # a unit and a handle: one genus, from the pair alone
+    caps = SeriesCaps(degree=2, genus=1)
+    pairs = s3.algebra.pairs()
+    want = TruncatedSeries(caps)
+    for genus, variables, _psi, mono, _f in s3.class_keys(caps, (0, 1, 2)):
+        value = sum(z * s3.orbifold_correlator(CorrelatorKey(
+            genus, ((2, 0), (0, m), (1, m2)) + variables))
+            for m, m2, z in pairs)
+        want.add_term(mono, 2 * genus - 2, value / mono_factorial(mono))
+    assert s3.bracket_family((), caps, ((2,), (0, 1)))[()] == want
+    assert want.support()
+
+
 def test_potential_is_the_empty_family(s3):
     # the potential is the one bracket on no fixed levels, a term per
     # class key with the key's correlator over M!

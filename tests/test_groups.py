@@ -151,6 +151,7 @@ def test_cycle_notation_roundtrip():
 def test_named_groups():
     assert named_group("S", 3).order == 6
     assert named_group("Z", 1).order == 1
+    assert named_group("S", 1) == named_group("Z", 1)
     assert named_group("D", 4).order == 8
     assert named_group("D", 1).order == 2
     q8 = named_group("Q8")

@@ -420,8 +420,8 @@ def differentiated_brackets(theory, caps, mutate):
     """glued(fixed, handles, degree): the potential at ``caps``, with the
     mutated coefficient doubled, differentiated by the variables
     ``fixed``, with each handle (i, j) contracted as an explicit sum over
-    the inverse-metric pairs of d_{(i,m)} d_{(j,m')}, and monomials above
-    ``degree`` dropped."""
+    the inverse-metric pairs of d_{(i,m)} d_{(j,m')} and each unit (a,)
+    as d_{(a,0)}, and monomials above ``degree`` dropped."""
     phi = theory.potential(caps)
     if mutate is not None:
         phi.add_term(*mutate, phi.coefficient(*mutate))
@@ -436,7 +436,10 @@ def differentiated_brackets(theory, caps, mutate):
     def glued(fixed, handles, degree):
         if not handles:
             return deriv(tuple(sorted(fixed))).truncated_to_degree(degree)
-        (i, j), rest = handles[0], handles[1:]
+        entry, rest = handles[0], handles[1:]
+        if len(entry) == 1:
+            return glued(fixed + ((entry[0], 0),), rest, degree)
+        i, j = entry
         out = TruncatedSeries(caps)
         for m, m2, z in pairs:
             out.iadd(glued(fixed + ((i, m), (j, m2)), rest, degree), z)
@@ -479,11 +482,15 @@ def test_kdv_brackets_match_differentiated_potential(z2, s3, monkeypatch):
         assert len({call[:2] for call in calls}) > 10
 
 
-# (fixed levels, handles) of the families R_1 and R_2 generate: first
-# order at level n + 1, the dilation term on the empty family, the glued
-# handles at (i, n-1-i), and the product factors at levels i and n-1-i
-VIRASORO_FAMILIES = {((2,), ()), ((3,), ()), ((), ()), ((), ((0, 0),)),
-                     ((), ((0, 1),)), ((0,), ()), ((1,), ())}
+# (fixed levels, handles) of the families the diagonal reports generate,
+# by degree drop.  R_-1 and R_0 (drop 1): the first order, with the unit
+# glued at level n + 1, and the dilation term on the empty family.  R_1
+# and R_2 (drop 2): those, the glued handles at (i, n-1-i), and the
+# product factors at levels i and n-1-i
+VIRASORO_FAMILIES = {
+    1: {((), ((0,),)), ((), ((1,),)), ((), ())},
+    2: {((), ((2,),)), ((), ((3,),)), ((), ()), ((), ((0, 0),)),
+        ((), ((0, 1),)), ((0,), ()), ((1,), ())}}
 
 
 @pytest.mark.parametrize("name,param,target", [
@@ -493,10 +500,11 @@ VIRASORO_FAMILIES = {((2,), ()), ((3,), ()), ((), ()), ((), ((0, 0),)),
     ("S", 3, ((((0, 1), 2), ((0, 2), 1)), -2))])
 def test_virasoro_brackets_match_differentiated_potential(
         name, param, target, monkeypatch):
-    # oracle: each bracket the n >= 1 reports generate (first order,
+    # oracle: each bracket the diagonal reports generate (first order,
     # dilation, glued handles, product factors) is the potential at
-    # degree D, with the mutated coefficient doubled, differentiated, its
-    # handles contracted as pair sums at their levels and truncated at D-2
+    # degree D, with the mutated coefficient doubled, differentiated (a
+    # glued unit at level a as d_{(a,0)}), its handles contracted as pair
+    # sums at their levels and truncated at D-1 or D-2
     theory = OrbifoldTheory(named_group(name, param))
     for degree, genus in ((4, 1), (5, 2)):
         for mutate in (None, target):
@@ -504,25 +512,49 @@ def test_virasoro_brackets_match_differentiated_potential(
             signatures, calls = handed_brackets(
                 theory, virasoro_check, monkeypatch, degree=degree,
                 genus=genus, mutate=mutate)
-            generated = {(levels, handles)
-                         for levels, c, handles in signatures if c != caps}
-            assert generated == VIRASORO_FAMILIES
-            assert {c for _l, c, _h in signatures} == {
-                caps, SeriesCaps(degree=degree - 2, genus=genus)}
-            calls = [call for call in calls
-                     if call[2].caps.degree == degree - 2]
-            handed = {(fixed, handles) for fixed, handles, _got in calls}
+            assert {(degree - c.degree, (levels, handles))
+                    for levels, c, handles in signatures} == {
+                (drop, family) for drop, families in VIRASORO_FAMILIES.items()
+                for family in families}
+            assert all(c.genus == genus for _l, c, _h in signatures)
+            handed = {(degree - got.caps.degree, fixed, handles)
+                      for fixed, handles, got in calls}
             assert handed == {
-                (((2, 0),), ()), (((3, 0),), ()), ((), ()),
-                ((), ((0, 0),)), ((), ((0, 1),)),
-                *{(((a, m),), ()) for a in (0, 1) for m in range(theory.r)}}
+                (1, (), ((0,),)), (1, (), ((1,),)), (1, (), ()),
+                (2, (), ((2,),)), (2, (), ((3,),)), (2, (), ()),
+                (2, (), ((0, 0),)), (2, (), ((0, 1),)),
+                *{(2, ((a, m),), ()) for a in (0, 1) for m in range(theory.r)}}
             assert_brackets_match(
                 calls, differentiated_brackets(theory, caps, mutate))
-            if mutate is not None:      # the target reaches a bracket
+            if mutate is not None:      # the target reaches both caps
                 plain = differentiated_brackets(theory, caps, None)
-                assert any(got != bracket_reference(plain, fixed, handles,
-                                                    got.caps)
-                           for fixed, handles, got in calls)
+                for drop in (1, 2):
+                    assert any(got != bracket_reference(plain, fixed, handles,
+                                                        got.caps)
+                               for fixed, handles, got in calls
+                               if got.caps.degree == degree - drop)
+
+
+def test_virasoro_builds_no_class_potential(z2, monkeypatch):
+    # the diagonal reports generate their brackets, plain and mutated: the
+    # one potential virasoro_check builds is the per-index family's
+    # canonical one, and a missing target is refused before any
+    bases = []
+    build = z2.potential
+
+    def record(caps, *, basis=CLASS_BASIS):
+        bases.append(basis)
+        return build(caps, basis=basis)
+
+    monkeypatch.setattr(z2, "potential", record)
+    plain = virasoro_check(z2, degree=4, genus=1)
+    mutated = virasoro_check(z2, degree=4, genus=1,
+                             mutate=((((0, 0), 1), ((0, 1), 2)), -2))
+    with pytest.raises(MissingCoefficient):
+        virasoro_check(z2, degree=4, genus=1, mutate=((((0, 0), 9),), -2))
+    assert bases == [CANONICAL_RESCALED] * 2
+    assert all(rep.passed for rep in plain)
+    assert not all(rep.passed for rep in mutated[-4:])
 
 
 def test_kdv_mutation_builds_no_potential(z2, monkeypatch):
