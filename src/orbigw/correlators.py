@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, groupby
 from multiprocessing import get_context
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .algebra import ClassAlgebra
 from .groups import GroupTable, conjugacy_data, direct_product
@@ -145,7 +145,7 @@ def _psi_descendant(g: int, levels: tuple) -> Fraction:
             <tau_i tau_{n-1-i} X>_{g-1}
           + sum splits <tau_i X_I>_{g'} <tau_{n-1-i} X_J>_{g-g'} ]
       + delta_{n,0} delta_{X empty} delta_{g,1} / 8
-    with n = k - 1.
+    with n = k - 1; the sum over splits is ``_node_psi``.
     """
     k = levels[-1]
     n_op = k - 1
@@ -168,25 +168,41 @@ def _psi_descendant(g: int, levels: tuple) -> Fraction:
         if g >= 1:
             joined = tuple(sorted(rest + (i, n_op - 1 - i)))
             rhs += b * _psi(g - 1, joined)
-        for sub, weight in _submultisets(rest):
-            comp = _multiset_difference(rest, sub)
-            total_i = sum(sub) + i
-            num = total_i - len(sub) + 2
-            if num % 3 != 0:
-                continue
-            g1 = num // 3
-            if g1 < 0 or g1 > g:
-                continue
-            left = _psi(g1, tuple(sorted(sub + (i,))))
-            if not left:
-                continue
-            right = _psi(g - g1, tuple(sorted(comp + (n_op - 1 - i,))))
-            if right:
-                rhs += b * weight * left * right
+        split = _node_psi(g, (i,), (n_op - 1 - i,), rest)
+        if split:
+            rhs += b * split
 
     if n_op == 0 and not rest and g == 1:
         rhs += Q(1, 8)
     return rhs / double_factorial(2 * n_op + 3)
+
+
+def _node_psi(g: int, side1: tuple, side2: tuple, free: tuple) -> Fraction:
+    """P: psi numbers of two surfaces joined at a node, summed over the
+    genus splits g1 + g2 = g and the labelled subsets S of the sorted
+    ``free`` levels: psi_{g1}(side1 + free_S) psi_{g2}(side2 + the rest).
+
+    ``side1`` and ``side2`` hold the levels fixed on either side, the
+    node's own two among them; unstable or off-dimension factors count 0.
+    The products are summed as integers over their least common
+    denominator.
+    """
+    nums, dens = [], []
+    for sub, weight in _submultisets(free):
+        left = side1 + sub
+        g1, off = divmod(sum(left) - len(left) + 3, 3)
+        if off or not 0 <= g1 <= g:
+            continue
+        value = _psi(g1, tuple(sorted(left)))
+        if not value:
+            continue
+        right = side2 + _multiset_difference(free, sub)
+        other = _psi(g - g1, tuple(sorted(right)))
+        if other:
+            nums.append(weight * value.numerator * other.numerator)
+            dens.append(value.denominator * other.denominator)
+    den = math.lcm(*dens)
+    return Q(sum(n * (den // d) for n, d in zip(nums, dens)), den)
 
 
 def _submultisets(items: tuple):
@@ -522,7 +538,8 @@ class OrbifoldTheory:
         return value / mono_factorial(mono)
 
     def bracket_family(self, fixed_levels: Sequence[int], caps: SeriesCaps,
-                       handles: Sequence[tuple] = ()) -> dict:
+                       handles: Sequence[tuple] = (),
+                       node: Optional[tuple] = None) -> dict:
         """{fixed: bracket} for every class multiset on ``fixed_levels``.
 
         ``fixed`` = (v_1..v_k) is a sorted tuple of (level, class) variables
@@ -541,6 +558,23 @@ class OrbifoldTheory:
         cohft`` checks both identities, and the bracket oracle tests
         differentiate F.
 
+        With ``node`` = (side-1 levels, side-2 levels) and no handles, a
+        bracket is instead the product of two brackets contracted by the
+        inverse metric: d_fixed d_{side 1} F times d_{side 2} F, the i-th
+        level of side 1 paired with the i-th of side 2 and the levels left
+        on the longer side paired as handles there.  One contraction joins
+        the two surfaces at a separating node, which adds no genus: sum_m
+        z_m Omega_{g1}(C1, m) Omega_{g2}(m', C2) = Omega_{g1+g2}(C1 + C2)
+        (cutting trees); each other one is a handle.  So the coefficient of
+        t^M lambda^{2(g1+g2)-4} is Omega_{g+h}(fixed classes + C(M)) P(g, L)
+        / M!, g = g1 + g2, with h the handles and P of ``_node_psi`` in
+        place of psi, and no product is formed.  A check built on node
+        brackets then tests the point's recursion times Omega, not Omega's
+        splitting identity; that rests on ``check cohft``, the
+        Frobenius-table tests, the separating-node test on every
+        acceptance group and the node oracle, which multiplies
+        differentiated potentials.
+
         The family shares one walk: each key's monomial, psi and M! are
         computed once and its coefficient written into every bracket.
         Every bracket is over |G| times the lcm, across the level keys, of
@@ -552,8 +586,12 @@ class OrbifoldTheory:
         fixed_levels = tuple(sorted(fixed_levels))
         glued = fixed_levels + tuple(a for entry in handles for a in entry)
         pairs = sum(len(entry) == 2 for entry in handles)
+        lam_offset = -2
+        if node is not None:        # the node adds no genus, a handle one
+            pairs = len(sum(node, ())) // 2 - 1
+            lam_offset = -4
         order = self.group.order
-        level_keys = list(self._stable_level_keys(caps, glued))
+        level_keys = list(self._stable_level_keys(caps, glued, node))
         scale = math.lcm(*(
             psi.denominator * math.prod(math.factorial(mult)
                                         for _a, mult in _level_blocks(levels))
@@ -566,7 +604,7 @@ class OrbifoldTheory:
         # (see surface_count)
         rows = {}
         for genus, levels, psi in level_keys:
-            lam = 2 * genus - 2
+            lam = 2 * genus + lam_offset
             for _variables, classes, mono, factorial in _class_multisets(
                     levels, self.r):
                 share, rest = divmod(scale, psi.denominator * factorial)
@@ -617,7 +655,7 @@ class OrbifoldTheory:
                     levels, self.r):
                 yield genus, variables, psi, mono, factorial
 
-    def _stable_level_keys(self, caps, fixed_levels=()):
+    def _stable_level_keys(self, caps, fixed_levels=(), node=None):
         """(genus, free levels, psi value) for every level key with psi != 0.
 
         The free levels are a sorted tuple of at most caps.degree levels
@@ -625,17 +663,29 @@ class OrbifoldTheory:
         <= caps.genus and stable (g, n); psi is that of the free levels
         merged with ``fixed_levels``.  Classes are assigned by
         ``class_keys``.
+
+        With ``node`` = (side-1 levels, side-2 levels), two surfaces are
+        joined at a node, the fixed levels on side 1: the value is
+        ``_node_psi``'s P in place of psi, genus is g1 + g2, and two
+        surfaces take 3 more from the levels' sum than one.
         """
-        k = len(fixed_levels)
+        glued, surfaces = fixed_levels, 1
+        if node is not None:
+            glued, surfaces = fixed_levels + sum(node, ()), 2
+        k = len(glued)
         for genus in range(caps.genus + 1):
             for n in range(caps.degree + 1):
                 if 2 * genus - 2 + k + n <= 0:
                     continue
-                target = 3 * genus - 3 + k + n - sum(fixed_levels)
+                target = 3 * genus - 3 * surfaces + k + n - sum(glued)
                 if target < 0:
                     continue
                 for levels in _partitions(target, n):
-                    psi = _psi(genus, tuple(sorted(fixed_levels + levels)))
+                    if node is None:
+                        psi = _psi(genus, tuple(sorted(glued + levels)))
+                    else:
+                        psi = _node_psi(genus, fixed_levels + node[0],
+                                        node[1], levels)
                     if psi:
                         yield genus, levels, psi
 

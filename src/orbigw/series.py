@@ -272,27 +272,23 @@ class TruncatedSeries:
         return TruncatedSeries(self.caps, system=self.system).iadd(self, value)
 
     def multiply(self, other: "TruncatedSeries", *,
-                 max_degree: Optional[int] = None,
-                 max_lam: Optional[int] = None) -> "TruncatedSeries":
+                 max_degree: Optional[int] = None) -> "TruncatedSeries":
         """Truncated product.
 
         Monomials exceeding the degree cap and lambda exponents above the
         ceiling are dropped; every lambda exponent below it is kept, so
-        two genus-0 terms give a lambda^-4 term.  ``max_degree`` and
-        ``max_lam`` tighten the output degree and lambda exponent below
-        the caps.
+        two genus-0 terms give a lambda^-4 term.  ``max_degree`` tightens
+        the output degree below the cap.
         """
         self._check_compatible(other)
         dcap = self.caps.degree if max_degree is None else min(
             max_degree, self.caps.degree)
-        lam_cap = self.caps.lam_ceiling if max_lam is None else min(
-            max_lam, self.caps.lam_ceiling)
         level = {}
         right = _by_degree(other.terms)
         for d1, left in _by_degree(self.terms).items():
             for d2, bucket in right.items():
                 if d1 + d2 <= dcap:
-                    _products(level, left, bucket, lam_cap)
+                    _products(level, left, bucket, self.caps.lam_ceiling)
         out = TruncatedSeries(self.caps, system=self.system)
         out.terms = _nonzero(level)
         out.den = self.den * other.den

@@ -20,8 +20,9 @@ genus G fixes every coefficient of degree <= D-1 (n <= 0) or D-2 (n >= 1).
 The per-index reports differentiate that F.  The diagonal reports, like
 the KdV identity, generate each bracket (a partial of F) from correlators
 over the compared region only (``OrbifoldTheory.bracket_family``),
-gluing each pair contracted by the inverse metric as a handle and the
-first-order unit as a level with no class.
+gluing each pair contracted by the inverse metric inside one bracket as
+a handle, each product of two contracted brackets as a separating node,
+and the first-order unit as a level with no class.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
-from itertools import groupby
+from itertools import groupby, product
 from operator import add
 from typing import Optional
 
@@ -380,20 +381,27 @@ def _generated_report(spec, bracket, caps):
     = (D - order, G), from brackets ``bracket`` (``_bracket_source``)
     generates there: those of ``_fform_terms``, with the unit glued at
     level n+1 (forgetting tails) for the first-order bracket; the dilation
-    term on the empty bracket; per i a handle glued at levels (i, n-1-i)
-    (cutting loops) for the r second partials sum_m z_m d_{(i,m)}
-    d_{(n-1-i,m')} F, with their support (correlators >= 0, z_m > 0); the
-    products d_{(i,m)}F d_{(n-1-i,m')}F, formed only at lambda <= 2G-4;
-    and R_n(0)."""
+    term on the empty bracket; per i, weighted b_i, a handle glued at
+    levels (i, n-1-i) (cutting loops) for the r second partials sum_m z_m
+    d_{(i,m)} d_{(n-1-i,m')} F, and a node on (i | n-1-i) (cutting trees)
+    for the r products d_{(i,m)}F d_{(n-1-i,m')}F, each with the support
+    of its r terms (correlators >= 0, z_m > 0); and R_n(0).
+
+    So no series product is formed, and each report tests the point's
+    recursion times the surface counts, not their splitting identity;
+    that rests on ``check cohft``, the Frobenius-table tests, the
+    separating-node test on every acceptance group and the node oracle.
+    """
     n, lam_max = spec.n, caps.lam_ceiling
     [((a, k), w)] = _first_order_terms(spec)
     assert k == 0, "v is the unit e_0, so d/dt_{(n+1,0)} alone"
     terms = [(bracket((), ((a,),)), w, 0),
              (_dilation_term(spec, bracket(())), 1, 0)]
-    terms += [(bracket((), (tuple(sorted((i, n - 1 - i))),)),
-               _coeff_second(n, i) / 2, 2) for i in range(n)]
-    terms += [(bracket((v1,)).multiply(bracket((v2,)), max_lam=lam_max - 2),
-               w, 2) for v1, v2, w in _second_order_terms(spec)]
+    for i in range(n):
+        b = _coeff_second(n, i) / 2
+        terms += [(bracket((), (tuple(sorted((i, n - 1 - i))),)), b, 2),
+                  (bracket((), node=tuple(sorted(((i,), (n - 1 - i,))))),
+                   b, 2)]
     terms += _zero_terms(spec, caps, CLASS_BASIS)
     return _compare(spec.label(), caps, terms, (), max_degree=caps.degree,
                     lam_max=lam_max,
@@ -416,7 +424,11 @@ def virasoro_check(theory: OrbifoldTheory, *, degree: int = 6, genus: int = 2,
     (``_order``) and genus <= G, for D = ``degree`` and G = ``genus``.  The
     per-index reports differentiate the canonical potential at degree D;
     the diagonal reports (``_generated_report``) build no class-basis
-    potential, their brackets generated at the compared caps.  ``mutate``
+    potential and form no series product, their brackets, handles and
+    nodes generated at the compared caps: they test the point's recursion
+    times the surface counts, whose splitting identity rests on ``check
+    cohft``, the Frobenius-table tests, the separating-node test on every
+    acceptance group and the node oracle.  ``mutate``
     names one stored class-basis coefficient, for sensitivity tests: the
     diagonal brackets are those of F + delta (``_mutation``), which has it
     doubled; MissingCoefficient is raised when F stores none there.
@@ -452,30 +464,27 @@ def _mutation(theory, target, caps) -> TruncatedSeries:
 
 
 def _bracket_source(theory, caps, delta):
-    """bracket(fixed, handles): the class-basis bracket of F + delta on the
-    sorted (level, class) variables ``fixed`` with a handle glued at each
-    level pair of ``handles`` and the unit at each single level there
-    (``OrbifoldTheory.bracket_family``), over ``caps``.
+    """bracket(fixed, handles, node): the class-basis bracket of F + delta
+    on the sorted (level, class) variables ``fixed`` with a handle glued at
+    each level pair of ``handles`` and the unit at each single level
+    there, or with the node ``node`` (``OrbifoldTheory.bracket_family``),
+    over ``caps``.
 
     A family is generated when one of its brackets is first asked for,
     and each bracket is handed out once: a second ask raises
     AssertionError.  Each bracket gets the matching derivative of delta,
     as delta is no potential: d_{(a,0)} for a unit at level a, and each
-    handle contracted pair by pair (sum_m z_m d_{(i,m)} d_{(j,m')}).
+    handle contracted pair by pair (sum_m z_m d_{(i,m)} d_{(j,m')}).  A
+    node bracket gets, pair by pair, the cross terms dF d(delta),
+    d(delta) dF and d(delta) d(delta) of its two factors.  delta is one
+    monomial, so each is a product by a monomial, and a factor of F is
+    generated only where delta's other factor is nonzero.
     """
     pairs = class_table(theory.algebra).pairs
     families = {}
+    plain = lru_cache(maxsize=None)(partial(theory.bracket_family, caps=caps))
 
-    def bracket(fixed, handles=()):
-        signature = (tuple(a for a, _ in fixed), handles)
-        family = families.get(signature)
-        if family is None:
-            family = families[signature] = theory.bracket_family(
-                signature[0], caps, handles)
-        got = family.pop(fixed, None)
-        if got is None:
-            raise AssertionError(
-                f"bracket {fixed} with handles {handles} asked for twice")
+    def delta_bracket(fixed, handles):
         d_delta = reduce(TruncatedSeries.partial_derivative, fixed, delta)
         for entry in handles:
             if len(entry) == 1:             # the unit e_0 at that level
@@ -486,9 +495,47 @@ def _bracket_source(theory, caps, delta):
             for m, m2, z in pairs:
                 glued.iadd(d_delta.second_partial((i, m), (j, m2)), z)
             d_delta = glued
+        out = TruncatedSeries(caps, system=CLASS_BASIS)
         for mono, lam, c in d_delta.iter_terms():
-            got.iadd(TruncatedSeries.from_monomial(
+            out.iadd(TruncatedSeries.from_monomial(
                 caps, mono, c, lam=lam, system=CLASS_BASIS))
+        return out
+
+    def bracket(fixed, handles=(), node=None):
+        signature = (tuple(a for a, _ in fixed), handles, node)
+        family = families.get(signature)
+        if family is None:
+            family = families[signature] = theory.bracket_family(
+                signature[0], caps, handles, node=node)
+        got = family.pop(fixed, None)
+        if got is None:
+            raise AssertionError(f"bracket {fixed} with handles {handles} "
+                                 f"and node {node} asked for twice")
+        if node is None:
+            return got.iadd(delta_bracket(fixed, handles))
+        if not delta.support():
+            return got
+        # the i-th levels of the two sides contracted, the rest handles
+        k = min(map(len, node))
+        sides = [tuple(zip(side[k::2], side[k + 1::2])) for side in node]
+        for chosen in product(pairs, repeat=k):
+            a = tuple(sorted(fixed + tuple(
+                (lv, m) for lv, (m, _m2, _z) in zip(node[0], chosen))))
+            b = tuple(sorted(
+                (lv, m2) for lv, (_m, m2, _z) in zip(node[1], chosen)))
+            da, db = delta_bracket(a, sides[0]), delta_bracket(b, sides[1])
+            factors = []
+            if db.support():
+                f_a = plain(tuple(v[0] for v in a), handles=sides[0])[a]
+                factors.append((f_a, db))
+            if da.support():
+                f_b = plain(tuple(v[0] for v in b), handles=sides[1])[b]
+                factors += [(f_b, da), (db, da)]
+            weight = math.prod(z for _m, _m2, z in chosen)
+            for x, y in factors:
+                for mono, lam, c in y.iter_terms():
+                    got.iadd(x.multiply_by_monomial(mono, c * weight,
+                                                    lam_shift=lam))
         return got
 
     return bracket
@@ -554,15 +601,20 @@ def kdv_check(theory: OrbifoldTheory, *, degree: int = 4, genus: int = 1,
         + 1/4 <<tau_{a-1}(v) tau_0 tau_0 tau_0 tau_0>> . eta eta
 
     where each double bracket is the matching mixed partial of the
-    potential and dots are inverse-metric contractions; a pair contracted
-    inside one bracket is a glued handle.  Every bracket is generated from
-    correlators over the compared region only (degree <= ``degree``, and
-    one genus above ``genus`` because the left side carries lam^-2), so
-    the stated box is fully certified.  Both sides start at lam^-4:
-    lam^-2 times a genus-0 bracket, or a product of two.  Brackets come
-    from ``_bracket_source``, with handles at levels (0, 0); a product is
-    formed only at lambda <= lam_max, and the symmetric double sum takes
-    each pair j < k once, twice weighted.  ``mutate`` doubles one
+    potential and dots are inverse-metric contractions.  Every bracket is
+    generated from correlators over the compared region only (degree <=
+    ``degree``, and one genus above ``genus`` because the left side
+    carries lam^-2), so the stated box is fully certified.  Both sides
+    start at lam^-4: lam^-2 times a genus-0 bracket, or a product of two.
+    Brackets come from ``_bracket_source``.  A pair contracted inside one
+    bracket is a glued handle at levels (0, 0).  Each product of two
+    brackets is one node bracket, with side levels (a-1, 0 | 0, 0, 0) and
+    (a-1, 0, 0 | 0, 0): the first contraction joins the two surfaces at a
+    separating node, and the others are handles.  So no series product is
+    formed, and each report tests the point's KdV recursion times the
+    surface counts, not their splitting identity; that rests on ``check
+    cohft``, the Frobenius-table tests, the separating-node test on every
+    acceptance group and the node oracle.  ``mutate`` doubles one
     coefficient of the potential truncated at degree + 5, the most any
     bracket differentiates, and each bracket gets the matching derivative
     of delta (``_mutation``).  MissingCoefficient is raised when that
@@ -570,34 +622,18 @@ def kdv_check(theory: OrbifoldTheory, *, degree: int = 4, genus: int = 1,
     """
     caps = SeriesCaps(degree=degree, genus=genus + 1)
     delta = _mutation(theory, mutate, replace(caps, degree=degree + 5))
-    pairs = class_table(theory.algebra).pairs
     bracket = _bracket_source(theory, caps, delta)
     handle = ((0, 0),)
-
-    # cross-term brackets recur across (a, c), and derivatives commute
-    memo = lru_cache(maxsize=None)(bracket)
-
-    def factor(*variables):
-        return memo(tuple(sorted(variables)))
-
-    triple = [bracket(((0, m),), handle) for m in range(theory.r)]
     lam_max = 2 * genus - 2
 
-    def cross(x, y):
-        return x.multiply(y, max_degree=degree, max_lam=lam_max)
-
     def report(a, c):
-        rhs = bracket(((a - 1, c),), handle * 2).scale(Q(1, 4))
-        for j, jinv, zj in pairs:
-            rhs.iadd(cross(factor((a - 1, c), (0, j)), triple[jinv]), zj)
-            # the summand is symmetric in j and k
-            for k, kinv, zk in pairs[j:]:
-                rhs.iadd(cross(factor((a - 1, c), (0, j), (0, k)),
-                               factor((0, jinv), (0, kinv))),
-                         2 * zj * zk * (1 if k == j else 2))
+        fixed = ((a - 1, c),)
+        rhs = [(bracket(fixed, node=((0,), (0, 0, 0))), 1, 0),
+               (bracket(fixed, node=((0, 0), (0, 0))), 2, 0),
+               (bracket(fixed, handle * 2), Q(1, 4), 0)]
         return _compare({"kdv_a": a, "direction_class": c}, caps,
                         [(bracket(((a, c),), handle), Q(2 * a + 1), -2)],
-                        [(rhs, 1, 0)], max_degree=degree, lam_max=lam_max,
+                        rhs, max_degree=degree, lam_max=lam_max,
                         window={"lambda_min": -4, "lambda_max": lam_max})
 
     return [report(a, c) for a in (1, 2) for c in range(theory.r)]

@@ -141,16 +141,33 @@ MUTANTS = [
      "math.prod(math.factorial(mult)",
      "math.prod((mult)",
      [KDV_ORACLE, T_CORRELATORS + "test_bracket_family_shape"]),
-    # the symmetric KdV double sum counts each pair j < k once
+    # the KdV node with two contractions, the symmetric double sum over
+    # (j, k), weighted as if each pair j < k counted once
     ("kdv-pair-weight", VIRASORO,
-     "2 * zj * zk * (1 if k == j else 2)",
-     "2 * zj * zk * 1",
+     "node=((0, 0), (0, 0))), 2, 0)",
+     "node=((0, 0), (0, 0))), 1, 0)",
      [REPORTS_PINNED, T_VIRASORO + "test_kdv_trivial_and_z2"]),
-    # KdV's products stop one lambda step below the compared region
-    ("kdv-product-lam-bound", VIRASORO,
-     "max_lam=lam_max)",
-     "max_lam=lam_max - 2)",
-     [REPORTS_PINNED, T_VIRASORO + "test_kdv_trivial_and_z2"]),
+    # a node bracket stored at lambda^{2(g1+g2)-2}, one step too high
+    ("node-lambda-offset", CORRELATORS,
+     "lam_offset = -4",
+     "lam_offset = -2",
+     [VIRASORO_ORACLE, KDV_ORACLE]),
+    # the separating node counted as a handle: one genus too many
+    ("node-adds-a-genus", CORRELATORS,
+     "pairs = len(sum(node, ())) // 2 - 1",
+     "pairs = len(sum(node, ())) // 2",
+     [VIRASORO_ORACLE, KDV_ORACLE]),
+    # P without the split that puts the whole genus on side 1
+    ("node-drops-genus-split", CORRELATORS,
+     "if off or not 0 <= g1 <= g:",
+     "if off or not 0 <= g1 < g:",
+     [VIRASORO_ORACLE, KDV_ORACLE]),
+    # P summed over the multiset splits of the free levels, not over the
+    # labelled subsets
+    ("node-unlabelled-subsets", CORRELATORS,
+     "nums.append(weight * value.numerator",
+     "nums.append(value.numerator",
+     [VIRASORO_ORACLE, KDV_ORACLE]),
     # Virasoro n = 2 glues its second-order pairs at levels (0, 0), not
     # (i, n-1-i)
     ("virasoro-handle-levels", VIRASORO,
@@ -163,21 +180,17 @@ MUTANTS = [
      "self.surface_count(genus,",
      [T_CORRELATORS + "test_bracket_family_with_a_handle_at_levels_0_1",
       VIRASORO_ORACLE, KDV_ORACLE]),
-    # the second product factor at class m, not its inverse m'
+    # a mutated node bracket gets delta's second factor at class m, not at
+    # its inverse m'
     ("virasoro-product-pairs-m-with-m", VIRASORO,
-     "(n - 1 - i, m2), b * z * w)",
-     "(n - 1 - i, m), b * z * w)",
-     [GENUS_2_PINNED]),
+     "(lv, m2) for lv, (_m, m2, _z) in zip(node[1], chosen)",
+     "(lv, _m) for lv, (_m, m2, _z) in zip(node[1], chosen)",
+     [VIRASORO_ORACLE, KDV_ORACLE]),
     # the first-order bracket at level n, not n + 1
     ("first-order-level-n", VIRASORO,
      "[((spec.n + 1, k), -_coeff_first(spec.n) * w)",
      "[((spec.n, k), -_coeff_first(spec.n) * w)",
      [VIRASORO_ORACLE, GENUS_2_PINNED]),
-    # Virasoro's products stop one lambda step below the compared region
-    ("virasoro-product-lam-bound", VIRASORO,
-     "max_lam=lam_max - 2)",
-     "max_lam=lam_max - 4)",
-     [GENUS_2_PINNED]),
     # a mutated glued bracket gets delta contracted at levels (0, 0)
     ("delta-handle-levels", VIRASORO,
      "d_delta.second_partial((i, m), (j, m2))",

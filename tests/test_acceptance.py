@@ -11,6 +11,7 @@ import time
 from contextlib import redirect_stdout
 from itertools import combinations_with_replacement, product
 
+import orbigw.correlators
 from orbigw.algebra import canonical_basis, character_table
 from orbigw.checks import (cutting_loops_check, cutting_trees_check,
                            forgetting_tails_check, invariance_check)
@@ -74,7 +75,10 @@ def test_criterion_01_frobenius_structure():
                 f"({elapsed:.1f}s < 10s)")
 
 
-def test_criterion_02_oracle_equivalence():
+def test_criterion_02_oracle_equivalence(monkeypatch):
+    # every group is far below the tuple threshold: lowered to 0, jobs = 4
+    # forks a real pool
+    monkeypatch.setattr(orbigw.correlators, "POOL_MIN_TUPLES", 0)
     started = time.perf_counter()
     compared = 0
     for name in GROUP_BUILDERS:
@@ -107,6 +111,29 @@ def test_criterion_03_cohft_axioms():
             checked += part["checked"]
     report_line(3, ok, f"cutting/forgetting/invariance identities exact "
                        f"({checked} instances on S3 and Q8)")
+
+
+def test_separating_node_identity_on_every_group():
+    # sum_m z_m Omega_{g1}(C1, m) Omega_{g2}(m', C2) = Omega_{g1+g2}(C1 + C2)
+    # on each group's own inverse-metric pairs: the identity the node
+    # brackets of the Virasoro and KdV checks glue by, with no product
+    checked = 0
+    for name in GROUP_BUILDERS:
+        th = theory(name)
+        count, pairs = th.surface_count, th.algebra.pairs()
+        multisets = [c for n in range(4)
+                     for c in combinations_with_replacement(range(th.r), n)]
+        for c1, c2 in product(multisets, repeat=2):
+            if len(c1) + len(c2) > 3:
+                continue
+            for g1, g2 in ((0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (2, 0)):
+                glued = sum(z * count(g1, c1 + (m,)) * count(g2, (m2,) + c2)
+                            for m, m2, z in pairs)
+                assert glued == count(g1 + g2, c1 + c2), (name, g1, g2, c1,
+                                                          c2)
+                checked += 1
+    print(f"separating node identity exact on {checked} keys across "
+          f"{len(GROUP_BUILDERS)} groups")
 
 
 def test_criterion_04_tensor_law():
@@ -224,7 +251,10 @@ def _run_cli(argv):
     return code, buf.getvalue()
 
 
-def test_criterion_11_determinism():
+def test_criterion_11_determinism(monkeypatch):
+    # S4 at genus 2 is far below the tuple threshold: lowered to 0,
+    # --jobs 4 forks a real pool
+    monkeypatch.setattr(orbigw.correlators, "POOL_MIN_TUPLES", 0)
     ok = True
     for argv in (
         ["check", "virasoro", "--group", '{"name":"Z","param":2}',

@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import sys
 from functools import lru_cache, reduce
 from itertools import combinations_with_replacement, product
 
@@ -393,17 +395,17 @@ def test_kdv_trivial_and_z2(z2):
 
 def handed_brackets(theory, check, monkeypatch, **kw):
     """(signatures, brackets) of one ``check`` run on ``theory``: the
-    (fixed levels, caps, handles) of every family the generator produced,
-    and (fixed variables, handles, bracket) for every bracket the check
-    was handed, as the check used it: mutated in place when it mutates.
-    No family is generated twice."""
+    (fixed levels, caps, handles, node) of every family the generator
+    produced, and (fixed variables, handles, node, bracket) for every
+    bracket the check was handed, as the check used it: mutated in place
+    when it mutates.  No family is generated twice."""
     families, signatures = [], []
     generate = theory.bracket_family
 
-    def record(fixed_levels, caps, handles=()):
-        family = generate(fixed_levels, caps, handles)
-        signatures.append((tuple(fixed_levels), caps, handles))
-        families.append((handles, family, list(family.items())))
+    def record(fixed_levels, caps, handles=(), node=None):
+        family = generate(fixed_levels, caps, handles, node)
+        signatures.append((tuple(fixed_levels), caps, handles, node))
+        families.append((handles, node, family, list(family.items())))
         return family
 
     with monkeypatch.context() as m:
@@ -411,17 +413,26 @@ def handed_brackets(theory, check, monkeypatch, **kw):
         check(theory, **kw)
     assert len(set(signatures)) == len(signatures)
     # a bracket handed out has left its family
-    return signatures, [(fixed, handles, got)
-                        for handles, family, made in families
+    return signatures, [(fixed, handles, node, got)
+                        for handles, node, family, made in families
                         for fixed, got in made if fixed not in family]
 
 
 def differentiated_brackets(theory, caps, mutate):
-    """glued(fixed, handles, degree): the potential at ``caps``, with the
-    mutated coefficient doubled, differentiated by the variables
-    ``fixed``, with each handle (i, j) contracted as an explicit sum over
-    the inverse-metric pairs of d_{(i,m)} d_{(j,m')} and each unit (a,)
-    as d_{(a,0)}, and monomials above ``degree`` dropped."""
+    """reference(fixed, handles, node, caps): the bracket the generator
+    should hand out, from the potential at ``caps`` with the mutated
+    coefficient doubled, differentiated by the variables ``fixed``, with
+    each handle (i, j) contracted as an explicit sum over the
+    inverse-metric pairs of d_{(i,m)} d_{(j,m')} and each unit (a,) as
+    d_{(a,0)}, its terms kept in the given caps.
+
+    A node (side-1 levels, side-2 levels) is the explicit sum over the
+    pairs of the products of two such brackets: the fixed variables and
+    side 1's levels on one, side 2's on the other, the i-th levels of the
+    two sides contracted and the rest of the longer side contracted as
+    handles there.  A node bracket is stated up to lambda 2G-4 (genus
+    g1 + g2 <= G), so both sides are compared there.
+    """
     phi = theory.potential(caps)
     if mutate is not None:
         phi.add_term(*mutate, phi.coefficient(*mutate))
@@ -433,6 +444,7 @@ def differentiated_brackets(theory, caps, mutate):
             derivs[fixed] = deriv(fixed[:-1]).partial_derivative(fixed[-1])
         return derivs[fixed]
 
+    @lru_cache(maxsize=None)
     def glued(fixed, handles, degree):
         if not handles:
             return deriv(tuple(sorted(fixed))).truncated_to_degree(degree)
@@ -445,52 +457,97 @@ def differentiated_brackets(theory, caps, mutate):
             out.iadd(glued(fixed + ((i, m), (j, m2)), rest, degree), z)
         return out
 
-    return glued
+    def reference(fixed, handles, node, in_caps):
+        if node is None:
+            return restricted(glued(fixed, handles, in_caps.degree), in_caps)
+        k = min(map(len, node))
+        sides = [tuple(zip(side[k::2], side[k + 1::2])) for side in node]
+        out = TruncatedSeries(caps)
+        for chosen in product(pairs, repeat=k):
+            a = fixed + tuple((lv, m) for lv, (m, _, _) in zip(node[0], chosen))
+            b = tuple((lv, m2) for lv, (_, m2, _) in zip(node[1], chosen))
+            z = math.prod(z for _m, _m2, z in chosen)
+            out.iadd(glued(a, sides[0], in_caps.degree).multiply(
+                glued(b, sides[1], in_caps.degree),
+                max_degree=in_caps.degree), z)
+        return restricted(out, in_caps, 2 * in_caps.genus - 4)
+
+    return reference
 
 
-def bracket_reference(glued, fixed, handles, caps):
-    """glued(fixed, handles, caps.degree) in ``caps``."""
-    ref = TruncatedSeries(caps)
-    for mono, lam, c in glued(fixed, handles, caps.degree).iter_terms():
-        ref.add_term(mono, lam, c)
-    return ref
+def restricted(series, caps, lam_max=None):
+    """The terms of ``series`` inside ``caps``, and at lambda <= lam_max if
+    given, as a series in ``caps``."""
+    out = TruncatedSeries(caps)
+    for mono, lam, c in series.iter_terms():
+        if mono_degree(mono) <= caps.degree and (lam_max is None
+                                                 or lam <= lam_max):
+            out.add_term(mono, lam, c)
+    return out
 
 
-def assert_brackets_match(brackets, glued):
-    for fixed, handles, got in brackets:
-        assert got == bracket_reference(glued, fixed, handles, got.caps), (
-            fixed, handles)
+def as_stated(got, node):
+    """A handed bracket where it is stated: a node bracket at lambda <=
+    2G-4, where the cross terms of a mutation are not truncated alike."""
+    if node is None:
+        return got
+    return restricted(got, got.caps, 2 * got.caps.genus - 4)
+
+
+def assert_brackets_match(brackets, reference):
+    for fixed, handles, node, got in brackets:
+        assert as_stated(got, node) == reference(fixed, handles, node,
+                                                 got.caps), (
+            fixed, handles, node)
+
+
+# (handles, node) of every bracket KdV is handed: the left side with one
+# handle, the five-point bracket with two, and the two node brackets
+KDV_SHAPES = {(((0, 0),), None), (((0, 0), (0, 0)), None),
+              ((), ((0,), (0, 0, 0))), ((), ((0, 0), (0, 0)))}
 
 
 def test_kdv_brackets_match_differentiated_potential(z2, s3, monkeypatch):
     # oracle: differentiate the potential truncated at degree D + 5 (the
     # most any bracket differentiates), with the mutated coefficient
     # doubled, contract each handle as an explicit sum over inverse-metric
-    # pairs, and drop monomials above degree D
+    # pairs and each node as an explicit sum of products, and drop
+    # monomials above degree D
+    z3 = OrbifoldTheory(named_group("Z", 3))
     cases = [(th, d, None) for th in (z2, s3) for d in (1, 2, 3)]
-    cases += [(z2, 3, ((((0, 0), 1), ((0, 1), 2)), -2)),
-              (s3, 3, ((((0, 1), 1), ((0, 2), 2), ((1, 1), 1)), -2))]
+    cases += [(z3, 1, None),
+              (z2, 3, ((((0, 0), 1), ((0, 1), 2)), -2)),
+              (s3, 3, ((((0, 1), 1), ((0, 2), 2), ((1, 1), 1)), -2)),
+              (z3, 1, ((((0, 0), 1), ((0, 1), 1), ((0, 2), 1)), -2))]
+    plain = {}
     for theory, degree, mutate in cases:
         _signatures, calls = handed_brackets(
             theory, kdv_check, monkeypatch, degree=degree, genus=1,
             mutate=mutate)
-        glued = differentiated_brackets(
-            theory, SeriesCaps(degree=degree + 5, genus=2), mutate)
-        assert_brackets_match(calls, glued)
-        assert {handles for _fixed, handles, _got in calls} == {
-            (), ((0, 0),), ((0, 0), (0, 0))}
-        assert len({call[:2] for call in calls}) > 10
+        caps = SeriesCaps(degree=degree + 5, genus=2)
+        assert_brackets_match(calls, differentiated_brackets(theory, caps,
+                                                             mutate))
+        assert {(handles, node) for _f, handles, node, _g in calls} \
+            == KDV_SHAPES
+        assert len(calls) == len(KDV_SHAPES) * 2 * theory.r
+        stated = {(fixed, node): as_stated(got, node)
+                  for fixed, _h, node, got in calls if node}
+        if mutate is None:
+            plain[theory, degree] = stated
+        else:                       # the target reaches a node bracket
+            assert stated != plain[theory, degree]
 
 
-# (fixed levels, handles) of the families the diagonal reports generate,
-# by degree drop.  R_-1 and R_0 (drop 1): the first order, with the unit
-# glued at level n + 1, and the dilation term on the empty family.  R_1
-# and R_2 (drop 2): those, the glued handles at (i, n-1-i), and the
-# product factors at levels i and n-1-i
+# (fixed levels, handles, node) of the families the diagonal reports
+# generate, by degree drop.  R_-1 and R_0 (drop 1): the first order, with
+# the unit glued at level n + 1, and the dilation term on the empty
+# family.  R_1 and R_2 (drop 2): those, the glued handles at (i, n-1-i),
+# and the nodes on (i | n-1-i), sorted, so n = 2 asks for one (0 | 1)
 VIRASORO_FAMILIES = {
-    1: {((), ((0,),)), ((), ((1,),)), ((), ())},
-    2: {((), ((2,),)), ((), ((3,),)), ((), ()), ((), ((0, 0),)),
-        ((), ((0, 1),)), ((0,), ()), ((1,), ())}}
+    1: {((), ((0,),), None), ((), ((1,),), None), ((), (), None)},
+    2: {((), ((2,),), None), ((), ((3,),), None), ((), (), None),
+        ((), ((0, 0),), None), ((), ((0, 1),), None),
+        ((), (), ((0,), (0,))), ((), (), ((0,), (1,)))}}
 
 
 @pytest.mark.parametrize("name,param,target", [
@@ -501,10 +558,11 @@ VIRASORO_FAMILIES = {
 def test_virasoro_brackets_match_differentiated_potential(
         name, param, target, monkeypatch):
     # oracle: each bracket the diagonal reports generate (first order,
-    # dilation, glued handles, product factors) is the potential at
-    # degree D, with the mutated coefficient doubled, differentiated (a
-    # glued unit at level a as d_{(a,0)}), its handles contracted as pair
-    # sums at their levels and truncated at D-1 or D-2
+    # dilation, glued handles, nodes) is the potential at degree D, with
+    # the mutated coefficient doubled, differentiated (a glued unit at
+    # level a as d_{(a,0)}), its handles contracted as pair sums at their
+    # levels, a node as the pair sum of the explicit products d_{(i,m)}F
+    # d_{(n-1-i,m')}F, and truncated at D-1 or D-2
     theory = OrbifoldTheory(named_group(name, param))
     for degree, genus in ((4, 1), (5, 2)):
         for mutate in (None, target):
@@ -512,27 +570,55 @@ def test_virasoro_brackets_match_differentiated_potential(
             signatures, calls = handed_brackets(
                 theory, virasoro_check, monkeypatch, degree=degree,
                 genus=genus, mutate=mutate)
-            assert {(degree - c.degree, (levels, handles))
-                    for levels, c, handles in signatures} == {
-                (drop, family) for drop, families in VIRASORO_FAMILIES.items()
-                for family in families}
-            assert all(c.genus == genus for _l, c, _h in signatures)
-            handed = {(degree - got.caps.degree, fixed, handles)
-                      for fixed, handles, got in calls}
+            made = {(degree - c.degree, (levels, handles, node))
+                    for levels, c, handles, node in signatures}
+            expected = {(drop, family) for drop, families
+                        in VIRASORO_FAMILIES.items() for family in families}
+            # under --mutate, a node's factors of F where delta's are not 0
+            assert made - expected <= (
+                set() if mutate is None
+                else {(2, ((a,), (), None)) for a in (0, 1)})
+            assert made >= expected
+            assert all(c.genus == genus for _l, c, _h, _n in signatures)
+            handed = {(degree - got.caps.degree, fixed, handles, node)
+                      for fixed, handles, node, got in calls}
             assert handed == {
-                (1, (), ((0,),)), (1, (), ((1,),)), (1, (), ()),
-                (2, (), ((2,),)), (2, (), ((3,),)), (2, (), ()),
-                (2, (), ((0, 0),)), (2, (), ((0, 1),)),
-                *{(2, ((a, m),), ()) for a in (0, 1) for m in range(theory.r)}}
+                (drop, (), handles, node)
+                for drop, families in VIRASORO_FAMILIES.items()
+                for _levels, handles, node in families}
             assert_brackets_match(
                 calls, differentiated_brackets(theory, caps, mutate))
             if mutate is not None:      # the target reaches both caps
                 plain = differentiated_brackets(theory, caps, None)
-                for drop in (1, 2):
-                    assert any(got != bracket_reference(plain, fixed, handles,
-                                                        got.caps)
-                               for fixed, handles, got in calls
-                               if got.caps.degree == degree - drop)
+                changed = {(degree - got.caps.degree, node is not None)
+                           for fixed, handles, node, got in calls
+                           if as_stated(got, node)
+                           != plain(fixed, handles, node, got.caps)}
+                assert changed == {(1, False), (2, False), (2, True)}
+
+
+def test_plain_checks_form_no_series_product(z2, s3, monkeypatch):
+    # brackets, handles and nodes are generated: a plain KdV run forms no
+    # series product, and a plain Virasoro run forms them only in the
+    # per-index reports on the canonical potential (``_fform_delta_terms``);
+    # a mutated run adds products by delta's monomial
+    callers = []
+    multiply = TruncatedSeries.multiply
+
+    def record(self, other, **kw):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return multiply(self, other, **kw)
+
+    monkeypatch.setattr(TruncatedSeries, "multiply", record)
+    for theory in (z2, s3):
+        assert all(rep.passed for rep in kdv_check(theory, degree=4, genus=1))
+        assert callers == []
+        assert all(rep.passed for rep in virasoro_check(theory, degree=5,
+                                                        genus=2))
+        assert callers and set(callers) == {"_fform_delta_terms"}
+        callers.clear()
+    kdv_check(z2, degree=4, genus=1, mutate=((((0, 0), 1), ((0, 1), 2)), -2))
+    assert callers and set(callers) == {"multiply_by_monomial"}
 
 
 def test_virasoro_builds_no_class_potential(z2, monkeypatch):
