@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations_with_replacement, groupby
 from multiprocessing import get_context
@@ -539,7 +539,8 @@ class OrbifoldTheory:
 
     def bracket_family(self, fixed_levels: Sequence[int], caps: SeriesCaps,
                        handles: Sequence[tuple] = (),
-                       node: Optional[tuple] = None) -> dict:
+                       node: Optional[tuple] = None,
+                       lam_max: Optional[int] = None) -> dict:
         """{fixed: bracket} for every class multiset on ``fixed_levels``.
 
         ``fixed`` = (v_1..v_k) is a sorted tuple of (level, class) variables
@@ -575,6 +576,12 @@ class OrbifoldTheory:
         acceptance group and the node oracle, which multiplies
         differentiated potentials.
 
+        With ``lam_max``, only the coefficients at lambda <= lam_max are
+        generated, each series keeping ``caps``: the walk stops at the
+        genus that lambda^lam_max stores, so no psi or P is evaluated
+        above it.  A bracket read at lambda shift s in a comparison up to
+        lambda_max is generated with lam_max = lambda_max - s.
+
         The family shares one walk: each key's monomial, psi and M! are
         computed once and its coefficient written into every bracket.
         Every bracket is over |G| times the lcm, across the level keys, of
@@ -590,8 +597,12 @@ class OrbifoldTheory:
         if node is not None:        # the node adds no genus, a handle one
             pairs = len(sum(node, ())) // 2 - 1
             lam_offset = -4
+        walk = caps
+        if lam_max is not None:
+            walk = replace(caps, genus=min(caps.genus,
+                                           (lam_max - lam_offset) // 2))
         order = self.group.order
-        level_keys = list(self._stable_level_keys(caps, glued, node))
+        level_keys = list(self._stable_level_keys(walk, glued, node))
         scale = math.lcm(*(
             psi.denominator * math.prod(math.factorial(mult)
                                         for _a, mult in _level_blocks(levels))
@@ -732,15 +743,29 @@ def _class_multisets(levels: tuple, r: int) -> list:
     classes in that order, pieced together block by block."""
     keys = [((), (), (), 1)]
     for level, mult in _level_blocks(levels):
+        block = _class_block(level, mult, r)
+        keys = [(v + bv, c + bc, m + bm, f * bf) for v, c, m, f in keys
+                for bv, bc, bm, bf in block]
+    return keys
+
+
+_CLASS_BLOCKS: dict = {}
+
+
+def _class_block(level: int, mult: int, r: int) -> tuple:
+    """(variables, classes, monomial, M!) for each multiset of ``mult`` of
+    the r classes at one level, built once per (level, mult, r)."""
+    key = (level, mult, r)
+    block = _CLASS_BLOCKS.get(key)
+    if block is None:
         block = []
         for chosen in combinations_with_replacement(range(r), mult):
             mono = tuple(((level, c), len(list(run)))
                          for c, run in groupby(chosen))
             block.append((tuple((level, c) for c in chosen), chosen, mono,
                           math.prod(math.factorial(e) for _v, e in mono)))
-        keys = [(v + bv, c + bc, m + bm, f * bf) for v, c, m, f in keys
-                for bv, bc, bm, bf in block]
-    return keys
+        block = _CLASS_BLOCKS[key] = tuple(block)
+    return block
 
 
 # -- product groups ------------------------------------------------------------

@@ -220,6 +220,17 @@ class TruncatedSeries:
         """The (monomial, lambda) positions of the nonzero coefficients."""
         return {(m, lam) for m, lc in self.terms.items() for lam in lc}
 
+    def positions(self, lam_max: int, max_degree: int, lam_shift: int = 0):
+        """Yield (monomial, lambda + lam_shift) for each nonzero
+        coefficient at lambda <= lam_max and degree <= max_degree.  A
+        max_degree that covers the caps reads no monomial's degree."""
+        if max_degree >= self.caps.degree:
+            return ((m, lam + lam_shift) for m, lc in self.terms.items()
+                    for lam in lc if lam <= lam_max)
+        return ((m, lam + lam_shift) for m, lc in self.terms.items()
+                if mono_degree(m) <= max_degree
+                for lam in lc if lam <= lam_max)
+
     def __eq__(self, other):
         """Same caps and the same value at every position."""
         if not isinstance(other, TruncatedSeries):

@@ -329,7 +329,9 @@ def _compare(operator, caps, lhs, rhs, *, max_degree, lam_max,
 
     Each side is an iterable of terms (series, value, lam_shift), standing
     for value * lambda^lam_shift * series.  ``checked_monomials`` is the
-    union of the term supports inside the region, ``max_residual`` the
+    union of the term supports inside the region, read from each term's
+    store at lambda <= lam_max - lam_shift (``positions``: degrees are
+    read only when max_degree is below the caps).  ``max_residual`` is the
     residual lhs - rhs of largest absolute value there, the negative one
     when x and -x tie, and each violation shows the sums of both sides.
     The report depends on the residual values alone, not on term order.
@@ -340,10 +342,8 @@ def _compare(operator, caps, lhs, rhs, *, max_degree, lam_max,
         total = TruncatedSeries(caps)
         for series, value, lam_shift in terms:
             total.iadd(series, value, lam_shift=lam_shift)
-            support.update((mono, lam + lam_shift)
-                           for mono, lam in series.support()
-                           if lam + lam_shift <= lam_max
-                           and mono_degree(mono) <= max_degree)
+            support.update(series.positions(lam_max - lam_shift, max_degree,
+                                            lam_shift))
         return total
 
     residual = summed(lhs)
@@ -379,13 +379,15 @@ def _fform_report(spec, potential, *, degree):
 def _generated_report(spec, bracket, caps):
     """R_n(F) on the diagonal family (v the unit) against zero on ``caps``
     = (D - order, G), from brackets ``bracket`` (``_bracket_source``)
-    generates there: those of ``_fform_terms``, with the unit glued at
-    level n+1 (forgetting tails) for the first-order bracket; the dilation
-    term on the empty bracket; per i, weighted b_i, a handle glued at
-    levels (i, n-1-i) (cutting loops) for the r second partials sum_m z_m
-    d_{(i,m)} d_{(n-1-i,m')} F, and a node on (i | n-1-i) (cutting trees)
-    for the r products d_{(i,m)}F d_{(n-1-i,m')}F, each with the support
-    of its r terms (correlators >= 0, z_m > 0); and R_n(0).
+    generates there, each up to the lambda it is read at: lambda 2G-4 for
+    the second-order ones, read at lambda^2, and 2G-2 for the rest.  They
+    are those of ``_fform_terms``, with the unit glued at level n+1
+    (forgetting tails) for the first-order bracket; the dilation term on
+    the empty bracket; per i, weighted b_i, a handle glued at levels (i,
+    n-1-i) (cutting loops) for the r second partials sum_m z_m d_{(i,m)}
+    d_{(n-1-i,m')} F, and a node on (i | n-1-i) (cutting trees) for the r
+    products d_{(i,m)}F d_{(n-1-i,m')}F, each with the support of its r
+    terms (correlators >= 0, z_m > 0); and R_n(0).
 
     So no series product is formed, and each report tests the point's
     recursion times the surface counts, not their splitting identity;
@@ -399,9 +401,10 @@ def _generated_report(spec, bracket, caps):
              (_dilation_term(spec, bracket(())), 1, 0)]
     for i in range(n):
         b = _coeff_second(n, i) / 2
-        terms += [(bracket((), (tuple(sorted((i, n - 1 - i))),)), b, 2),
-                  (bracket((), node=tuple(sorted(((i,), (n - 1 - i,))))),
-                   b, 2)]
+        terms += [(bracket((), (tuple(sorted((i, n - 1 - i))),),
+                           lam_shift=2), b, 2),
+                  (bracket((), node=tuple(sorted(((i,), (n - 1 - i,)))),
+                           lam_shift=2), b, 2)]
     terms += _zero_terms(spec, caps, CLASS_BASIS)
     return _compare(spec.label(), caps, terms, (), max_degree=caps.degree,
                     lam_max=lam_max,
@@ -445,7 +448,7 @@ def virasoro_check(theory: OrbifoldTheory, *, degree: int = 6, genus: int = 2,
         generated = replace(caps, degree=degree - order)
         # brackets recur across n and i; the last source is freed first
         bracket = lru_cache(maxsize=None)(
-            _bracket_source(theory, generated, delta))
+            _bracket_source(theory, generated, delta, generated.lam_ceiling))
         reports += [_generated_report(VirasoroSpec(n, table), bracket,
                                       generated) for n in ns]
     return reports
@@ -463,12 +466,14 @@ def _mutation(theory, target, caps) -> TruncatedSeries:
         lam=target[1], system=CLASS_BASIS)
 
 
-def _bracket_source(theory, caps, delta):
-    """bracket(fixed, handles, node): the class-basis bracket of F + delta
-    on the sorted (level, class) variables ``fixed`` with a handle glued at
-    each level pair of ``handles`` and the unit at each single level
-    there, or with the node ``node`` (``OrbifoldTheory.bracket_family``),
-    over ``caps``.
+def _bracket_source(theory, caps, delta, lam_max):
+    """bracket(fixed, handles, node, lam_shift): the class-basis bracket
+    of F + delta on the sorted (level, class) variables ``fixed`` with a
+    handle glued at each level pair of ``handles`` and the unit at each
+    single level there, or with the node ``node``
+    (``OrbifoldTheory.bracket_family``), over ``caps``, for a comparison
+    up to lambda ``lam_max`` that reads it at lambda^lam_shift: its family
+    is generated only up to lambda lam_max - lam_shift.
 
     A family is generated when one of its brackets is first asked for,
     and each bracket is handed out once: a second ask raises
@@ -501,12 +506,13 @@ def _bracket_source(theory, caps, delta):
                 caps, mono, c, lam=lam, system=CLASS_BASIS))
         return out
 
-    def bracket(fixed, handles=(), node=None):
-        signature = (tuple(a for a, _ in fixed), handles, node)
+    def bracket(fixed, handles=(), node=None, lam_shift=0):
+        signature = (tuple(a for a, _ in fixed), handles, node,
+                     lam_max - lam_shift)
         family = families.get(signature)
         if family is None:
             family = families[signature] = theory.bracket_family(
-                signature[0], caps, handles, node=node)
+                signature[0], caps, handles, node=node, lam_max=signature[3])
         got = family.pop(fixed, None)
         if got is None:
             raise AssertionError(f"bracket {fixed} with handles {handles} "
@@ -602,9 +608,12 @@ def kdv_check(theory: OrbifoldTheory, *, degree: int = 4, genus: int = 1,
 
     where each double bracket is the matching mixed partial of the
     potential and dots are inverse-metric contractions.  Every bracket is
-    generated from correlators over the compared region only (degree <=
-    ``degree``, and one genus above ``genus`` because the left side
-    carries lam^-2), so the stated box is fully certified.  Both sides
+    generated from correlators over the compared region only: degree <=
+    ``degree``, and lambda <= 2G-2 minus the shift it is read at, for G =
+    ``genus``.  So the left side, which carries lam^-2, and the node
+    brackets, whose lambda^{2(g1+g2)-4} reaches 2G-2 at g1 + g2 = G + 1,
+    are built one genus above ``genus``; the two-handle bracket stops at
+    ``genus``.  The stated box is fully certified.  Both sides
     start at lam^-4: lam^-2 times a genus-0 bracket, or a product of two.
     Brackets come from ``_bracket_source``.  A pair contracted inside one
     bracket is a glued handle at levels (0, 0).  Each product of two
@@ -622,9 +631,9 @@ def kdv_check(theory: OrbifoldTheory, *, degree: int = 4, genus: int = 1,
     """
     caps = SeriesCaps(degree=degree, genus=genus + 1)
     delta = _mutation(theory, mutate, replace(caps, degree=degree + 5))
-    bracket = _bracket_source(theory, caps, delta)
-    handle = ((0, 0),)
     lam_max = 2 * genus - 2
+    bracket = _bracket_source(theory, caps, delta, lam_max)
+    handle = ((0, 0),)
 
     def report(a, c):
         fixed = ((a - 1, c),)
@@ -632,7 +641,8 @@ def kdv_check(theory: OrbifoldTheory, *, degree: int = 4, genus: int = 1,
                (bracket(fixed, node=((0, 0), (0, 0))), 2, 0),
                (bracket(fixed, handle * 2), Q(1, 4), 0)]
         return _compare({"kdv_a": a, "direction_class": c}, caps,
-                        [(bracket(((a, c),), handle), Q(2 * a + 1), -2)],
+                        [(bracket(((a, c),), handle, lam_shift=-2),
+                          Q(2 * a + 1), -2)],
                         rhs, max_degree=degree, lam_max=lam_max,
                         window={"lambda_min": -4, "lambda_max": lam_max})
 

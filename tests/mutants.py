@@ -35,6 +35,7 @@ PERTURBED = (T_CORRELATORS
              + "test_tensor_check_reports_a_perturbed_product_count")
 RELABELLED = "tests/test_relabelling.py"
 BRUTE_VS_RECURSIVE = T_CORRELATORS + "test_surface_count_brute_vs_recursive"
+SERIES = "src/orbigw/series.py"
 VIRASORO = "src/orbigw/virasoro.py"
 T_VIRASORO = "tests/test_virasoro.py::"
 KDV_ORACLE = T_VIRASORO + "test_kdv_brackets_match_differentiated_potential"
@@ -95,7 +96,7 @@ MUTANTS = [
      "cd.centralizer_of_class(m))",
      "cd.class_size[m])",
      [T_CLI + "test_table_bytes_pinned"]),
-    ("iadd-alias-guard", "src/orbigw/series.py",
+    ("iadd-alias-guard", SERIES,
      "        if other is self:\n"
      "            other = other.scale(1)\n",
      "",
@@ -220,6 +221,25 @@ MUTANTS = [
      "replace(caps, degree=degree - order)",
      "replace(caps, degree=degree - 2)",
      [REPORTS_PINNED, VIRASORO_ORACLE]),
+    # the Virasoro handle families generated to lambda^{2G-6}, one genus
+    # short of the lambda^{2G-4} they are read at
+    ("handle-family-one-genus-short", VIRASORO,
+     "(tuple(sorted((i, n - 1 - i))),),\n"
+     "                           lam_shift=2)",
+     "(tuple(sorted((i, n - 1 - i))),),\n"
+     "                           lam_shift=4)",
+     [VIRASORO_ORACLE, GENUS_2_PINNED]),
+    # the support read from the store counts one lambda step above the
+    # compared region
+    ("support-one-lambda-step-above", SERIES,
+     "                    for lam in lc if lam <= lam_max)",
+     "                    for lam in lc if lam <= lam_max + 2)",
+     [REPORTS_PINNED]),
+    # a class block built for one rank served to another
+    ("class-block-ignores-r", CORRELATORS,
+     "key = (level, mult, r)",
+     "key = (level, mult)",
+     [KDV_ORACLE]),
     # S with param 1 refused
     ("s1-refused", GROUPS,
      "        if param < 1:\n"

@@ -395,17 +395,20 @@ def test_kdv_trivial_and_z2(z2):
 
 def handed_brackets(theory, check, monkeypatch, **kw):
     """(signatures, brackets) of one ``check`` run on ``theory``: the
-    (fixed levels, caps, handles, node) of every family the generator
-    produced, and (fixed variables, handles, node, bracket) for every
-    bracket the check was handed, as the check used it: mutated in place
-    when it mutates.  No family is generated twice."""
+    (fixed levels, caps, handles, node, lambda bound) of every family the
+    generator produced, and (fixed variables, handles, node, lambda bound,
+    bracket) for every bracket the check was handed, as the check used
+    it: mutated in place when it mutates.  No family is generated
+    twice."""
     families, signatures = [], []
     generate = theory.bracket_family
 
-    def record(fixed_levels, caps, handles=(), node=None):
-        family = generate(fixed_levels, caps, handles, node)
-        signatures.append((tuple(fixed_levels), caps, handles, node))
-        families.append((handles, node, family, list(family.items())))
+    def record(fixed_levels, caps, handles=(), node=None, lam_max=None):
+        family = generate(fixed_levels, caps, handles, node, lam_max)
+        signatures.append((tuple(fixed_levels), caps, handles, node,
+                           lam_max))
+        families.append((handles, node, lam_max, family,
+                         list(family.items())))
         return family
 
     with monkeypatch.context() as m:
@@ -413,8 +416,8 @@ def handed_brackets(theory, check, monkeypatch, **kw):
         check(theory, **kw)
     assert len(set(signatures)) == len(signatures)
     # a bracket handed out has left its family
-    return signatures, [(fixed, handles, node, got)
-                        for handles, node, family, made in families
+    return signatures, [(fixed, handles, node, lam_max, got)
+                        for handles, node, lam_max, family, made in families
                         for fixed, got in made if fixed not in family]
 
 
@@ -430,8 +433,7 @@ def differentiated_brackets(theory, caps, mutate):
     pairs of the products of two such brackets: the fixed variables and
     side 1's levels on one, side 2's on the other, the i-th levels of the
     two sides contracted and the rest of the longer side contracted as
-    handles there.  A node bracket is stated up to lambda 2G-4 (genus
-    g1 + g2 <= G), so both sides are compared there.
+    handles there.  A node stores lambda <= 2G-4 (genus g1 + g2 <= G).
     """
     phi = theory.potential(caps)
     if mutate is not None:
@@ -470,7 +472,7 @@ def differentiated_brackets(theory, caps, mutate):
             out.iadd(glued(a, sides[0], in_caps.degree).multiply(
                 glued(b, sides[1], in_caps.degree),
                 max_degree=in_caps.degree), z)
-        return restricted(out, in_caps, 2 * in_caps.genus - 4)
+        return restricted(out, in_caps)
 
     return reference
 
@@ -486,25 +488,27 @@ def restricted(series, caps, lam_max=None):
     return out
 
 
-def as_stated(got, node):
-    """A handed bracket where it is stated: a node bracket at lambda <=
-    2G-4, where the cross terms of a mutation are not truncated alike."""
-    if node is None:
-        return got
-    return restricted(got, got.caps, 2 * got.caps.genus - 4)
+def as_stated(series, lam_max):
+    """A bracket where it is stated: at lambda <= lam_max, the bound its
+    family was generated to, which is the lambda it is read at.  Above
+    it, the terms of a mutation are not truncated alike.  A node bracket,
+    read at lambda shift 0 in KdV (caps G+1) and 2 in Virasoro (caps G),
+    is stated up to 2G-4 of its caps either way."""
+    return restricted(series, series.caps, lam_max)
 
 
 def assert_brackets_match(brackets, reference):
-    for fixed, handles, node, got in brackets:
-        assert as_stated(got, node) == reference(fixed, handles, node,
-                                                 got.caps), (
+    for fixed, handles, node, lam_max, got in brackets:
+        want = reference(fixed, handles, node, got.caps)
+        assert as_stated(got, lam_max) == as_stated(want, lam_max), (
             fixed, handles, node)
 
 
-# (handles, node) of every bracket KdV is handed: the left side with one
-# handle, the five-point bracket with two, and the two node brackets
-KDV_SHAPES = {(((0, 0),), None), (((0, 0), (0, 0)), None),
-              ((), ((0,), (0, 0, 0))), ((), ((0, 0), (0, 0)))}
+# (handles, node) of every bracket KdV is handed, and the lambda shift it
+# is read at: the left side with one handle (lambda^-2), the five-point
+# bracket with two, and the two node brackets
+KDV_SHAPES = {(((0, 0),), None): -2, (((0, 0), (0, 0)), None): 0,
+              ((), ((0,), (0, 0, 0))): 0, ((), ((0, 0), (0, 0))): 0}
 
 
 def test_kdv_brackets_match_differentiated_potential(z2, s3, monkeypatch):
@@ -527,27 +531,32 @@ def test_kdv_brackets_match_differentiated_potential(z2, s3, monkeypatch):
         caps = SeriesCaps(degree=degree + 5, genus=2)
         assert_brackets_match(calls, differentiated_brackets(theory, caps,
                                                              mutate))
-        assert {(handles, node) for _f, handles, node, _g in calls} \
-            == KDV_SHAPES
+        # each generated up to lambda 0 (genus 1) minus its shift
+        assert {(handles, node, lam_max)
+                for _f, handles, node, lam_max, _g in calls} \
+            == {(handles, node, -shift)
+                for (handles, node), shift in KDV_SHAPES.items()}
         assert len(calls) == len(KDV_SHAPES) * 2 * theory.r
-        stated = {(fixed, node): as_stated(got, node)
-                  for fixed, _h, node, got in calls if node}
+        stated = {(fixed, node): as_stated(got, lam_max)
+                  for fixed, _h, node, lam_max, got in calls if node}
         if mutate is None:
             plain[theory, degree] = stated
         else:                       # the target reaches a node bracket
             assert stated != plain[theory, degree]
 
 
-# (fixed levels, handles, node) of the families the diagonal reports
-# generate, by degree drop.  R_-1 and R_0 (drop 1): the first order, with
-# the unit glued at level n + 1, and the dilation term on the empty
-# family.  R_1 and R_2 (drop 2): those, the glued handles at (i, n-1-i),
-# and the nodes on (i | n-1-i), sorted, so n = 2 asks for one (0 | 1)
+# (fixed levels, handles, node, lambda shift) of the families the
+# diagonal reports generate, by degree drop.  R_-1 and R_0 (drop 1): the
+# first order, with the unit glued at level n + 1, and the dilation term
+# on the empty family.  R_1 and R_2 (drop 2): those, the glued handles at
+# (i, n-1-i), and the nodes on (i | n-1-i), sorted, so n = 2 asks for one
+# (0 | 1).  The second-order terms are read at lambda^2, so their
+# families stop 2 below the ceiling
 VIRASORO_FAMILIES = {
-    1: {((), ((0,),), None), ((), ((1,),), None), ((), (), None)},
-    2: {((), ((2,),), None), ((), ((3,),), None), ((), (), None),
-        ((), ((0, 0),), None), ((), ((0, 1),), None),
-        ((), (), ((0,), (0,))), ((), (), ((0,), (1,)))}}
+    1: {((), ((0,),), None, 0), ((), ((1,),), None, 0), ((), (), None, 0)},
+    2: {((), ((2,),), None, 0), ((), ((3,),), None, 0), ((), (), None, 0),
+        ((), ((0, 0),), None, 2), ((), ((0, 1),), None, 2),
+        ((), (), ((0,), (0,)), 2), ((), (), ((0,), (1,)), 2)}}
 
 
 @pytest.mark.parametrize("name,param,target", [
@@ -570,30 +579,34 @@ def test_virasoro_brackets_match_differentiated_potential(
             signatures, calls = handed_brackets(
                 theory, virasoro_check, monkeypatch, degree=degree,
                 genus=genus, mutate=mutate)
-            made = {(degree - c.degree, (levels, handles, node))
-                    for levels, c, handles, node in signatures}
+            made = {(degree - c.degree, (levels, handles, node,
+                                         None if lam_max is None
+                                         else c.lam_ceiling - lam_max))
+                    for levels, c, handles, node, lam_max in signatures}
             expected = {(drop, family) for drop, families
                         in VIRASORO_FAMILIES.items() for family in families}
-            # under --mutate, a node's factors of F where delta's are not 0
+            # under --mutate, a node's factors of F where delta's are not
+            # 0, unbounded
             assert made - expected <= (
                 set() if mutate is None
-                else {(2, ((a,), (), None)) for a in (0, 1)})
+                else {(2, ((a,), (), None, None)) for a in (0, 1)})
             assert made >= expected
-            assert all(c.genus == genus for _l, c, _h, _n in signatures)
+            assert all(c.genus == genus for _l, c, _h, _n, _b in signatures)
             handed = {(degree - got.caps.degree, fixed, handles, node)
-                      for fixed, handles, node, got in calls}
+                      for fixed, handles, node, _b, got in calls}
             assert handed == {
                 (drop, (), handles, node)
                 for drop, families in VIRASORO_FAMILIES.items()
-                for _levels, handles, node in families}
+                for _levels, handles, node, _shift in families}
             assert_brackets_match(
                 calls, differentiated_brackets(theory, caps, mutate))
             if mutate is not None:      # the target reaches both caps
                 plain = differentiated_brackets(theory, caps, None)
                 changed = {(degree - got.caps.degree, node is not None)
-                           for fixed, handles, node, got in calls
-                           if as_stated(got, node)
-                           != plain(fixed, handles, node, got.caps)}
+                           for fixed, handles, node, lam_max, got in calls
+                           if as_stated(got, lam_max) != as_stated(
+                               plain(fixed, handles, node, got.caps),
+                               lam_max)}
                 assert changed == {(1, False), (2, False), (2, True)}
 
 
@@ -619,6 +632,42 @@ def test_plain_checks_form_no_series_product(z2, s3, monkeypatch):
         callers.clear()
     kdv_check(z2, degree=4, genus=1, mutate=((((0, 0), 1), ((0, 1), 2)), -2))
     assert callers and set(callers) == {"multiply_by_monomial"}
+
+
+def test_generated_terms_are_all_compared(z2, s3, monkeypatch):
+    # a plain check generates only what it compares: every stored
+    # (monomial, lambda) of every term handed to _compare lies in the
+    # compared region, lambda + shift <= lambda_max and degree <=
+    # max_degree.  The per-index reports are exempt: they still
+    # differentiate the canonical potential at degree D (ROADMAP item 6)
+    compare = virasoro._compare
+    seen, outside = [], []
+
+    def record(operator, caps, lhs, rhs, **kw):
+        lhs, rhs = list(lhs), list(rhs)
+        if operator.get("flavor") != "per_index":
+            seen.append(operator)
+            outside.extend(
+                (operator, mono, lam, lam_shift)
+                for series, _value, lam_shift in lhs + rhs
+                for mono, lam in series.support()
+                if lam + lam_shift > kw["lam_max"]
+                or mono_degree(mono) > kw["max_degree"])
+        return compare(operator, caps, lhs, rhs, **kw)
+
+    monkeypatch.setattr(virasoro, "_compare", record)
+    z3 = OrbifoldTheory(named_group("Z", 3))
+    for theory in (z2, z3, s3):
+        for degree in range(1, 5):
+            for genus in (1, 2):
+                reports = kdv_check(theory, degree=degree, genus=genus)
+                assert all(rep.passed for rep in reports)
+    assert {rep.operator["flavor"]
+            for rep in virasoro_check(s3, degree=5, genus=2)
+            + virasoro_check(z2, degree=6, genus=3)
+            if rep.passed} == {"per_index", "diagonal"}
+    assert {"kdv_a" in op for op in seen} == {True, False}
+    assert outside == []
 
 
 def test_virasoro_builds_no_class_potential(z2, monkeypatch):
