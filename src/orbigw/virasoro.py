@@ -17,12 +17,11 @@ The check runs on the potential F, not on Z = exp(F): L_n Z = 0 is
 equivalent to R_n(F) = e^{-F} L_n e^{F} = 0 (see ``fform_residual``).  Its
 genus-<=G part needs F only up to genus G, so F truncated at degree D and
 genus G fixes every coefficient of degree <= D-1 (n <= 0) or D-2 (n >= 1).
-The per-index reports differentiate that F.  The diagonal reports, like
-the KdV identity, generate each bracket (a partial of F) from correlators
-over the compared region only (``OrbifoldTheory.bracket_family``),
-gluing each pair contracted by the inverse metric inside one bracket as
-a handle, each product of two contracted brackets as a separating node,
-and the first-order unit as a level with no class.
+Every report, like the KdV identity, generates each bracket (a partial
+of F) from correlators over the compared region only, with contracted
+pairs glued as handles or separating nodes and the first-order unit as
+a level with no class (``OrbifoldTheory.bracket_family``).  The
+per-index family is r copies of the point's diagonal family.
 """
 
 from __future__ import annotations
@@ -39,6 +38,7 @@ from typing import Optional
 from .algebra import (FLOAT_TOLERANCE, ClassAlgebra, canonical_basis,
                       character_table, frobenius_product)
 from .correlators import CANONICAL_RESCALED, CLASS_BASIS, OrbifoldTheory
+from .groups import named_group
 from .series import SeriesCaps, TruncatedSeries, mono_degree, mono_from_vars
 from .util import Q, double_factorial, float_str, rat_str
 
@@ -215,8 +215,8 @@ def fform_residual(spec: VirasoroSpec, potential: TruncatedSeries, *,
     """R_n(F) = e^{-F} L_n e^{F} for the potential F, up to ``max_degree``:
     the sum of the terms of ``_fform_terms``.
 
-    ``virasoro_check`` compares those terms with ``_compare``; this sum is
-    what the Z-form oracle test checks against L_n exp(F).
+    ``mutation_sensitivity`` starts from this sum; it is what the Z-form
+    oracle test checks against L_n exp(F).
     """
     out = TruncatedSeries(potential.caps, system=potential.system)
     for series, value, lam_shift in _fform_terms(spec, potential,
@@ -330,9 +330,9 @@ def _compare(operator, caps, lhs, rhs, *, max_degree, lam_max,
     Each side is an iterable of terms (series, value, lam_shift), standing
     for value * lambda^lam_shift * series.  ``checked_monomials`` is the
     union of the term supports inside the region, read from each term's
-    store at lambda <= lam_max - lam_shift (``positions``: degrees are
-    read only when max_degree is below the caps).  ``max_residual`` is the
-    residual lhs - rhs of largest absolute value there, the negative one
+    store at lambda <= lam_max - lam_shift (``positions``; degrees are
+    read only in the mutation sweep, below the caps).  ``max_residual``
+    is the residual lhs - rhs of largest absolute value, the negative one
     when x and -x tie, and each violation shows the sums of both sides.
     The report depends on the residual values alone, not on term order.
     """
@@ -362,18 +362,6 @@ def _compare(operator, caps, lhs, rhs, *, max_degree, lam_max,
         operator=operator, checked_monomials=len(support),
         max_residual=worst, watermark=max_degree, violations=violations,
         window=window)
-
-
-def _fform_report(spec, potential, *, degree):
-    """R_n(F) against zero at every degree <= D-1 (n <= 0) or D-2 (n >= 1),
-    over genus 0 to G, for the potential F truncated at degree D."""
-    watermark = degree - _order(spec.n)
-    lam_max = potential.caps.lam_ceiling
-    return _compare(
-        spec.label(), potential.caps,
-        _fform_terms(spec, potential, max_degree=watermark),
-        (), max_degree=watermark, lam_max=lam_max,
-        window={"lambda_min": -2, "lambda_max": lam_max})
 
 
 def _generated_report(spec, bracket, caps):
@@ -424,28 +412,36 @@ def virasoro_check(theory: OrbifoldTheory, *, degree: int = 6, genus: int = 2,
     Checks R_n(F) = e^{-F} L_n e^{F} = 0 (see the module docstring) for
     n = -1, 0, 1, 2 (``VIRASORO_N``: they generate every L_n), per-index
     operators first, exactly, at every coefficient of degree <= D - order
-    (``_order``) and genus <= G, for D = ``degree`` and G = ``genus``.  The
-    per-index reports differentiate the canonical potential at degree D;
-    the diagonal reports (``_generated_report``) build no class-basis
-    potential and form no series product, their brackets, handles and
-    nodes generated at the compared caps: they test the point's recursion
-    times the surface counts, whose splitting identity rests on ``check
-    cohft``, the Frobenius-table tests, the separating-node test on every
-    acceptance group and the node oracle.  ``mutate``
-    names one stored class-basis coefficient, for sensitivity tests: the
-    diagonal brackets are those of F + delta (``_mutation``), which has it
-    doubled; MissingCoefficient is raised when F stores none there.
+    (``_order``) and genus <= G, for D = ``degree`` and G = ``genus``.
+    Every report is generated (``_generated_report``), with no potential
+    and no series product.  In rescaled canonical variables F is r copies
+    of the point's potential, L_n^{(f_alpha)} acting on copy alpha as the
+    point's L_n: the point's diagonal reports, copied to each alpha with
+    violations at class alpha, are the per-index ones.  ``mutate`` names
+    one stored class-basis coefficient: the diagonal brackets are those
+    of F + delta (``_mutation``), which has it doubled; MissingCoefficient
+    is raised when F stores none there.
     """
     caps = SeriesCaps(degree=degree, genus=genus)
-    delta = _mutation(theory, mutate, caps)
-    phi_u = theory.potential(caps, basis=CANONICAL_RESCALED)
+    diagonal = _diagonal_reports(theory, caps, mutate)
+    at_point = _diagonal_reports(OrbifoldTheory(named_group("Z", 1)), caps)
     split = split_table(theory.r)
-    reports = [_fform_report(VirasoroSpec(n, split, alpha), phi_u,
-                             degree=degree)
-               for alpha in range(theory.r) for n in VIRASORO_N]
+    return [replace(rep, operator=VirasoroSpec(n, split, alpha).label(),
+                    violations=[{**v, "monomial": [
+                        [a, alpha, e] for a, _k, e in v["monomial"]]}
+                        for v in rep.violations])
+            for alpha in range(theory.r)
+            for n, rep in zip(VIRASORO_N, at_point)] + diagonal
+
+
+def _diagonal_reports(theory, caps, mutate=None) -> list:
+    """The diagonal reports of ``theory``, its brackets those of F + delta
+    (``_mutation``), each order's at caps (D - order, G), D, G = caps."""
+    delta = _mutation(theory, mutate, caps)
     table = class_table(theory.algebra)
+    reports = []
     for order, ns in groupby(VIRASORO_N, key=_order):
-        generated = replace(caps, degree=degree - order)
+        generated = replace(caps, degree=caps.degree - order)
         # brackets recur across n and i; the last source is freed first
         bracket = lru_cache(maxsize=None)(
             _bracket_source(theory, generated, delta, generated.lam_ceiling))
@@ -483,7 +479,8 @@ def _bracket_source(theory, caps, delta, lam_max):
     node bracket gets, pair by pair, the cross terms dF d(delta),
     d(delta) dF and d(delta) d(delta) of its two factors.  delta is one
     monomial, so each is a product by a monomial, and a factor of F is
-    generated only where delta's other factor is nonzero.
+    generated only where delta's other factor is nonzero, up to the
+    node's bound minus delta's lambda: the lambda it is read at.
     """
     pairs = class_table(theory.algebra).pairs
     families = {}
@@ -521,6 +518,7 @@ def _bracket_source(theory, caps, delta, lam_max):
             return got.iadd(delta_bracket(fixed, handles))
         if not delta.support():
             return got
+        [(_mono, delta_lam, _c)] = delta.iter_terms()
         # the i-th levels of the two sides contracted, the rest handles
         k = min(map(len, node))
         sides = [tuple(zip(side[k::2], side[k + 1::2])) for side in node]
@@ -532,10 +530,12 @@ def _bracket_source(theory, caps, delta, lam_max):
             da, db = delta_bracket(a, sides[0]), delta_bracket(b, sides[1])
             factors = []
             if db.support():
-                f_a = plain(tuple(v[0] for v in a), handles=sides[0])[a]
+                f_a = plain(tuple(v[0] for v in a), handles=sides[0],
+                            lam_max=signature[3] - delta_lam)[a]
                 factors.append((f_a, db))
             if da.support():
-                f_b = plain(tuple(v[0] for v in b), handles=sides[1])[b]
+                f_b = plain(tuple(v[0] for v in b), handles=sides[1],
+                            lam_max=signature[3] - delta_lam)[b]
                 factors += [(f_b, da), (db, da)]
             weight = math.prod(z for _m, _m2, z in chosen)
             for x, y in factors:

@@ -42,6 +42,8 @@ KDV_ORACLE = T_VIRASORO + "test_kdv_brackets_match_differentiated_potential"
 REPORTS_PINNED = T_CLI + "test_report_bytes_pinned"
 VIRASORO_ORACLE = (T_VIRASORO
                    + "test_virasoro_brackets_match_differentiated_potential")
+PER_INDEX_ORACLE = (T_VIRASORO
+                    + "test_per_index_reports_match_the_canonical_potential")
 GENUS_2_PINNED = T_CLI + "test_genus_2_report_bytes_pinned"
 DEEPER_PINNED = T_CLI + "test_deeper_report_bytes_pinned"
 
@@ -218,9 +220,20 @@ MUTANTS = [
     # the first-order reports generated, and compared, at D-2 like the
     # second-order ones
     ("first-order-at-d-minus-2", VIRASORO,
-     "replace(caps, degree=degree - order)",
-     "replace(caps, degree=degree - 2)",
+     "replace(caps, degree=caps.degree - order)",
+     "replace(caps, degree=caps.degree - 2)",
      [REPORTS_PINNED, VIRASORO_ORACLE]),
+    # the per-index reports copied from the group's diagonal reports, not
+    # the point's
+    ("per-index-on-the-group", VIRASORO,
+     'at_point = _diagonal_reports(OrbifoldTheory(named_group("Z", 1)), caps)',
+     "at_point = _diagonal_reports(theory, caps)",
+     [PER_INDEX_ORACLE, REPORTS_PINNED]),
+    # a per-index violation keeps the point's class slot 0
+    ("per-index-violation-class-0", VIRASORO,
+     "[a, alpha, e] for a, _k, e in",
+     "[a, _k, e] for a, _k, e in",
+     [PER_INDEX_ORACLE]),
     # the Virasoro handle families generated to lambda^{2G-6}, one genus
     # short of the lambda^{2G-4} they are read at
     ("handle-family-one-genus-short", VIRASORO,

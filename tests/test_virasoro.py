@@ -586,10 +586,10 @@ def test_virasoro_brackets_match_differentiated_potential(
             expected = {(drop, family) for drop, families
                         in VIRASORO_FAMILIES.items() for family in families}
             # under --mutate, a node's factors of F where delta's are not
-            # 0, unbounded
+            # 0, each up to the node's bound (shift 2) minus delta's lambda
             assert made - expected <= (
                 set() if mutate is None
-                else {(2, ((a,), (), None, None)) for a in (0, 1)})
+                else {(2, ((a,), (), None, 2 + mutate[1])) for a in (0, 1)})
             assert made >= expected
             assert all(c.genus == genus for _l, c, _h, _n, _b in signatures)
             handed = {(degree - got.caps.degree, fixed, handles, node)
@@ -611,10 +611,9 @@ def test_virasoro_brackets_match_differentiated_potential(
 
 
 def test_plain_checks_form_no_series_product(z2, s3, monkeypatch):
-    # brackets, handles and nodes are generated: a plain KdV run forms no
-    # series product, and a plain Virasoro run forms them only in the
-    # per-index reports on the canonical potential (``_fform_delta_terms``);
-    # a mutated run adds products by delta's monomial
+    # brackets, handles and nodes are generated, the per-index reports as
+    # the point's: a plain KdV or Virasoro run forms no series product; a
+    # mutated run adds products by delta's monomial
     callers = []
     multiply = TruncatedSeries.multiply
 
@@ -625,11 +624,9 @@ def test_plain_checks_form_no_series_product(z2, s3, monkeypatch):
     monkeypatch.setattr(TruncatedSeries, "multiply", record)
     for theory in (z2, s3):
         assert all(rep.passed for rep in kdv_check(theory, degree=4, genus=1))
-        assert callers == []
         assert all(rep.passed for rep in virasoro_check(theory, degree=5,
                                                         genus=2))
-        assert callers and set(callers) == {"_fform_delta_terms"}
-        callers.clear()
+        assert callers == []
     kdv_check(z2, degree=4, genus=1, mutate=((((0, 0), 1), ((0, 1), 2)), -2))
     assert callers and set(callers) == {"multiply_by_monomial"}
 
@@ -638,21 +635,19 @@ def test_generated_terms_are_all_compared(z2, s3, monkeypatch):
     # a plain check generates only what it compares: every stored
     # (monomial, lambda) of every term handed to _compare lies in the
     # compared region, lambda + shift <= lambda_max and degree <=
-    # max_degree.  The per-index reports are exempt: they still
-    # differentiate the canonical potential at degree D (ROADMAP item 6)
+    # max_degree
     compare = virasoro._compare
     seen, outside = [], []
 
     def record(operator, caps, lhs, rhs, **kw):
         lhs, rhs = list(lhs), list(rhs)
-        if operator.get("flavor") != "per_index":
-            seen.append(operator)
-            outside.extend(
-                (operator, mono, lam, lam_shift)
-                for series, _value, lam_shift in lhs + rhs
-                for mono, lam in series.support()
-                if lam + lam_shift > kw["lam_max"]
-                or mono_degree(mono) > kw["max_degree"])
+        seen.append(operator)
+        outside.extend(
+            (operator, mono, lam, lam_shift)
+            for series, _value, lam_shift in lhs + rhs
+            for mono, lam in series.support()
+            if lam + lam_shift > kw["lam_max"]
+            or mono_degree(mono) > kw["max_degree"])
         return compare(operator, caps, lhs, rhs, **kw)
 
     monkeypatch.setattr(virasoro, "_compare", record)
@@ -670,26 +665,59 @@ def test_generated_terms_are_all_compared(z2, s3, monkeypatch):
     assert outside == []
 
 
-def test_virasoro_builds_no_class_potential(z2, monkeypatch):
-    # the diagonal reports generate their brackets, plain and mutated: the
-    # one potential virasoro_check builds is the per-index family's
-    # canonical one, and a missing target is refused before any
+def test_virasoro_builds_no_potential(z2, monkeypatch):
+    # every report generates its brackets, plain and mutated, the
+    # per-index ones on the point: no potential is built in any basis,
+    # and a missing target is refused from its own correlator
     bases = []
-    build = z2.potential
+    build = OrbifoldTheory.potential
 
-    def record(caps, *, basis=CLASS_BASIS):
+    def record(self, caps, *, basis=CLASS_BASIS):
         bases.append(basis)
-        return build(caps, basis=basis)
+        return build(self, caps, basis=basis)
 
-    monkeypatch.setattr(z2, "potential", record)
+    monkeypatch.setattr(OrbifoldTheory, "potential", record)
     plain = virasoro_check(z2, degree=4, genus=1)
     mutated = virasoro_check(z2, degree=4, genus=1,
                              mutate=((((0, 0), 1), ((0, 1), 2)), -2))
     with pytest.raises(MissingCoefficient):
         virasoro_check(z2, degree=4, genus=1, mutate=((((0, 0), 9),), -2))
-    assert bases == [CANONICAL_RESCALED] * 2
+    assert bases == []
     assert all(rep.passed for rep in plain)
     assert not all(rep.passed for rep in mutated[-4:])
+
+
+@pytest.mark.parametrize("name,param,degree,genus", [
+    ("S", 3, 5, 2), ("Q8", None, 5, 2), ("Z", 2, 6, 3)])
+def test_per_index_reports_match_the_canonical_potential(
+        name, param, degree, genus, monkeypatch):
+    # oracle: each per-index report, the point's copied to alpha, is
+    # R_n(F) of the split-table operator at alpha on the canonical
+    # potential at degree D, compared at D - order.  With c_n doubled
+    # every report fails, naming class-alpha variables only, and still
+    # matches the oracle
+    theory = OrbifoldTheory(named_group(name, param))
+    caps = SeriesCaps(degree=degree, genus=genus)
+    phi_u = theory.potential(caps, basis=CANONICAL_RESCALED)
+    split = split_table(theory.r)
+    specs = [VirasoroSpec(n, split, alpha) for alpha in range(theory.r)
+             for n in virasoro.VIRASORO_N]
+
+    def per_index_against_oracle():
+        reports = virasoro_check(theory, degree=degree, genus=genus)
+        assert len(reports) == len(specs) + len(virasoro.VIRASORO_N)
+        for spec, rep in zip(specs, reports):
+            want = fform_report(spec, phi_u, degree - virasoro._order(spec.n))
+            assert rep.to_json_dict() == want.to_json_dict(), spec.label()
+        return zip(specs, reports)
+
+    assert all(rep.passed for _spec, rep in per_index_against_oracle())
+    first = virasoro._coeff_first
+    monkeypatch.setattr(virasoro, "_coeff_first", lambda n: 2 * first(n))
+    for spec, rep in per_index_against_oracle():
+        assert not rep.passed, spec.label()
+        assert {k for v in rep.violations
+                for _a, k, _e in v["monomial"]} == {spec.v}, spec.label()
 
 
 def test_kdv_mutation_builds_no_potential(z2, monkeypatch):
@@ -833,6 +861,18 @@ def test_mutation_sensitivity_rejects_degree_above_4(z2):
 SWEEP_CAPS = SeriesCaps(degree=5, genus=1)
 
 
+def fform_report(spec, potential, watermark):
+    """R_n(F) against zero, by ``_compare`` over the terms of
+    ``_fform_terms``, at degree <= ``watermark`` and every lambda of the
+    potential's caps."""
+    lam_max = potential.caps.lam_ceiling
+    return virasoro._compare(
+        spec.label(), potential.caps,
+        virasoro._fform_terms(spec, potential, max_degree=watermark), (),
+        max_degree=watermark, lam_max=lam_max,
+        window={"lambda_min": -2, "lambda_max": lam_max})
+
+
 def rebuilt_mutation_sweep(theory, targets):
     """The sweep without delta updates: each target rebuilds F + delta and
     compares R_-1 and R_0 of it in full."""
@@ -843,8 +883,8 @@ def rebuilt_mutation_sweep(theory, targets):
         if mono_degree(mono) > 4:
             raise ValueError(f"mutation target {mono} has degree > 4")
         phi = base.add(virasoro._mutation(theory, (mono, lam), SWEEP_CAPS))
-        if all(virasoro._fform_report(VirasoroSpec(n, table), phi,
-                                      degree=SWEEP_CAPS.degree).passed
+        if all(fform_report(VirasoroSpec(n, table), phi,
+                            SWEEP_CAPS.degree - 1).passed
                for n in (-1, 0)):
             undetected.append({"monomial": virasoro._mono_json(mono),
                                "lambda": lam})
