@@ -331,18 +331,14 @@ class TruncatedSeries:
     def second_partial(self, v1, v2) -> "TruncatedSeries":
         return self.partial_derivative(v1).partial_derivative(v2)
 
-    def vector_field(self, moves, max_degree: Optional[int] = None
-                     ) -> "TruncatedSeries":
-        """sum c t_y d/dt_x applied to the terms of degree <= max_degree,
-        over the (y, c) in moves(x) for each variable x of a term.
+    def vector_field(self, moves) -> "TruncatedSeries":
+        """sum c t_y d/dt_x, over the (y, c) in moves(x) for each variable
+        x of a term; each term keeps its degree.
 
         The move coefficients go over their common denominator in one
         pass over the distinct variables."""
-        dcap = self.caps.degree if max_degree is None else max_degree
-        kept = [(mono, lc) for mono, lc in self.terms.items()
-                if mono_degree(mono) <= dcap]
         ratios = {}
-        for mono, _lc in kept:
+        for mono in self.terms:
             for var, _e in mono:
                 if var not in ratios:
                     ratios[var] = [(y, _ratio(c)) for y, c in moves(var)]
@@ -350,7 +346,7 @@ class TruncatedSeries:
         int_moves = {var: [(y, n * (scale // d)) for y, (n, d) in row]
                      for var, row in ratios.items()}
         level = {}
-        for mono, lc in kept:
+        for mono, lc in self.terms.items():
             for var, e in mono:
                 for new_var, c in int_moves[var]:
                     new_mono = mono

@@ -14,7 +14,8 @@ the region both sides are exact in and hands the terms of its identity
 to ``_compare``, which alone decides what is compared and counted.
 
 The check runs on the potential F, not on Z = exp(F): L_n Z = 0 is
-equivalent to R_n(F) = e^{-F} L_n e^{F} = 0 (see ``fform_residual``).  Its
+equivalent to R_n(F) = e^{-F} L_n e^{F} = 0, which the F-form reference
+of ``tests/test_virasoro.py`` checks against L_n exp(F).  Its
 genus-<=G part needs F only up to genus G, so F truncated at degree D and
 genus G fixes every coefficient of degree <= D-1 (n <= 0) or D-2 (n >= 1).
 Every report, like the KdV identity, generates each bracket (a partial
@@ -210,62 +211,12 @@ def apply_virasoro(spec: VirasoroSpec,
     return out
 
 
-def fform_residual(spec: VirasoroSpec, potential: TruncatedSeries, *,
-                   max_degree: int) -> TruncatedSeries:
-    """R_n(F) = e^{-F} L_n e^{F} for the potential F, up to ``max_degree``:
-    the sum of the terms of ``_fform_terms``.
-
-    ``mutation_sensitivity`` starts from this sum; it is what the Z-form
-    oracle test checks against L_n exp(F).
-    """
-    out = TruncatedSeries(potential.caps, system=potential.system)
-    for series, value, lam_shift in _fform_terms(spec, potential,
-                                                 max_degree=max_degree):
-        out.iadd(series, value, lam_shift=lam_shift)
-    return out
-
-
-def _fform_terms(spec, potential, *, max_degree):
-    """Yield the terms (series, value, lam_shift) of R_n(F), each standing
-    for value * lambda^lam_shift * series, up to ``max_degree``: R_n(F) -
-    R_n(0), the delta terms of F over the zero potential
-    (``_fform_delta_terms``), then R_n(0) (``_zero_terms``)."""
-    yield from _fform_delta_terms(spec, None, potential, max_degree=max_degree)
-    yield from _zero_terms(spec, potential.caps, potential.system)
-
-
-def _fform_delta_terms(spec, potential, delta, *, max_degree):
-    """Yield the terms of R_n(F + delta) - R_n(F) for the potential F (zero
-    if None), as ``_fform_terms`` does, up to ``max_degree``.
-
-    The multiplication and constant terms do not depend on F and drop
-    out.  What is left is the first-order part and the dilation term
-    applied to delta, and w lambda^2 (d1 d2 delta + d1 F d2 delta + d1 delta
-    d2 F + d1 delta d2 delta) per second-order term.  Truncation is linear,
-    so the terms sum to the difference exactly.  F is differentiated for
-    n >= 1 only: for n <= 0 the difference is linear in delta.
-    """
-    _check_operator(spec, delta)
-    d = lru_cache(maxsize=None)(delta.partial_derivative)
-    d_f = None if potential is None else lru_cache(maxsize=None)(
-        potential.partial_derivative)
-    for var, w in _first_order_terms(spec):
-        yield d(var), w, 0
-    yield _dilation_term(spec, delta, max_degree), 1, 0
-    for v1, v2, w in _second_order_terms(spec):
-        yield d(v1).partial_derivative(v2), w, 2
-        if d_f is not None:
-            yield d_f(v1).multiply(d(v2), max_degree=max_degree), w, 2
-            yield d(v1).multiply(d_f(v2), max_degree=max_degree), w, 2
-        yield d(v1).multiply(d(v2), max_degree=max_degree), w, 2
-
-
-def _dilation_term(spec, series, max_degree=None):
-    """sum_{i,m} c(n, i) t_{(i,m)} d/dt_{(i+n, v e_m)} over the terms of
-    degree <= max_degree (kept by the operator), via ``_dilation_moves``."""
+def _dilation_term(spec, series):
+    """sum_{i,m} c(n, i) t_{(i,m)} d/dt_{(i+n, v e_m)}, via
+    ``_dilation_moves``; it keeps each term's degree."""
     rows = [spec.times(m) for m in range(len(spec.table.unit))]
     moves = lru_cache(maxsize=None)(partial(_dilation_moves, spec.n, rows))
-    return series.vector_field(moves, max_degree)
+    return series.vector_field(moves)
 
 
 def _dilation_moves(n, rows, var):
@@ -331,9 +282,10 @@ def _compare(operator, caps, lhs, rhs, *, max_degree, lam_max,
     for value * lambda^lam_shift * series.  ``checked_monomials`` is the
     union of the term supports inside the region, read from each term's
     store at lambda <= lam_max - lam_shift (``positions``; degrees are
-    read only in the mutation sweep, below the caps).  ``max_residual``
-    is the residual lhs - rhs of largest absolute value, the negative one
-    when x and -x tie, and each violation shows the sums of both sides.
+    read only for a region below the caps' degree: every check here
+    compares up to its caps).  ``max_residual`` is the residual lhs - rhs
+    of largest absolute value, the negative one when x and -x tie, and
+    each violation shows the sums of both sides.
     The report depends on the residual values alone, not on term order.
     """
     support = set()
@@ -364,25 +316,24 @@ def _compare(operator, caps, lhs, rhs, *, max_degree, lam_max,
         window=window)
 
 
-def _generated_report(spec, bracket, caps):
-    """R_n(F) on the diagonal family (v the unit) against zero on ``caps``
-    = (D - order, G), from brackets ``bracket`` (``_bracket_source``)
-    generates there, each up to the lambda it is read at: lambda 2G-4 for
-    the second-order ones, read at lambda^2, and 2G-2 for the rest.  They
-    are those of ``_fform_terms``, with the unit glued at level n+1
-    (forgetting tails) for the first-order bracket; the dilation term on
-    the empty bracket; per i, weighted b_i, a handle glued at levels (i,
-    n-1-i) (cutting loops) for the r second partials sum_m z_m d_{(i,m)}
-    d_{(n-1-i,m')} F, and a node on (i | n-1-i) (cutting trees) for the r
-    products d_{(i,m)}F d_{(n-1-i,m')}F, each with the support of its r
-    terms (correlators >= 0, z_m > 0); and R_n(0).
+def _bracket_terms(spec, bracket) -> list:
+    """The terms of R_n(F) - R_n(0) on the diagonal family (v the unit),
+    from the brackets ``bracket`` hands out: those of F
+    (``_bracket_source``), or of delta alone at n <= 0 (``_delta_bracket``).
+    They are the first-order bracket, with the unit glued at level n+1
+    (forgetting tails); the dilation term on the empty bracket; per i,
+    weighted b_i, a handle glued at levels (i, n-1-i) (cutting loops) for
+    the r second partials sum_m z_m d_{(i,m)} d_{(n-1-i,m')} F, and a node
+    on (i | n-1-i) (cutting trees) for the r products d_{(i,m)}F
+    d_{(n-1-i,m')}F, each with the support of its r terms (correlators >=
+    0, z_m > 0).  The second-order brackets are read at lambda^2.
 
     So no series product is formed, and each report tests the point's
     recursion times the surface counts, not their splitting identity;
     that rests on ``check cohft``, the Frobenius-table tests, the
     separating-node test on every acceptance group and the node oracle.
     """
-    n, lam_max = spec.n, caps.lam_ceiling
+    n = spec.n
     [((a, k), w)] = _first_order_terms(spec)
     assert k == 0, "v is the unit e_0, so d/dt_{(n+1,0)} alone"
     terms = [(bracket((), ((a,),)), w, 0),
@@ -393,7 +344,16 @@ def _generated_report(spec, bracket, caps):
                            lam_shift=2), b, 2),
                   (bracket((), node=tuple(sorted(((i,), (n - 1 - i,)))),
                            lam_shift=2), b, 2)]
-    terms += _zero_terms(spec, caps, CLASS_BASIS)
+    return terms
+
+
+def _generated_report(spec, terms, caps):
+    """R_n(F) against zero on ``caps`` = (D - order, G), from its terms:
+    the bracket terms (``_bracket_terms``), each generated up to the
+    lambda it is read at (2G-4 for the second-order ones, 2G-2 for the
+    rest), and R_n(0) (``_zero_terms``), compared at degree <= D - order
+    and lambda <= 2G-2."""
+    lam_max = caps.lam_ceiling
     return _compare(spec.label(), caps, terms, (), max_degree=caps.degree,
                     lam_max=lam_max,
                     window={"lambda_min": -2, "lambda_max": lam_max})
@@ -445,8 +405,10 @@ def _diagonal_reports(theory, caps, mutate=None) -> list:
         # brackets recur across n and i; the last source is freed first
         bracket = lru_cache(maxsize=None)(
             _bracket_source(theory, generated, delta, generated.lam_ceiling))
-        reports += [_generated_report(VirasoroSpec(n, table), bracket,
-                                      generated) for n in ns]
+        reports += [_generated_report(
+            spec, _bracket_terms(spec, bracket)
+            + _zero_terms(spec, generated, CLASS_BASIS), generated)
+            for spec in (VirasoroSpec(n, table) for n in ns)]
     return reports
 
 
@@ -462,6 +424,31 @@ def _mutation(theory, target, caps) -> TruncatedSeries:
         lam=target[1], system=CLASS_BASIS)
 
 
+def _delta_bracket(delta, pairs, caps, lam_max, fixed, handles=()):
+    """delta's part of the bracket on the sorted (level, class) variables
+    ``fixed`` with ``handles`` glued (``OrbifoldTheory.bracket_family``),
+    over ``caps`` and up to lambda ``lam_max``, the bound of its family.
+    delta is no potential, so it is differentiated: d_{(a,0)} for a unit
+    at level a, and each handle contracted pair by pair over the inverse
+    metric ``pairs`` (sum_m z_m d_{(i,m)} d_{(j,m')})."""
+    d_delta = reduce(TruncatedSeries.partial_derivative, fixed, delta)
+    for entry in handles:
+        if len(entry) == 1:             # the unit e_0 at that level
+            d_delta = d_delta.partial_derivative((entry[0], 0))
+            continue
+        i, j = entry
+        glued = TruncatedSeries(delta.caps, system=CLASS_BASIS)
+        for m, m2, z in pairs:
+            glued.iadd(d_delta.second_partial((i, m), (j, m2)), z)
+        d_delta = glued
+    out = TruncatedSeries(caps, system=CLASS_BASIS)
+    for mono, lam, c in d_delta.iter_terms():
+        if lam <= lam_max:
+            out.iadd(TruncatedSeries.from_monomial(
+                caps, mono, c, lam=lam, system=CLASS_BASIS))
+    return out
+
+
 def _bracket_source(theory, caps, delta, lam_max):
     """bracket(fixed, handles, node, lam_shift): the class-basis bracket
     of F + delta on the sorted (level, class) variables ``fixed`` with a
@@ -473,49 +460,33 @@ def _bracket_source(theory, caps, delta, lam_max):
 
     A family is generated when one of its brackets is first asked for,
     and each bracket is handed out once: a second ask raises
-    AssertionError.  Each bracket gets the matching derivative of delta,
-    as delta is no potential: d_{(a,0)} for a unit at level a, and each
-    handle contracted pair by pair (sum_m z_m d_{(i,m)} d_{(j,m')}).  A
-    node bracket gets, pair by pair, the cross terms dF d(delta),
-    d(delta) dF and d(delta) d(delta) of its two factors.  delta is one
-    monomial, so each is a product by a monomial, and a factor of F is
-    generated only where delta's other factor is nonzero, up to the
-    node's bound minus delta's lambda: the lambda it is read at.
+    AssertionError.  Each bracket gets delta's part up to the same bound
+    (``_delta_bracket``).  A node bracket gets, pair by pair, the cross
+    terms dF d(delta), d(delta) dF and d(delta) d(delta) of its two
+    factors.  delta is one monomial, so each is a product by a monomial,
+    and a factor of F is generated only where delta's other factor is
+    nonzero, up to the node's bound minus delta's lambda: the lambda it
+    is read at.  d(delta) d(delta), at twice delta's lambda, is added
+    only up to the bound.
     """
     pairs = class_table(theory.algebra).pairs
     families = {}
     plain = lru_cache(maxsize=None)(partial(theory.bracket_family, caps=caps))
 
-    def delta_bracket(fixed, handles):
-        d_delta = reduce(TruncatedSeries.partial_derivative, fixed, delta)
-        for entry in handles:
-            if len(entry) == 1:             # the unit e_0 at that level
-                d_delta = d_delta.partial_derivative((entry[0], 0))
-                continue
-            i, j = entry
-            glued = TruncatedSeries(delta.caps, system=CLASS_BASIS)
-            for m, m2, z in pairs:
-                glued.iadd(d_delta.second_partial((i, m), (j, m2)), z)
-            d_delta = glued
-        out = TruncatedSeries(caps, system=CLASS_BASIS)
-        for mono, lam, c in d_delta.iter_terms():
-            out.iadd(TruncatedSeries.from_monomial(
-                caps, mono, c, lam=lam, system=CLASS_BASIS))
-        return out
-
     def bracket(fixed, handles=(), node=None, lam_shift=0):
-        signature = (tuple(a for a, _ in fixed), handles, node,
-                     lam_max - lam_shift)
+        bound = lam_max - lam_shift
+        signature = (tuple(a for a, _ in fixed), handles, node, bound)
         family = families.get(signature)
         if family is None:
             family = families[signature] = theory.bracket_family(
-                signature[0], caps, handles, node=node, lam_max=signature[3])
+                signature[0], caps, handles, node=node, lam_max=bound)
         got = family.pop(fixed, None)
         if got is None:
             raise AssertionError(f"bracket {fixed} with handles {handles} "
                                  f"and node {node} asked for twice")
         if node is None:
-            return got.iadd(delta_bracket(fixed, handles))
+            return got.iadd(_delta_bracket(delta, pairs, caps, bound, fixed,
+                                           handles))
         if not delta.support():
             return got
         [(_mono, delta_lam, _c)] = delta.iter_terms()
@@ -527,16 +498,20 @@ def _bracket_source(theory, caps, delta, lam_max):
                 (lv, m) for lv, (m, _m2, _z) in zip(node[0], chosen))))
             b = tuple(sorted(
                 (lv, m2) for lv, (_m, m2, _z) in zip(node[1], chosen)))
-            da, db = delta_bracket(a, sides[0]), delta_bracket(b, sides[1])
+            # a factor of delta meets one at lambda >= -2
+            da = _delta_bracket(delta, pairs, caps, bound + 2, a, sides[0])
+            db = _delta_bracket(delta, pairs, caps, bound + 2, b, sides[1])
             factors = []
             if db.support():
                 f_a = plain(tuple(v[0] for v in a), handles=sides[0],
-                            lam_max=signature[3] - delta_lam)[a]
+                            lam_max=bound - delta_lam)[a]
                 factors.append((f_a, db))
             if da.support():
                 f_b = plain(tuple(v[0] for v in b), handles=sides[1],
-                            lam_max=signature[3] - delta_lam)[b]
-                factors += [(f_b, da), (db, da)]
+                            lam_max=bound - delta_lam)[b]
+                factors.append((f_b, da))
+                if 2 * delta_lam <= bound:
+                    factors.append((db, da))
             weight = math.prod(z for _m, _m2, z in chosen)
             for x, y in factors:
                 for mono, lam, c in y.iter_terms():
@@ -715,49 +690,64 @@ def factorization_check(theory: OrbifoldTheory, *, degree: int = 6,
 
 def mutation_targets(theory: OrbifoldTheory) -> list:
     """Stored class-basis potential coefficients of degree <= 4 and genus
-    <= 1, the targets ``mutation_sensitivity`` detects."""
-    caps = SeriesCaps(degree=4, genus=1)
-    phi = theory.potential(caps, basis=CLASS_BASIS)
-    return sorted((mono, lam) for mono, lam, _c in phi.iter_terms())
+    <= 1, the targets ``mutation_sensitivity`` detects: the class keys
+    whose surface count is nonzero (psi is), read with no potential
+    built."""
+    return sorted(
+        (mono, 2 * genus - 2) for genus, variables, _psi, mono, _factorial
+        in theory.class_keys(SeriesCaps(degree=4, genus=1))
+        if theory.surface_count(genus, [c for _a, c in variables]))
 
 
 def mutation_sensitivity(theory: OrbifoldTheory, *, targets=None) -> dict:
     """Double each stored low-genus coefficient; every mutation must trip
-    an n = -1 or n = 0 residual of the diagonal family at D5 G1.
+    an n = -1 or n = 0 diagonal report of ``virasoro_check`` at D5 G1.
 
-    R_-1(F) and R_0(F) are built once; each target's delta (``_mutation``,
-    doubling that coefficient) adds only its terms R_n(F + delta) - R_n(F)
-    (``_fform_delta_terms``), compared as in ``virasoro_check``.  R_-1
-    changes by -d_{(0,0)} delta + dilation(delta), whose dilation part
-    raises one level of delta's monomial per variable with coefficient 1:
-    distinct monomials of its degree that cannot cancel and that lie in
-    the compared region (degree <= 4, lambda <= 0) when delta has degree
-    <= 4 and genus <= 1.  So every such target is caught by construction:
-    the sweep shows that the check compares, not that the constraints
-    determine F.  A target of degree > 4 raises ValueError, and one the
-    potential does not store raises MissingCoefficient.  ``targets``
-    defaults to every ``mutation_targets`` entry.
+    Those reports are generated at caps (4, 1).  R_n(F) is summed once
+    from the bracket terms of F (``_bracket_terms``) and R_n(0); each
+    target's delta (``_mutation``, doubling that coefficient) adds only
+    its own bracket terms (``_delta_bracket``, as under ``--mutate``), and
+    each report is compared as in ``virasoro_check``: the n <= 0 half of
+    ``check virasoro --degree 5 --genus 1 --mutate`` that target, with no
+    potential built.
+
+    R_-1 changes by -d_{(0,0)} delta + dilation(delta), whose dilation
+    part raises one level of delta's monomial per variable with
+    coefficient 1: distinct monomials of its degree that cannot cancel and
+    that lie in the compared region (degree <= 4, lambda <= 0) when delta
+    has degree <= 4 and genus <= 1.  So every such target is caught by
+    construction: the sweep shows that the check compares, not that the
+    constraints determine F.  A target of degree > 4 raises ValueError,
+    and one the potential does not store raises MissingCoefficient.
+    ``targets`` defaults to every ``mutation_targets`` entry.
     """
     if targets is None:
         targets = mutation_targets(theory)
-    caps = SeriesCaps(degree=5, genus=1)
-    watermark = caps.degree - 1
+    caps = SeriesCaps(degree=4, genus=1)
+    lam_max = caps.lam_ceiling
     table = class_table(theory.algebra)
-    base = theory.potential(caps)
-    residuals = [(spec, fform_residual(spec, base, max_degree=watermark))
-                 for spec in (VirasoroSpec(n, table) for n in (-1, 0))]
+    bracket = lru_cache(maxsize=None)(_bracket_source(
+        theory, caps, _mutation(theory, None, caps), lam_max))
+    residuals = []
+    for spec in (VirasoroSpec(n, table) for n in (-1, 0)):
+        # R_n(F), summed once: empty when F satisfies the constraint
+        residual = TruncatedSeries(caps, system=CLASS_BASIS)
+        for series, value, lam_shift in (_bracket_terms(spec, bracket)
+                                         + _zero_terms(spec, caps,
+                                                       CLASS_BASIS)):
+            residual.iadd(series, value, lam_shift=lam_shift)
+        residuals.append((spec, residual))
     undetected = []
     for mono, lam in targets:
         if mono_degree(mono) > 4:
             raise ValueError(f"mutation target {mono} has degree > 4")
-        delta = _mutation(theory, (mono, lam), caps)
-        if all(_compare(spec.label(), caps,
-                        [(residual, 1, 0),
-                         *_fform_delta_terms(spec, base, delta,
-                                             max_degree=watermark)],
-                        (), max_degree=watermark,
-                        lam_max=caps.lam_ceiling).passed
-               for spec, residual in residuals):
+        delta_brackets = partial(
+            _delta_bracket, _mutation(theory, (mono, lam), caps), table.pairs,
+            caps, lam_max)
+        if all(_generated_report(
+                spec,
+                [(residual, 1, 0), *_bracket_terms(spec, delta_brackets)],
+                caps).passed for spec, residual in residuals):
             undetected.append({"monomial": _mono_json(mono), "lambda": lam})
     return {"mutated": len(targets), "undetected": undetected,
             "passed": not undetected}

@@ -46,6 +46,12 @@ PER_INDEX_ORACLE = (T_VIRASORO
                     + "test_per_index_reports_match_the_canonical_potential")
 GENUS_2_PINNED = T_CLI + "test_genus_2_report_bytes_pinned"
 DEEPER_PINNED = T_CLI + "test_deeper_report_bytes_pinned"
+REBUILT_SWEEP = T_VIRASORO + "test_mutation_sweep_matches_the_rebuilt_sweep"
+WRONG_POTENTIAL = (T_VIRASORO + "test_mutation_sweep_misses_the_one_target"
+                   "_a_wrong_potential_lacks")
+SWEEP_REPORTS = (T_VIRASORO
+                 + "test_mutation_sweep_reports_are_those_of_check_virasoro")
+DELTA_BOUND = T_VIRASORO + "test_mutated_brackets_stop_at_their_bound"
 
 MUTANTS = [
     # the brute-force oracle recurses on the commutator, not the product
@@ -247,7 +253,29 @@ MUTANTS = [
     ("support-one-lambda-step-above", SERIES,
      "                    for lam in lc if lam <= lam_max)",
      "                    for lam in lc if lam <= lam_max + 2)",
-     [REPORTS_PINNED]),
+     ["tests/test_series.py::test_positions_stop_at_lam_max"]),
+    # delta's part of a bracket kept above its family's lambda bound
+    ("delta-bracket-unbounded", VIRASORO,
+     "        if lam <= lam_max:\n"
+     "            out.iadd(TruncatedSeries.from_monomial(",
+     "        if True:\n"
+     "            out.iadd(TruncatedSeries.from_monomial(",
+     [DELTA_BOUND]),
+    # a node's d(delta) d(delta) added above the node's bound
+    ("delta-square-unbounded", VIRASORO,
+     "if 2 * delta_lam <= bound:",
+     "if True:",
+     [DELTA_BOUND]),
+    # the sweep compares delta's bracket terms without the base R_n(F)
+    ("sweep-without-base", VIRASORO,
+     "[(residual, 1, 0), *_bracket_terms(spec, delta_brackets)],",
+     "_bracket_terms(spec, delta_brackets),",
+     [WRONG_POTENTIAL]),
+    # the sweep drops delta's dilation term, keeping its first-order one
+    ("sweep-drops-delta-dilation", VIRASORO,
+     "*_bracket_terms(spec, delta_brackets)],",
+     "*_bracket_terms(spec, delta_brackets)[:1]],",
+     [REBUILT_SWEEP, SWEEP_REPORTS]),
     # a class block built for one rank served to another
     ("class-block-ignores-r", CORRELATORS,
      "key = (level, mult, r)",

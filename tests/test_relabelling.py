@@ -3,13 +3,18 @@ that matches the two class algebras, the oracle's surface counts, the
 class-basis potential and the constraint reports must agree.  Every
 other oracle compares two algorithms on one labelling, so a fault that
 reads an element index as its role (the identity at index 0, say)
-passes them all."""
+passes them all.  Two groups of one order and one multiset of character
+degrees have the same canonical potential, so some reports must agree
+across groups too."""
 
+import io
 import random
+from contextlib import redirect_stdout
 from itertools import combinations_with_replacement, permutations
 
 import pytest
 
+from orbigw.cli import main
 from orbigw.correlators import CLASS_BASIS, OrbifoldTheory
 from orbigw.groups import build_from_cayley, named_group
 from orbigw.series import SeriesCaps
@@ -86,3 +91,33 @@ def test_relabelled_cayley_table_gives_the_same_theory(name, param):
     assert by_class == {(rep.operator["kdv_a"],
                          pi[rep.operator["direction_class"]]): counts([rep])
                         for rep in want}
+
+
+D4 = '{"name":"D","param":4}'
+Q8 = '{"name":"Q8"}'
+Z4 = '{"name":"Z","param":4}'
+Z2_Z2 = '{"product":[{"name":"Z","param":2},{"name":"Z","param":2}]}'
+CANONICAL = ["potential", "--basis", "canonical", "--degree", "5",
+             "--genus", "2"]
+FACTORIZATION = ["check", "factorization", "--degree", "5", "--genus", "2"]
+
+
+def printed(argv, group):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(argv + ["--group", group])
+    assert code == 0, argv
+    return buf.getvalue()
+
+
+# D4 and Q8 have degrees (1, 1, 1, 1, 2), Z4 and Z2 x Z2 four 1s: the
+# canonical potential, r copies of the point's with nu_alpha = (dim_alpha
+# / |G|)^2, and the factorization report compared with it depend on
+# nothing else
+@pytest.mark.parametrize("argv, first, second", [
+    (CANONICAL, D4, Q8), (CANONICAL, Z4, Z2_Z2), (FACTORIZATION, D4, Q8)],
+    ids=["canonical-D4-Q8", "canonical-Z4-Z2xZ2", "factorization-D4-Q8"])
+def test_groups_with_equal_character_degrees_print_the_same_bytes(
+        argv, first, second):
+    out = printed(argv, first)
+    assert out and out == printed(argv, second)

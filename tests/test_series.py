@@ -175,6 +175,20 @@ def test_derivative_of_exponential():
             assert lhs.coefficient(mono_, lam) == rhs.coefficient(mono_, lam)
 
 
+def test_positions_stop_at_lam_max():
+    # the support read from the store: lambda <= lam_max, shifted by
+    # lam_shift, whether or not max_degree reads the monomials' degrees
+    caps = SeriesCaps(degree=2, genus=2)
+    x, xy = mono_from_vars([T0]), mono_from_vars([T0, (1, 0)])
+    s = TruncatedSeries(caps)
+    for lam in (-2, 0, 2):
+        s.add_term(x, lam, 1)
+        s.add_term(xy, lam, 1)
+    assert set(s.positions(0, 2)) == {(x, -2), (x, 0), (xy, -2), (xy, 0)}
+    assert set(s.positions(-2, 2, lam_shift=2)) == {(x, 0), (xy, 0)}
+    assert set(s.positions(0, 1)) == {(x, -2), (x, 0)}
+
+
 def test_serialization_deterministic():
     s = poly([(mono(T0), 0, Q(1, 3)), (mono((1, 0)), -2, Q(2))])
     assert s.to_json_list() == s.scale(1).to_json_list()
@@ -274,7 +288,8 @@ def test_kernel_matches_fraction_reference():
                     acc[new_var] = acc.get(new_var, 0) + 1
                     ref_add(want, tuple(sorted(p for p in acc.items() if p[1])),
                             lam, c * e * w)
-        got = a.vector_field(lambda var: moves.get(var, []), max_degree=4)
+        got = a.truncated_to_degree(4).vector_field(
+            lambda var: moves.get(var, []))
         assert values(got) == want
 
 

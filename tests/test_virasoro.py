@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 import sys
 from functools import lru_cache, reduce
 from itertools import combinations_with_replacement, product
@@ -17,7 +18,7 @@ from orbigw.util import Q
 from orbigw.virasoro import (VariableSystemMismatch, VirasoroSpec,
                              apply_virasoro, class_table, commutator_check,
                              diagonal_combination_residual,
-                             factorization_check, fform_residual, kdv_check,
+                             factorization_check, kdv_check,
                              mutation_sensitivity, split_table,
                              virasoro_check)
 
@@ -174,6 +175,60 @@ def test_virasoro_annihilation_z2(z2):
     assert all(rep.passed for rep in reports)
 
 
+# -- the F-form reference -----------------------------------------------------
+# R_n(F) = e^{-F} L_n e^{F} built term by term from the operator builders,
+# by differentiating and multiplying a potential: the reference that the
+# Z-form, per-index, rebuilt-sweep and delta-sum tests hold the generated
+# reports to.
+
+
+def fform_residual(spec, potential, *, max_degree):
+    """R_n(F) for the potential F, up to ``max_degree``: the sum of the
+    terms of ``fform_terms``."""
+    out = TruncatedSeries(potential.caps, system=potential.system)
+    for series, value, lam_shift in fform_terms(spec, potential,
+                                                max_degree=max_degree):
+        out.iadd(series, value, lam_shift=lam_shift)
+    return out
+
+
+def fform_terms(spec, potential, *, max_degree):
+    """Yield the terms (series, value, lam_shift) of R_n(F), each standing
+    for value * lambda^lam_shift * series, up to ``max_degree``: R_n(F) -
+    R_n(0), the delta terms of F over the zero potential
+    (``fform_delta_terms``), then R_n(0)."""
+    yield from fform_delta_terms(spec, None, potential, max_degree=max_degree)
+    yield from virasoro._zero_terms(spec, potential.caps, potential.system)
+
+
+def fform_delta_terms(spec, potential, delta, *, max_degree):
+    """Yield the terms of R_n(F + delta) - R_n(F) for the potential F (zero
+    if None), as ``fform_terms`` does, up to ``max_degree``.
+
+    The multiplication and constant terms do not depend on F and drop
+    out.  What is left is the first-order part and the dilation term
+    applied to delta, and w lambda^2 (d1 d2 delta + d1 F d2 delta + d1 delta
+    d2 F + d1 delta d2 delta) per second-order term.  Truncation is linear,
+    so the terms sum to the difference exactly.  F is differentiated for
+    n >= 1 only: for n <= 0 the difference is linear in delta.  The
+    dilation keeps degree, so delta is truncated before it.
+    """
+    virasoro._check_operator(spec, delta)
+    d = lru_cache(maxsize=None)(delta.partial_derivative)
+    d_f = None if potential is None else lru_cache(maxsize=None)(
+        potential.partial_derivative)
+    for var, w in virasoro._first_order_terms(spec):
+        yield d(var), w, 0
+    yield virasoro._dilation_term(
+        spec, delta.truncated_to_degree(max_degree)), 1, 0
+    for v1, v2, w in virasoro._second_order_terms(spec):
+        yield d(v1).partial_derivative(v2), w, 2
+        if d_f is not None:
+            yield d_f(v1).multiply(d(v2), max_degree=max_degree), w, 2
+            yield d(v1).multiply(d_f(v2), max_degree=max_degree), w, 2
+        yield d(v1).multiply(d(v2), max_degree=max_degree), w, 2
+
+
 def zform_fform_mismatches(theory, spec, monkeypatch, *, degree, genus,
                            drop_products=False):
     """Positions of degree <= D-2 and lambda <= 2G-2 where L_n exp(F) and
@@ -244,7 +299,8 @@ def family_series(spec, potential, watermark):
     return {
         "first-order": total((d(var), w, 0) for var, w
                              in virasoro._first_order_terms(spec)),
-        "dilation": virasoro._dilation_term(spec, potential, watermark),
+        "dilation": virasoro._dilation_term(
+            spec, potential.truncated_to_degree(watermark)),
         "second-order": total((d(v1).partial_derivative(v2), w, 2)
                               for v1, v2, w in second),
         "product": total((d(v1).multiply(d(v2), max_degree=watermark), w, 2)
@@ -610,6 +666,22 @@ def test_virasoro_brackets_match_differentiated_potential(
                 assert changed == {(1, False), (2, False), (2, True)}
 
 
+def test_mutated_brackets_stop_at_their_bound(z2, monkeypatch):
+    # delta's part of a bracket stops at its family's lambda bound, as F's
+    # does: on Z2 D4 G1 these genus-1 targets reach the n >= 1 handle
+    # families at (0, 0) and (0, 1), and the node (0 | 0) through
+    # d(delta) d(delta), all bounded by lambda^-2
+    for target in (((((0, 0), 2), ((1, 0), 1), ((3, 0), 1)), 0),
+                   ((((0, 0), 1), ((2, 0), 1)), 0)):
+        _signatures, calls = handed_brackets(
+            z2, virasoro_check, monkeypatch, degree=4, genus=1,
+            mutate=target)
+        assert {bound for _f, _h, _n, bound, _g in calls} == {0, -2}
+        assert [(handles, node, lam)
+                for _f, handles, node, bound, got in calls
+                for _mono, lam in got.support() if lam > bound] == []
+
+
 def test_plain_checks_form_no_series_product(z2, s3, monkeypatch):
     # brackets, handles and nodes are generated, the per-index reports as
     # the point's: a plain KdV or Virasoro run forms no series product; a
@@ -667,8 +739,9 @@ def test_generated_terms_are_all_compared(z2, s3, monkeypatch):
 
 def test_virasoro_builds_no_potential(z2, monkeypatch):
     # every report generates its brackets, plain and mutated, the
-    # per-index ones on the point: no potential is built in any basis,
-    # and a missing target is refused from its own correlator
+    # per-index ones on the point, and so does the mutation sweep, its
+    # targets read off the class keys: no potential is built in any
+    # basis, and a missing target is refused from its own correlator
     bases = []
     build = OrbifoldTheory.potential
 
@@ -682,9 +755,11 @@ def test_virasoro_builds_no_potential(z2, monkeypatch):
                              mutate=((((0, 0), 1), ((0, 1), 2)), -2))
     with pytest.raises(MissingCoefficient):
         virasoro_check(z2, degree=4, genus=1, mutate=((((0, 0), 9),), -2))
+    sweep = mutation_sensitivity(z2)
     assert bases == []
     assert all(rep.passed for rep in plain)
     assert not all(rep.passed for rep in mutated[-4:])
+    assert sweep["passed"] and sweep["mutated"] == 44
 
 
 @pytest.mark.parametrize("name,param,degree,genus", [
@@ -863,12 +938,12 @@ SWEEP_CAPS = SeriesCaps(degree=5, genus=1)
 
 def fform_report(spec, potential, watermark):
     """R_n(F) against zero, by ``_compare`` over the terms of
-    ``_fform_terms``, at degree <= ``watermark`` and every lambda of the
+    ``fform_terms``, at degree <= ``watermark`` and every lambda of the
     potential's caps."""
     lam_max = potential.caps.lam_ceiling
     return virasoro._compare(
         spec.label(), potential.caps,
-        virasoro._fform_terms(spec, potential, max_degree=watermark), (),
+        fform_terms(spec, potential, max_degree=watermark), (),
         max_degree=watermark, lam_max=lam_max,
         window={"lambda_min": -2, "lambda_max": lam_max})
 
@@ -914,7 +989,7 @@ def test_fform_delta_terms_sum_to_the_difference(z2, s3):
                                       max_degree=watermark).iadd(before, -1)
                 got, alone = (TruncatedSeries(SWEEP_CAPS) for _ in range(2))
                 for total, phi in ((got, base), (alone, None)):
-                    for series, value, lam_shift in virasoro._fform_delta_terms(
+                    for series, value, lam_shift in fform_delta_terms(
                             spec, phi, delta, max_degree=watermark):
                         total.iadd(series, value, lam_shift=lam_shift)
                 assert want.support() and got == want, (n, target)
@@ -934,9 +1009,14 @@ def test_mutation_sweep_matches_the_rebuilt_sweep(s3):
 def test_mutation_sweep_misses_the_one_target_a_wrong_potential_lacks(
         z2, monkeypatch):
     # F - c t^M has a nonzero residual, which only F - c t^M + delta_M
-    # repairs: the sweep misses exactly M
+    # repairs: the sweep misses exactly M.  The rebuilt sweep gets F - c t^M
+    # as its potential; the sweep gets it through the bracket route, as
+    # the delta of its plain (None) target
     targets = virasoro.mutation_targets(z2)
     mono, lam = targets[len(targets) // 2]
+    want = {"mutated": len(targets), "passed": False,
+            "undetected": [{"monomial": virasoro._mono_json(mono),
+                            "lambda": lam}]}
     real = z2.potential
 
     def lacking(caps, **kwargs):
@@ -944,13 +1024,19 @@ def test_mutation_sweep_misses_the_one_target_a_wrong_potential_lacks(
         phi.add_term(mono, lam, -phi.coefficient(mono, lam))
         return phi
 
-    monkeypatch.setattr(z2, "potential", lacking)
-    assert fform_residual(VirasoroSpec(-1, class_table(z2.algebra)),
-                          z2.potential(SWEEP_CAPS), max_degree=4).support()
-    want = {"mutated": len(targets), "passed": False,
-            "undetected": [{"monomial": virasoro._mono_json(mono),
-                            "lambda": lam}]}
-    assert rebuilt_mutation_sweep(z2, targets) == want
+    with monkeypatch.context() as m:
+        m.setattr(z2, "potential", lacking)
+        assert fform_residual(VirasoroSpec(-1, class_table(z2.algebra)),
+                              z2.potential(SWEEP_CAPS), max_degree=4).support()
+        assert rebuilt_mutation_sweep(z2, targets) == want
+    mutation = virasoro._mutation
+
+    def lacking_delta(theory, target, caps):
+        if target is None:
+            return mutation(theory, (mono, lam), caps).scale(-1)
+        return mutation(theory, target, caps)
+
+    monkeypatch.setattr(virasoro, "_mutation", lacking_delta)
     assert mutation_sensitivity(z2, targets=targets) == want
 
 
@@ -963,19 +1049,60 @@ def test_mutation_sweep_rejects_an_unstored_target(z2):
 
 
 def test_mutation_sweep_builds_two_residuals(s3, monkeypatch):
-    # R_-1(F) and R_0(F) are built once; each target adds only its delta
-    # terms, however many targets there are
-    builds = []
-    full = virasoro._fform_terms
+    # R_-1(F) and R_0(F) are generated once, from three families (the
+    # unit glued at level 0, at level 1, and the empty one); each target
+    # adds only its delta's brackets, so 24 targets generate as many
+    # families as all 161
+    targets = virasoro.mutation_targets(s3)
+    families = []
+    generate = s3.bracket_family
 
     def counted(*args, **kwargs):
-        builds.append(args[0].n)
-        return full(*args, **kwargs)
+        families.append(args[0])
+        return generate(*args, **kwargs)
 
-    monkeypatch.setattr(virasoro, "_fform_terms", counted)
-    out = mutation_sensitivity(s3)
-    assert out["mutated"] == 161 and out["passed"]
-    assert sorted(builds) == [-1, 0]
+    monkeypatch.setattr(s3, "bracket_family", counted)
+    counts = []
+    for chosen in (sorted(random.Random(1).sample(targets, 24)), targets):
+        families.clear()
+        out = mutation_sensitivity(s3, targets=chosen)
+        assert out["mutated"] == len(chosen) and out["passed"]
+        counts.append(len(families))
+    assert len(targets) == 161
+    assert counts == [3, 3]
+
+
+@pytest.mark.parametrize("name,param", [("S", 3), ("Q8", None)])
+def test_mutation_sweep_reports_are_those_of_check_virasoro(
+        name, param, monkeypatch):
+    # oracle: for a seeded handful of targets, each report the sweep
+    # makes is the n = -1 or n = 0 diagonal report of virasoro_check at D5
+    # G1 with that target mutated, so the sweep flags a target exactly
+    # when one of those fails.  Only the count differs: the sweep's R_n(F)
+    # is summed before its support is read
+    theory = OrbifoldTheory(named_group(name, param))
+    targets = virasoro.mutation_targets(theory)
+    made = []
+    generated = virasoro._generated_report
+
+    def record(spec, terms, caps):
+        made.append(generated(spec, terms, caps))
+        return dataclasses.replace(made[-1], violations=[])   # on to n = 0
+
+    def uncounted(reports):
+        return [dataclasses.replace(rep, checked_monomials=None)
+                for rep in reports]
+
+    for target in sorted(random.Random(3).sample(targets, 4)):
+        made.clear()
+        with monkeypatch.context() as m:
+            m.setattr(virasoro, "_generated_report", record)
+            mutation_sensitivity(theory, targets=[target])
+        want = virasoro_check(theory, degree=5, genus=1, mutate=target)[-4:-2]
+        assert [rep.operator["n"] for rep in want] == [-1, 0]
+        assert uncounted(made) == uncounted(want)
+        out = mutation_sensitivity(theory, targets=[target])
+        assert bool(out["undetected"]) == all(rep.passed for rep in want)
 
 
 def test_mutation_sweep_on_larger_groups():
